@@ -92,6 +92,7 @@ from .expansion import (
     r_diff_terms,
     var_psi_bar,
     var_psi_bar_study,
+    xi7_kernel,
     xi_weight_matrix,
 )
 

@@ -338,23 +338,35 @@ def fd_phi2(fun, beta0: np.ndarray, limits: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def fd_phi3(fun, beta0: np.ndarray, limits: np.ndarray | None = None) -> np.ndarray:
-    """Triple-nested central differences with one Richardson level, step eps^(1/6)."""
+def fd_phi3(
+    fun, beta0: np.ndarray, theta_slice: slice, limits: np.ndarray | None = None
+) -> np.ndarray:
+    """Theta-slices of the third derivative: triple-nested central
+    differences with one Richardson level, step eps^(1/6).
+
+    Returns a (..., D, D, p) array whose [..., j, k, q] entry is the third
+    derivative in (beta_j, beta_k, beta_theta_q). Only the sorted index
+    triples with at least one theta index are differenced.
+    """
     D = beta0.shape[0]
+    theta_col = {idx: col for col, idx in enumerate(range(D)[theta_slice])}
     steps = _fd_steps(beta0, 1.0 / 6.0, limits)
     out = None
     for q in range(D):
         for k in range(q, D):
             for j in range(k, D):
+                if theta_col.keys().isdisjoint((j, k, q)):
+                    continue
                 coarse = _stencil3(fun, beta0, j, k, q, steps[j], steps[k], steps[q])
                 fine = _stencil3(
                     fun, beta0, j, k, q, 0.5 * steps[j], 0.5 * steps[k], 0.5 * steps[q]
                 )
                 block = (4.0 * fine - coarse) / 3.0
                 if out is None:
-                    out = np.zeros(block.shape + (D, D, D))
-                for idx in {(j, k, q), (j, q, k), (k, j, q), (k, q, j), (q, j, k), (q, k, j)}:
-                    out[(...,) + idx] = block
+                    out = np.zeros(block.shape + (D, D, len(theta_col)))
+                for a, b, c in {(j, k, q), (j, q, k), (k, j, q), (k, q, j), (q, j, k), (q, k, j)}:
+                    if c in theta_col:
+                        out[..., a, b, theta_col[c]] = block
     return out
 
 
@@ -409,7 +421,6 @@ class DerivTensors:
     method: str
     phi1: np.ndarray
     phi2: np.ndarray | None = None
-    phi3: np.ndarray | None = None
     phi3_theta: np.ndarray | None = None
 
 
@@ -428,7 +439,8 @@ def population_tensors(
     second derivatives of both systems and of their difference; third
     order only for ``system='diff'``, where the theta-slices have a
     closed form). ``finite_difference`` differences the expected stacked
-    moment under the plug-in measure and can fill any entry.
+    moment under the plug-in measure for any system; at third order it
+    fills the same theta-slices.
     """
     _check_system(system)
     if order < 1 or order > 3:
@@ -461,17 +473,11 @@ def population_tensors(
         limits = _fd_step_limits(model, measure, layout)
         phi1 = fd_phi1(fun, beta0, limits)
         phi2 = fd_phi2(fun, beta0, limits) if order >= 2 else None
-        phi3 = fd_phi3(fun, beta0, limits) if order >= 3 else None
         phi3_theta = (
-            phi3[..., layout.theta_slice] if phi3 is not None else None
+            fd_phi3(fun, beta0, layout.theta_slice, limits) if order >= 3 else None
         )
         return DerivTensors(
-            system=system,
-            method=method,
-            phi1=phi1,
-            phi2=phi2,
-            phi3=phi3,
-            phi3_theta=phi3_theta,
+            system=system, method=method, phi1=phi1, phi2=phi2, phi3_theta=phi3_theta
         )
     raise DimensionError(
         f"unknown method {method!r}; use 'closed_form' or 'finite_difference'"
@@ -486,7 +492,6 @@ def psi_tensors(dt: DerivTensors, phi_inv: np.ndarray) -> DerivTensors:
         method=dt.method,
         phi1=neg @ dt.phi1,
         phi2=None if dt.phi2 is None else np.einsum("lh,hjk->ljk", neg, dt.phi2),
-        phi3=None if dt.phi3 is None else np.einsum("lh,hjkq->ljkq", neg, dt.phi3),
         phi3_theta=None
         if dt.phi3_theta is None
         else np.einsum("lh,hjkq->ljkq", neg, dt.phi3_theta),

@@ -49,6 +49,7 @@ __all__ = [
     "q_diff_decomposition",
     "xi_weight_matrix",
     "r_diff_terms",
+    "xi7_kernel",
     "orthogonality_xi7_study",
     "var_psi_bar_study",
     "StudyRow",
@@ -73,8 +74,9 @@ TOLERANCES: dict[str, float] = {
 """Tolerance ladder used by the identity suites and the test suite."""
 
 
-def _layout_of(ss: SampleStats):
-    return ss.layout
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x over the leading axes of x; for one vector it equals a @ x bitwise."""
+    return (a @ x[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -82,21 +84,24 @@ def _layout_of(ss: SampleStats):
 # ---------------------------------------------------------------------------
 
 
+def _psi_from_g_bar(g_bar: np.ndarray, ps: ProjectionSet, layout) -> np.ndarray:
+    """(0, -P g_bar, -P g_bar, -H g_bar) for g_bar of shape (..., m)."""
+    out = np.zeros(g_bar.shape[:-1] + (layout.dim_beta,))
+    pg = _matvec(ps.P, g_bar)
+    out[..., layout.kappa_slice] = -pg
+    out[..., layout.lambda_slice] = -pg
+    out[..., layout.theta_slice] = -_matvec(ps.H, g_bar)
+    return out
+
+
 def psi_bar(ss: SampleStats, ps: ProjectionSet) -> np.ndarray:
     """Closed-form influence term (0, -P g_bar, -P g_bar, -H g_bar)."""
-    layout = _layout_of(ss)
-    out = np.zeros(layout.dim_beta)
-    pg = ps.P @ ss.g_bar
-    out[layout.kappa_slice] = -pg
-    out[layout.lambda_slice] = -pg
-    out[layout.theta_slice] = -ps.H @ ss.g_bar
-    return out
+    return _psi_from_g_bar(ss.g_bar, ps, ss.layout)
 
 
 def psi_bar_generic(ss: SampleStats, ps: ProjectionSet) -> np.ndarray:
     """The same term computed as -Phi^-1 phi0_bar."""
-    layout = _layout_of(ss)
-    return -phi_inverse_matrix(ps, layout) @ ss.phi0_bar
+    return -phi_inverse_matrix(ps, ss.layout) @ ss.phi0_bar
 
 
 def var_psi_bar(ps: ProjectionSet, layout) -> np.ndarray:
@@ -168,7 +173,7 @@ def q_bar(
     """
     if dt.phi2 is None:
         raise DimensionError("q_bar needs second-order tensors in dt")
-    layout = _layout_of(ss)
+    layout = ss.layout
     phi_inv = phi_inverse_matrix(ps, layout)
     psi = psi_bar(ss, ps)
 
@@ -235,7 +240,7 @@ def q_diff_decomposition(
     """
     if dt_diff.phi2 is None:
         raise DimensionError("q_diff_decomposition needs second-order diff tensors")
-    layout = _layout_of(ss_diff)
+    layout = ss_diff.layout
     phi_inv = phi_inverse_matrix(ps, layout)
     psi = psi_bar(ss_diff, ps)
     piece1 = (-phi_inv @ ss_diff.phi1_bar) @ psi
@@ -325,7 +330,7 @@ def r_diff_terms(
         raise DimensionError("r_diff_terms needs order-3 difference tensors")
     if ss_diff.phi2_bar is None:
         raise DimensionError("r_diff_terms needs phi2 bars (pass moment tensors)")
-    layout = _layout_of(ss_diff)
+    layout = ss_diff.layout
     ts = layout.theta_slice
     phi_inv = phi_inverse_matrix(ps, layout)
     psi = psi_bar(ss_diff, ps)
@@ -345,8 +350,7 @@ def r_diff_terms(
     term2_cancel = -term1_closed
     term2_xi7 = term2_direct - term2_cancel
 
-    B = np.einsum("abk,k->ab", mt.T, u1)
-    core = ps.H @ (B @ (ps.Omega_inv @ (B @ u1)))
+    core = ps.H @ xi7_kernel(u1, ps, mt)
     candidates = {"+1/2": 0.5 * core, "-1": -core}
     supported = None
     scale = 1.0 + float(np.max(np.abs(term2_xi7)))
@@ -376,9 +380,45 @@ def r_diff_terms(
     )
 
 
+def xi7_kernel(u1: np.ndarray, ps: ProjectionSet, mt: MomentTensors) -> np.ndarray:
+    """Unprojected cubic kernel B Omega^-1 B u1 with B = T u1, u1 = P g_bar.
+
+    The surviving third-order term is xi7 = 1/2 H xi7_kernel(P g_bar).
+    u1 may carry leading axes (one row per replication); for a single
+    vector the result equals the unbatched products bitwise.
+    """
+    B = np.einsum("abk,...k->...ab", mt.T, u1)
+    return _matvec(B, _matvec(ps.Omega_inv, _matvec(B, u1)))
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo studies
 # ---------------------------------------------------------------------------
+
+_MC_CHUNK = 32
+"""Replications whose draws share one g_rows call in the g_bar-only studies.
+Large enough to amortise the per-call overhead, small enough that the
+chunk's rows stay a few hundred kilobytes at the suites' sample sizes."""
+
+
+def _scaled_g_bars(model: MomentModel, n: int, reps: int, seed: int) -> np.ndarray:
+    """sqrt(n) g_bar(theta*) of every replication, shape (reps, m).
+
+    Replication i draws from its own stream (seed, 1 + i), so the result
+    does not depend on how replications are grouped into chunks.
+    """
+    out = np.empty((reps, model.dim_g))
+    for start in range(0, reps, _MC_CHUNK):
+        stop = min(start + _MC_CHUNK, reps)
+        rows = np.concatenate(
+            [
+                np.asarray(model.sampler(replication_generator(seed, rep), n), dtype=float)
+                for rep in range(start, stop)
+            ]
+        )
+        g = model.g_rows(rows, model.theta_star).reshape(stop - start, n, model.dim_g)
+        out[start:stop] = math.sqrt(n) * g.mean(axis=1)
+    return out
 
 
 def _mc_zscores(products: np.ndarray) -> np.ndarray:
@@ -416,21 +456,11 @@ def orthogonality_xi7_study(
         pm = population_moments(model, "analytic")
     ps = projection_set(pm)
     p = model.dim_theta
-    m = model.dim_g
 
-    xi7 = np.empty((reps, p))
-    kernel = np.empty((reps, m))
-    htheta = np.empty((reps, p))
-    for rep in range(reps):
-        rng = replication_generator(seed, rep)
-        rows = np.asarray(model.sampler(rng, n), dtype=float)
-        gbar = math.sqrt(n) * model.g_rows(rows, model.theta_star).mean(axis=0)
-        u1 = ps.P @ gbar
-        B = np.einsum("abk,k->ab", mt.T, u1)
-        v = B @ (ps.Omega_inv @ (B @ u1))
-        kernel[rep] = v
-        xi7[rep] = 0.5 * ps.H @ v
-        htheta[rep] = -ps.H @ gbar
+    gbars = _scaled_g_bars(model, n, reps, seed)
+    kernel = xi7_kernel(_matvec(ps.P, gbars), ps, mt)
+    xi7 = _matvec(0.5 * ps.H, kernel)
+    htheta = _matvec(-ps.H, gbars)
 
     products_xi7 = np.einsum("rl,rm->rlm", xi7, htheta)
     products_kernel = np.einsum("ra,rm->ram", kernel, htheta)
@@ -468,20 +498,9 @@ def var_psi_bar_study(
         pm = population_moments(model, "analytic")
     ps = projection_set(pm)
     layout = model.layout
-    D = layout.dim_beta
     target = var_psi_bar(ps, layout)
 
-    draws = np.empty((reps, D))
-    for rep in range(reps):
-        rng = replication_generator(seed, rep)
-        rows = np.asarray(model.sampler(rng, n), dtype=float)
-        gbar = math.sqrt(n) * model.g_rows(rows, model.theta_star).mean(axis=0)
-        vec = np.zeros(D)
-        pg = ps.P @ gbar
-        vec[layout.kappa_slice] = -pg
-        vec[layout.lambda_slice] = -pg
-        vec[layout.theta_slice] = -ps.H @ gbar
-        draws[rep] = vec
+    draws = _psi_from_g_bar(_scaled_g_bars(model, n, reps, seed), ps, layout)
 
     products = np.einsum("rj,rk->rjk", draws, draws) - target[None, :, :]
     z = _mc_zscores(products)

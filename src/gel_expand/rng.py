@@ -4,8 +4,9 @@ All randomness in the library flows through Philox4x64 generators keyed
 by ``(seed, stream)``. Philox is counter-based, so a (seed, stream) pair
 names the same sequence on every platform and the streams for different
 replications are independent by construction. Monte Carlo drivers give
-replication ``i`` the stream ``(seed, i)``; stream 0 is reserved for
-single-shot use such as ``simulate``.
+replication ``i`` the stream ``(seed, 1 + i)`` through
+``replication_generator``; stream 0 is reserved for single-shot use such
+as ``simulate``.
 """
 
 from __future__ import annotations

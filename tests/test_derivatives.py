@@ -86,9 +86,48 @@ def test_phi3_diff_theta_closed_vs_oracles(bundles, name):
     fd = population_tensors(
         "diff", b.model, b.pm, order=3, method="finite_difference", measure=b.measure
     ).phi3_theta
+    D, p = b.layout.dim_beta, b.layout.dim_theta
+    assert fd.shape == (D, D, D, p)
     assert (np.abs(closed - fd) / (1.0 + np.abs(closed))).max() <= 1e-4
     # symmetry in the two derivative slots
     assert np.abs(closed - np.transpose(closed, (0, 2, 1, 3))).max() <= 1e-12
+
+
+def test_fd_phi3_theta_only_matches_full_stencil(skew):
+    from gel_expand.derivatives import (
+        _expected_phi,
+        _fd_step_limits,
+        _fd_steps,
+        _stencil3,
+        fd_phi3,
+    )
+
+    layout = skew.layout
+    expected = _expected_phi("diff", skew.model, skew.measure)
+    calls = 0
+
+    def fun(beta):
+        nonlocal calls
+        calls += 1
+        return expected(beta)
+
+    beta0 = BetaVector.star_values(skew.model)
+    limits = _fd_step_limits(skew.model, skew.measure, layout)
+    out = fd_phi3(fun, beta0, layout.theta_slice, limits)
+    # every sorted triple j >= k >= q with j in the theta block, 16 probes each
+    D, lt = layout.dim_beta, layout.l_theta
+    touching = sum(1 for q in range(D) for k in range(q, D) for j in range(max(k, lt), D))
+    assert touching == 21
+    assert calls == 16 * touching
+
+    steps = _fd_steps(beta0, 1.0 / 6.0, limits)
+    for a, b, c in [(0, 0, 5), (2, 4, 5), (4, 2, 5), (5, 1, 5), (1, 5, 5), (5, 5, 5), (3, 0, 5)]:
+        j, k, q = sorted((a, b, c), reverse=True)
+        coarse = _stencil3(expected, beta0, j, k, q, steps[j], steps[k], steps[q])
+        fine = _stencil3(
+            expected, beta0, j, k, q, 0.5 * steps[j], 0.5 * steps[k], 0.5 * steps[q]
+        )
+        np.testing.assert_array_equal(out[:, a, b, c - lt], (4.0 * fine - coarse) / 3.0)
 
 
 def test_phi2_symmetry_closed(skew):

@@ -16,7 +16,8 @@ from gel_expand.derivatives import (
     sample_stats,
 )
 from gel_expand.estimators import BetaVector
-from gel_expand.expansion import TOLERANCES
+from gel_expand.expansion import TOLERANCES, _mc_zscores
+from gel_expand.rng import replication_generator
 
 
 def _manual_stats(bundle, g_bar):
@@ -254,6 +255,96 @@ def test_xi7_orthogonality_study(mean_var):
     )
     assert res["max_abs_z_xi7"] <= TOLERANCES["mc_sigma"]
     assert res["max_abs_z_kernel"] <= TOLERANCES["mc_sigma"]
+
+
+# ---------------------------------------------------------------------------
+# g_bar-only Monte Carlo studies against per-replication loops
+# ---------------------------------------------------------------------------
+
+
+def _loop_g_bar(model, n, seed, rep):
+    rows = np.asarray(model.sampler(replication_generator(seed, rep), n), dtype=float)
+    return np.sqrt(n) * model.g_rows(rows, model.theta_star).mean(axis=0)
+
+
+def _loop_var_psi_bar_study(model, n, reps, seed):
+    """Reference: one replication at a time, as the study was first written."""
+    ps = gx.projection_set(gx.population_moments(model, "analytic"))
+    layout = model.layout
+    target = gx.var_psi_bar(ps, layout)
+    draws = np.empty((reps, layout.dim_beta))
+    for rep in range(reps):
+        gbar = _loop_g_bar(model, n, seed, rep)
+        vec = np.zeros(layout.dim_beta)
+        vec[layout.kappa_slice] = -ps.P @ gbar
+        vec[layout.lambda_slice] = -ps.P @ gbar
+        vec[layout.theta_slice] = -ps.H @ gbar
+        draws[rep] = vec
+    z = _mc_zscores(np.einsum("rj,rk->rjk", draws, draws) - target[None, :, :])
+    emp = np.einsum("rj,rk->jk", draws, draws) / reps
+    return {
+        "reps": reps,
+        "n": n,
+        "max_abs_z": float(np.max(np.abs(z))),
+        "max_abs_dev": float(np.max(np.abs(emp - target))),
+        "z_limit": float(TOLERANCES["mc_sigma"]),
+    }
+
+
+def _loop_orthogonality_xi7_study(model, mt, n, reps, seed):
+    """Reference: one replication at a time, as the study was first written."""
+    ps = gx.projection_set(gx.population_moments(model, "analytic"))
+    p = model.dim_theta
+    xi7 = np.empty((reps, p))
+    kernel = np.empty((reps, model.dim_g))
+    htheta = np.empty((reps, p))
+    for rep in range(reps):
+        gbar = _loop_g_bar(model, n, seed, rep)
+        u1 = ps.P @ gbar
+        B = np.einsum("abk,k->ab", mt.T, u1)
+        kernel[rep] = B @ (ps.Omega_inv @ (B @ u1))
+        xi7[rep] = 0.5 * ps.H @ kernel[rep]
+        htheta[rep] = -ps.H @ gbar
+    z_xi7 = _mc_zscores(np.einsum("rl,rm->rlm", xi7, htheta))
+    z_kernel = _mc_zscores(np.einsum("ra,rm->ram", kernel, htheta))
+    corr = np.zeros((p, p))
+    for l in range(p):
+        for mth in range(p):
+            if xi7[:, l].std() > 0 and htheta[:, mth].std() > 0:
+                corr[l, mth] = float(np.corrcoef(xi7[:, l], htheta[:, mth])[0, 1])
+    return {
+        "reps": reps,
+        "n": n,
+        "max_abs_z_xi7": float(np.max(np.abs(z_xi7))),
+        "max_abs_z_kernel": float(np.max(np.abs(z_kernel))),
+        "xi7_identically_zero": bool(np.max(np.abs(xi7)) == 0.0),
+        "max_abs_corr": float(np.max(np.abs(corr))),
+        "corr_z_limit": float(TOLERANCES["mc_sigma"]),
+    }
+
+
+# fewer replications than one chunk, a partial last chunk, an exact multiple
+@pytest.mark.parametrize("reps", [5, 70, 256])
+@pytest.mark.parametrize("name", ["MeanVarModel", "SkewModel"])
+def test_g_bar_studies_match_per_replication_loop(bundles, name, reps):
+    b = bundles[name]
+    # the chunked pass computes each replication's products exactly as the loop does
+    assert gx.var_psi_bar_study(b.model, n=60, reps=reps, seed=17) == _loop_var_psi_bar_study(
+        b.model, 60, reps, 17
+    )
+    assert gx.orthogonality_xi7_study(
+        b.model, b.mt, n=60, reps=reps, seed=17
+    ) == _loop_orthogonality_xi7_study(b.model, b.mt, 60, reps, 17)
+
+
+@pytest.mark.parametrize("name", ["MeanVarModel", "SkewModel"])
+def test_xi7_kernel_batched_rows_match_single(bundles, name):
+    b = bundles[name]
+    u1 = np.random.default_rng(4).standard_normal((9, b.layout.dim_g))
+    batched = gx.xi7_kernel(u1, b.ps, b.mt)
+    assert batched.shape == u1.shape
+    for row, u in zip(batched, u1):
+        np.testing.assert_array_equal(row, gx.xi7_kernel(u, b.ps, b.mt))
 
 
 # ---------------------------------------------------------------------------
