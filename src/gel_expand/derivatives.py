@@ -3,11 +3,11 @@
 Three families of objects live here, all indexed by the stacked
 parameter layout (tau, kappa, lambda, theta):
 
-* closed-form population tensors: the first-derivative matrix, the full
-  second-derivative tensors of both systems, the ETEL-EL second
-  derivative difference, and the theta-slices of the third-derivative
-  difference. These are assembled from population moment tensors and
-  are linear in them.
+* closed-form population tensors: the first-derivative matrix (built in
+  ``projections`` and re-exported here), the full second-derivative
+  tensors of both systems, the ETEL-EL second derivative difference, and
+  the theta-slices of the third-derivative difference. These are
+  assembled from population moment tensors and are linear in them.
 * finite-difference oracles: a plain oracle that differences the
   expected stacked moment E*[phi(beta)] around beta*, and a tighter
   "jacobian-seeded" oracle that complex-steps the analytic stacked
@@ -18,6 +18,10 @@ parameter layout (tau, kappa, lambda, theta):
   arrays have exactly the same block structure as the population
   displays, the bars reuse the closed-form assemblers with centered
   moment inputs.
+
+``population_tensors`` returns the population tensors by one of three
+methods: ``closed_form``, ``jacobian_seeded`` (the seeded oracle) or
+``finite_difference`` (the plain oracle).
 
 Tensor symmetry conventions: second-derivative tensors are symmetric in
 their last two indices, the third-derivative slices in (j, k).
@@ -34,6 +38,7 @@ from .errors import DimensionError
 from .estimators import BetaVector, phi_rows, stacked_jacobian, stacked_residual
 from .models import Dataset, IndexLayout, MomentModel
 from .population import MomentTensors, PluginMeasure, PopulationMoments
+from .projections import phi1_population
 
 __all__ = [
     "DerivTensors",
@@ -64,20 +69,6 @@ def _check_system(system: str) -> None:
 # ---------------------------------------------------------------------------
 # Closed-form assemblers
 # ---------------------------------------------------------------------------
-
-
-def phi1_population(pm: PopulationMoments, layout: IndexLayout) -> np.ndarray:
-    """Population first-derivative matrix; identical for ETEL and EL."""
-    D = layout.dim_beta
-    ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
-    out = np.zeros((D, D))
-    out[0, 0] = -1.0
-    out[ks, ls] = pm.Omega
-    out[ks, ts] = pm.G
-    out[ls, ks] = pm.Omega
-    out[ls, ls] = -pm.Omega
-    out[ts, ks] = pm.G.T
-    return out
 
 
 def phi1_bar_matrix(
@@ -424,6 +415,9 @@ class DerivTensors:
     phi3_theta: np.ndarray | None = None
 
 
+TENSOR_METHODS = ("closed_form", "jacobian_seeded", "finite_difference")
+
+
 def population_tensors(
     system: str,
     model: MomentModel,
@@ -438,49 +432,50 @@ def population_tensors(
     ``closed_form`` assembles the displayed blocks (first derivatives;
     second derivatives of both systems and of their difference; third
     order only for ``system='diff'``, where the theta-slices have a
-    closed form). ``finite_difference`` differences the expected stacked
-    moment under the plug-in measure for any system; at third order it
-    fills the same theta-slices.
+    closed form). ``jacobian_seeded`` keeps the closed-form first
+    derivatives and takes the higher orders from the complex-stepped
+    analytic Jacobian under the plug-in measure (third order again only
+    for ``system='diff'``). ``finite_difference`` differences the expected
+    stacked moment under the plug-in measure for any system; at third
+    order it fills the same theta-slices.
     """
     _check_system(system)
     if order < 1 or order > 3:
         raise DimensionError(f"order {order} unsupported; use 1, 2 or 3")
+    if method not in TENSOR_METHODS:
+        raise DimensionError(f"unknown method {method!r}; use one of {TENSOR_METHODS}")
+    if order == 3 and system != "diff" and method != "finite_difference":
+        raise DimensionError(f"{method} third-order tensors exist only for system='diff'")
+    if method == "closed_form" and mt is None and order >= 2:
+        raise DimensionError("closed_form tensors need MomentTensors beyond order 1")
+    if method != "closed_form" and measure is None:
+        raise DimensionError(f"{method} tensors need a PluginMeasure")
     layout = model.layout
-    if method == "closed_form":
-        if mt is None and order >= 2:
-            raise DimensionError("closed_form tensors need MomentTensors beyond order 1")
-        phi1 = (
-            np.zeros((layout.dim_beta, layout.dim_beta))
-            if system == "diff"
-            else phi1_population(pm, layout)
-        )
-        phi2 = phi2_population(system, pm, mt, layout) if order >= 2 else None
-        phi3_theta = None
-        if order >= 3:
-            if system != "diff":
-                raise DimensionError(
-                    "closed-form third-order tensors exist only for system='diff'"
-                )
-            phi3_theta = phi3_diff_theta_population(mt, layout)
-        return DerivTensors(
-            system=system, method=method, phi1=phi1, phi2=phi2, phi3_theta=phi3_theta
-        )
+    beta0 = BetaVector.star_values(model)
+    phi2 = phi3_theta = None
     if method == "finite_difference":
-        if measure is None:
-            raise DimensionError("finite_difference tensors need a PluginMeasure")
         fun = _expected_phi(system, model, measure)
-        beta0 = BetaVector.star_values(model)
         limits = _fd_step_limits(model, measure, layout)
         phi1 = fd_phi1(fun, beta0, limits)
-        phi2 = fd_phi2(fun, beta0, limits) if order >= 2 else None
-        phi3_theta = (
-            fd_phi3(fun, beta0, layout.theta_slice, limits) if order >= 3 else None
-        )
-        return DerivTensors(
-            system=system, method=method, phi1=phi1, phi2=phi2, phi3_theta=phi3_theta
-        )
-    raise DimensionError(
-        f"unknown method {method!r}; use 'closed_form' or 'finite_difference'"
+        if order >= 2:
+            phi2 = fd_phi2(fun, beta0, limits)
+        if order == 3:
+            phi3_theta = fd_phi3(fun, beta0, layout.theta_slice, limits)
+    else:
+        D = layout.dim_beta
+        phi1 = np.zeros((D, D)) if system == "diff" else phi1_population(pm, layout)
+        if method == "closed_form":
+            if order >= 2:
+                phi2 = phi2_population(system, pm, mt, layout)
+            if order == 3:
+                phi3_theta = phi3_diff_theta_population(mt, layout)
+        else:
+            if order >= 2:
+                phi2 = phi2_jacobian_seeded(system, model, measure, beta0)
+            if order == 3:
+                phi3_theta = phi3_diff_theta_jacobian_seeded(model, measure, layout)
+    return DerivTensors(
+        system=system, method=method, phi1=phi1, phi2=phi2, phi3_theta=phi3_theta
     )
 
 

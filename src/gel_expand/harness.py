@@ -29,16 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .derivatives import (
-    DerivTensors,
-    phi1_population,
-    phi2_jacobian_seeded,
-    phi3_diff_theta_jacobian_seeded,
-    population_tensors,
-    sample_stats,
-)
+from .derivatives import population_tensors, sample_stats
 from .errors import ConfigError
-from .estimators import BetaVector
 from .expansion import (
     TOLERANCES,
     expansion_difference_study,
@@ -68,6 +60,9 @@ __all__ = [
     "SuiteReport",
     "run_suite",
     "write_report",
+    "random_identity_ladder",
+    "q_ladder",
+    "r_ladder",
 ]
 
 SUITE_NAMES = ("identities", "tensors", "q_equality", "r_terms", "mc_study")
@@ -321,39 +316,131 @@ def _measure_bundle(config: ExperimentConfig, model):
     return measure, pm, mt
 
 
-def _suite_identities(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
-    checks: list[CheckResult] = []
-    tol_id = config.tolerance("identity", TOLERANCES["identity"])
-    rng = philox_generator(config.seed)
-    worst = {k: 0.0 for k in ("PG=0", "P'=P", "POP=P", "POH'=0", "HOH'=S")}
-    worst_inv = 0.0
+# ---------------------------------------------------------------------------
+# Identity ladders: worst values over seeded instances or samples. The
+# suites below and the acceptance criteria both measure through these.
+# ---------------------------------------------------------------------------
+
+IDENTITY_KEYS = ("PG=0", "P'=P", "POP=P", "POH'=0", "HOH'=S")
+
+
+def _sup(a) -> float:
+    return float(np.max(np.abs(a)))
+
+
+def _bump(worst: dict, key: str, *vals: float) -> None:
+    worst[key] = max(worst[key], *vals)
+
+
+def _inverse_gap(phi) -> float:
+    """Relative gap between the closed-form and the LU inverse of Phi."""
+    num_inv = np.linalg.inv(phi.phi)
+    return float(np.max(np.abs(phi.phi_inv - num_inv)) / np.max(np.abs(num_inv)))
+
+
+def random_identity_ladder(seed: int, count: int) -> dict[str, float]:
+    """Worst projection-identity residuals and Phi-inverse gap over `count`
+    random (G, Omega) instances drawn from one Philox stream keyed by seed."""
+    rng = philox_generator(seed)
+    worst = dict.fromkeys(IDENTITY_KEYS + ("phi-inverse",), 0.0)
     combos = [(m, p) for m in range(2, 6) for p in range(1, m)]
-    count = 100
     for i in range(count):
         m, p = combos[i % len(combos)]
         pm = random_population_moments(rng, m, p)
-        ps = projection_set(pm)
-        for key, val in identity_residuals(pm, ps).items():
-            worst[key] = max(worst[key], val)
         phi = phi_system(pm)
-        num_inv = np.linalg.inv(phi.phi)
-        rel = np.max(np.abs(phi.phi_inv - num_inv)) / np.max(np.abs(num_inv))
-        worst_inv = max(worst_inv, float(rel))
-    for key, val in worst.items():
-        _check(checks, f"random.{key}", "projection.identities", val, tol_id,
+        for key, val in identity_residuals(pm, phi.ps).items():
+            _bump(worst, key, val)
+        _bump(worst, "phi-inverse", _inverse_gap(phi))
+    return worst
+
+
+def q_ladder(model, measure, pm, ps, mt, n: int, seeds) -> dict[str, float]:
+    """Worst psi/q identity gaps over one simulated sample of size n per seed.
+
+    Covers the closed vs generic influence term (ETEL), the q-term routes
+    and system equality with closed-form and with jacobian-seeded tensors
+    (ETEL and EL), and the two pieces of the q-term difference.
+    """
+    dt = {
+        s: population_tensors(s, model, pm, order=2, method="closed_form", mt=mt)
+        for s in ("etel", "el", "diff")
+    }
+    dts = {
+        s: population_tensors(s, model, pm, order=2, method="jacobian_seeded", measure=measure)
+        for s in ("etel", "el")
+    }
+    worst = dict.fromkeys(
+        ("psi.closed-vs-generic", "q.closed-vs-generic", "q.closed-vs-generic-fd",
+         "q.system-equality", "q.system-equality-fd", "qdiff.linear-piece",
+         "qdiff.quadratic-piece"),
+        0.0,
+    )
+    for seed in seeds:
+        data = simulate(model, n, seed)
+        ss = {s: sample_stats(s, model, data, pm, mt) for s in ("etel", "el", "diff")}
+        _bump(worst, "psi.closed-vs-generic",
+              _sup(psi_bar(ss["etel"], ps) - psi_bar_generic(ss["etel"], ps)))
+        for suffix, tensors in (("", dt), ("-fd", dts)):
+            q_et = q_bar("etel", ss["etel"], ps, tensors["etel"], mt)
+            q_el = q_bar("el", ss["el"], ps, tensors["el"], mt)
+            _bump(worst, "q.closed-vs-generic" + suffix, q_et.max_route_gap, q_el.max_route_gap)
+            _bump(worst, "q.system-equality" + suffix, _sup(q_et.q_bar_generic - q_el.q_bar_generic))
+        piece1, piece2 = q_diff_decomposition(ss["diff"], ps, dt["diff"])
+        _bump(worst, "qdiff.linear-piece", _sup(piece1))
+        _bump(worst, "qdiff.quadratic-piece", _sup(piece2))
+    return worst
+
+
+def r_ladder(model, measure, pm, ps, mt, n: int, seeds, fd_samples: int) -> dict:
+    """Worst r-difference term values over one simulated sample per seed.
+
+    The weighted cubic remainder is also contracted with the
+    jacobian-seeded third-order tensors on the first `fd_samples` samples.
+    ``"xi7-supported"`` holds the set of kernel coefficients the samples
+    supported.
+    """
+    dt_et = population_tensors("etel", model, pm, order=2, method="closed_form", mt=mt)
+    dt_diff = population_tensors("diff", model, pm, order=3, method="closed_form", mt=mt)
+    dt_diff_fd = population_tensors(
+        "diff", model, pm, order=3, method="jacobian_seeded", measure=measure
+    ) if fd_samples > 0 else None
+    worst = dict.fromkeys(("term1", "cancel", "term3", "term4", "term4-fd"), 0.0)
+    supported: set[str | None] = set()
+    for k, seed in enumerate(seeds):
+        data = simulate(model, n, seed)
+        ss_et = sample_stats("etel", model, data, pm, mt)
+        ss_d = sample_stats("diff", model, data, pm, mt)
+        q = q_bar("etel", ss_et, ps, dt_et, mt)
+        rd = r_diff_terms(ss_d, ps, dt_diff, q, mt)
+        _bump(worst, "term1", _sup(rd.term1_closed - rd.term1_direct))
+        _bump(worst, "cancel", _sup(rd.term1_direct + rd.term2_cancel))
+        _bump(worst, "term3", _sup(rd.term3))
+        _bump(worst, "term4", _sup(rd.term4_weighted))
+        supported.add(rd.xi7_supported)
+        if k < fd_samples:
+            rd_fd = r_diff_terms(ss_d, ps, dt_diff_fd, q, mt)
+            _bump(worst, "term4-fd", _sup(rd_fd.term4_weighted))
+    worst["xi7-supported"] = supported
+    return worst
+
+
+def _suite_identities(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
+    checks: list[CheckResult] = []
+    tol_id = config.tolerance("identity", TOLERANCES["identity"])
+    count = 100
+    worst = random_identity_ladder(config.seed, count)
+    for key in IDENTITY_KEYS:
+        _check(checks, f"random.{key}", "projection.identities", worst[key], tol_id,
                detail=f"{count} random (G, Omega) instances")
-    _check(checks, "random.phi-inverse", "phi.partitioned-inverse", worst_inv, tol_id,
-           detail="closed form vs LU inverse")
+    _check(checks, "random.phi-inverse", "phi.partitioned-inverse", worst["phi-inverse"],
+           tol_id, detail="closed form vs LU inverse")
 
     method = "analytic" if model.analytic is not None else "reference_sample"
     pm = population_moments(model, method)
-    ps = projection_set(pm)
-    for key, val in identity_residuals(pm, ps).items():
-        _check(checks, f"model.{key}", "projection.identities", val, tol_id)
     phi = phi_system(pm)
-    num_inv = np.linalg.inv(phi.phi)
-    rel = float(np.max(np.abs(phi.phi_inv - num_inv)) / np.max(np.abs(num_inv)))
-    _check(checks, "model.phi-inverse", "phi.partitioned-inverse", rel, tol_id)
+    for key, val in identity_residuals(pm, phi.ps).items():
+        _check(checks, f"model.{key}", "projection.identities", val, tol_id)
+    _check(checks, "model.phi-inverse", "phi.partitioned-inverse", _inverse_gap(phi), tol_id)
     _check(checks, "model.phi-product", "phi.partitioned-inverse",
            float(np.max(np.abs(phi.phi @ phi.phi_inv - np.eye(phi.layout.dim_beta)))),
            tol_id * max(1.0, float(np.max(np.abs(phi.phi)))))
@@ -364,57 +451,34 @@ def _suite_tensors(config: ExperimentConfig, model) -> tuple[list[CheckResult], 
     checks: list[CheckResult] = []
     tol_fd = config.tolerance("tensor_fd", 1e-4)
     measure, pm, mt = _measure_bundle(config, model)
-    layout = model.layout
-    beta0 = BetaVector.star_values(model)
+
+    def gap(a, b) -> float:
+        return float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
+
     for system in ("etel", "el", "diff"):
-        dtc = population_tensors(system, model, pm, order=2, method="closed_form", mt=mt)
         order = 3 if system == "diff" else 2
+        dtc = population_tensors(system, model, pm, order=order, method="closed_form", mt=mt)
         dtf = population_tensors(
             system, model, pm, order=order, method="finite_difference", measure=measure
         )
-        gap1 = float(np.max(np.abs(dtc.phi1 - dtf.phi1) / (1.0 + np.abs(dtc.phi1))))
-        gap2 = float(np.max(np.abs(dtc.phi2 - dtf.phi2) / (1.0 + np.abs(dtc.phi2))))
-        _check(checks, f"{system}.phi1.closed-vs-fd", "tensors.first-order", gap1, tol_fd)
-        _check(checks, f"{system}.phi2.closed-vs-fd", "tensors.second-order", gap2, tol_fd)
+        dts = population_tensors(
+            system, model, pm, order=order, method="jacobian_seeded", measure=measure
+        )
+        _check(checks, f"{system}.phi1.closed-vs-fd", "tensors.first-order",
+               gap(dtc.phi1, dtf.phi1), tol_fd)
+        _check(checks, f"{system}.phi2.closed-vs-fd", "tensors.second-order",
+               gap(dtc.phi2, dtf.phi2), tol_fd)
         asym = float(np.max(np.abs(dtf.phi2 - np.transpose(dtf.phi2, (0, 2, 1)))))
         _check(checks, f"{system}.phi2.fd-symmetry", "tensors.symmetry", asym, tol_fd)
-        tight = phi2_jacobian_seeded(system, model, measure, beta0)
-        gap_t = float(np.max(np.abs(dtc.phi2 - tight) / (1.0 + np.abs(dtc.phi2))))
         _check(checks, f"{system}.phi2.closed-vs-seeded", "tensors.second-order",
-               gap_t, config.tolerance("identity", TOLERANCES["identity"]))
+               gap(dtc.phi2, dts.phi2), config.tolerance("identity", TOLERANCES["identity"]))
         if system == "diff":
-            dtd3 = population_tensors(
-                "diff", model, pm, order=3, method="closed_form", mt=mt
-            )
-            gap3 = float(
-                np.max(np.abs(dtd3.phi3_theta - dtf.phi3_theta) / (1.0 + np.abs(dtd3.phi3_theta)))
-            )
-            _check(checks, "diff.phi3-theta.closed-vs-fd", "tensors.third-order", gap3, tol_fd)
-            tight3 = phi3_diff_theta_jacobian_seeded(model, measure, layout)
-            gap3t = float(
-                np.max(np.abs(dtd3.phi3_theta - tight3) / (1.0 + np.abs(dtd3.phi3_theta)))
-            )
+            _check(checks, "diff.phi3-theta.closed-vs-fd", "tensors.third-order",
+                   gap(dtc.phi3_theta, dtf.phi3_theta), tol_fd)
             _check(checks, "diff.phi3-theta.closed-vs-seeded", "tensors.third-order",
-                   gap3t, config.tolerance("tensor_seeded3", 1e-7))
+                   gap(dtc.phi3_theta, dts.phi3_theta),
+                   config.tolerance("tensor_seeded3", 1e-7))
     return checks, {}
-
-
-def _tight_tensors(system: str, model, measure, pm, layout, order3: bool = False):
-    phi1 = (
-        np.zeros((layout.dim_beta, layout.dim_beta))
-        if system == "diff"
-        else phi1_population(pm, layout)
-    )
-    beta0 = BetaVector.star_values(model)
-    phi2 = phi2_jacobian_seeded(system, model, measure, beta0)
-    phi3_theta = (
-        phi3_diff_theta_jacobian_seeded(model, measure, layout)
-        if order3 and system == "diff"
-        else None
-    )
-    return DerivTensors(
-        system=system, method="jacobian_seeded", phi1=phi1, phi2=phi2, phi3_theta=phi3_theta
-    )
 
 
 def _suite_q_equality(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
@@ -423,57 +487,9 @@ def _suite_q_equality(config: ExperimentConfig, model) -> tuple[list[CheckResult
     tol_fd = config.tolerance("fd_backed", TOLERANCES["fd_backed"])
     tol_psi = config.tolerance("psi_bar", TOLERANCES["psi_bar"])
     measure, pm, mt = _measure_bundle(config, model)
-    ps = projection_set(pm)
-    layout = model.layout
-
-    dt = {
-        s: population_tensors(s, model, pm, order=2, method="closed_form", mt=mt)
-        for s in ("etel", "el", "diff")
-    }
-    dtf = {s: _tight_tensors(s, model, measure, pm, layout) for s in ("etel", "el")}
-
     n = config.n_list[-1] if config.n_list else 200
-    worst = {
-        "psi.closed-vs-generic": 0.0,
-        "q.closed-vs-generic": 0.0,
-        "q.closed-vs-generic-fd": 0.0,
-        "q.system-equality": 0.0,
-        "q.system-equality-fd": 0.0,
-        "qdiff.linear-piece": 0.0,
-        "qdiff.quadratic-piece": 0.0,
-    }
-    for k in range(config.samples):
-        data = simulate(model, n, config.seed + 1000 + k)
-        ss = {s: sample_stats(s, model, data, pm, mt) for s in ("etel", "el", "diff")}
-        worst["psi.closed-vs-generic"] = max(
-            worst["psi.closed-vs-generic"],
-            float(np.max(np.abs(psi_bar(ss["etel"], ps) - psi_bar_generic(ss["etel"], ps)))),
-        )
-        q_et = q_bar("etel", ss["etel"], ps, dt["etel"], mt)
-        q_el = q_bar("el", ss["el"], ps, dt["el"], mt)
-        worst["q.closed-vs-generic"] = max(
-            worst["q.closed-vs-generic"], q_et.max_route_gap, q_el.max_route_gap
-        )
-        worst["q.system-equality"] = max(
-            worst["q.system-equality"],
-            float(np.max(np.abs(q_et.q_bar_generic - q_el.q_bar_generic))),
-        )
-        qf_et = q_bar("etel", ss["etel"], ps, dtf["etel"], mt)
-        qf_el = q_bar("el", ss["el"], ps, dtf["el"], mt)
-        worst["q.closed-vs-generic-fd"] = max(
-            worst["q.closed-vs-generic-fd"], qf_et.max_route_gap, qf_el.max_route_gap
-        )
-        worst["q.system-equality-fd"] = max(
-            worst["q.system-equality-fd"],
-            float(np.max(np.abs(qf_et.q_bar_generic - qf_el.q_bar_generic))),
-        )
-        piece1, piece2 = q_diff_decomposition(ss["diff"], ps, dt["diff"])
-        worst["qdiff.linear-piece"] = max(
-            worst["qdiff.linear-piece"], float(np.max(np.abs(piece1)))
-        )
-        worst["qdiff.quadratic-piece"] = max(
-            worst["qdiff.quadratic-piece"], float(np.max(np.abs(piece2)))
-        )
+    seeds = range(config.seed + 1000, config.seed + 1000 + config.samples)
+    worst = q_ladder(model, measure, pm, projection_set(pm), mt, n, seeds)
 
     detail = f"{config.samples} samples of n={n}"
     _check(checks, "psi.closed-vs-generic", "influence.closed-form", worst["psi.closed-vs-generic"], tol_psi, detail)
@@ -499,30 +515,10 @@ def _suite_r_terms(config: ExperimentConfig, model) -> tuple[list[CheckResult], 
     tol_term3 = config.tolerance("term3", TOLERANCES["term3"])
     tol_fd = config.tolerance("fd_backed", TOLERANCES["fd_backed"])
     measure, pm, mt = _measure_bundle(config, model)
-    ps = projection_set(pm)
-    layout = model.layout
-
-    dt_et = population_tensors("etel", model, pm, order=2, method="closed_form", mt=mt)
-    dt_diff = population_tensors("diff", model, pm, order=3, method="closed_form", mt=mt)
-    dt_diff_fd = _tight_tensors("diff", model, measure, pm, layout, order3=True)
-
     n = config.n_list[-1] if config.n_list else 200
-    worst = {k: 0.0 for k in ("term1", "cancel", "term3", "term4", "term4-fd")}
-    supported: set[str | None] = set()
-    for k in range(config.samples):
-        data = simulate(model, n, config.seed + 2000 + k)
-        ss_et = sample_stats("etel", model, data, pm, mt)
-        ss_d = sample_stats("diff", model, data, pm, mt)
-        q = q_bar("etel", ss_et, ps, dt_et, mt)
-        rd = r_diff_terms(ss_d, ps, dt_diff, q, mt)
-        worst["term1"] = max(worst["term1"], float(np.max(np.abs(rd.term1_closed - rd.term1_direct))))
-        worst["cancel"] = max(worst["cancel"], float(np.max(np.abs(rd.term1_direct + rd.term2_cancel))))
-        worst["term3"] = max(worst["term3"], float(np.max(np.abs(rd.term3))))
-        worst["term4"] = max(worst["term4"], float(np.max(np.abs(rd.term4_weighted))))
-        supported.add(rd.xi7_supported)
-        if k == 0:
-            rd_fd = r_diff_terms(ss_d, ps, dt_diff_fd, q, mt)
-            worst["term4-fd"] = float(np.max(np.abs(rd_fd.term4_weighted)))
+    seeds = range(config.seed + 2000, config.seed + 2000 + config.samples)
+    worst = r_ladder(model, measure, pm, projection_set(pm), mt, n, seeds, fd_samples=1)
+    supported = worst["xi7-supported"]
 
     detail = f"{config.samples} samples of n={n}"
     _check(checks, "rdiff.term1.closed-vs-direct", "rdiff.term1", worst["term1"], tol_closed, detail)

@@ -40,6 +40,7 @@ __all__ = [
     "projection_set",
     "identity_residuals",
     "PhiSystem",
+    "phi1_population",
     "phi_inverse_matrix",
     "phi_system",
     "random_population_moments",
@@ -114,11 +115,27 @@ def identity_residuals(pm: PopulationMoments, ps: ProjectionSet) -> dict[str, fl
 
 @dataclass(frozen=True)
 class PhiSystem:
-    """The stacked first-derivative matrix Phi and its closed-form inverse."""
+    """The stacked first-derivative matrix Phi, its closed-form inverse and
+    the projection set that inverse was built from."""
 
     phi: np.ndarray
     phi_inv: np.ndarray
     layout: IndexLayout
+    ps: ProjectionSet
+
+
+def phi1_population(pm: PopulationMoments, layout: IndexLayout) -> np.ndarray:
+    """Population first-derivative matrix Phi; identical for ETEL and EL."""
+    D = layout.dim_beta
+    ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
+    out = np.zeros((D, D))
+    out[0, 0] = -1.0
+    out[ks, ls] = pm.Omega
+    out[ks, ts] = pm.G
+    out[ls, ks] = pm.Omega
+    out[ls, ls] = -pm.Omega
+    out[ts, ks] = pm.G.T
+    return out
 
 
 def phi_inverse_matrix(ps: ProjectionSet, layout: IndexLayout) -> np.ndarray:
@@ -148,25 +165,14 @@ def phi_system(pm: PopulationMoments, check_tol: float = 1e-10) -> PhiSystem:
     ps = projection_set(pm)
     layout = IndexLayout(pm.dim_g, pm.dim_theta)
     D = layout.dim_beta
-    ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
-    G, Om = pm.G, pm.Omega
-
-    phi = np.zeros((D, D))
-    phi[0, 0] = -1.0
-    phi[ks, ls] = Om
-    phi[ks, ts] = G
-    phi[ls, ks] = Om
-    phi[ls, ls] = -Om
-    phi[ts, ks] = G.T
-
+    phi = phi1_population(pm, layout)
     inv = phi_inverse_matrix(ps, layout)
-
     resid = _inf_norm(phi @ inv - np.eye(D))
     if resid > check_tol * max(_inf_norm(phi), 1.0):
         raise SingularMatrixError(
             f"closed-form Phi inverse failed its product check (residual {resid:.3e})"
         )
-    return PhiSystem(phi=phi, phi_inv=inv, layout=layout)
+    return PhiSystem(phi=phi, phi_inv=inv, layout=layout, ps=ps)
 
 
 def random_population_moments(

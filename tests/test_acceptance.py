@@ -11,21 +11,11 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 import gel_expand as gx
-from gel_expand.derivatives import (
-    DerivTensors,
-    phi1_population,
-    phi2_jacobian_seeded,
-    phi3_diff_theta_jacobian_seeded,
-    population_tensors,
-    sample_stats,
-)
 from gel_expand.errors import GelError
-from gel_expand.estimators import BetaVector
-from gel_expand.projections import random_population_moments
-from gel_expand.rng import philox_generator, replication_generator
+from gel_expand.harness import IDENTITY_KEYS, q_ladder, r_ladder, random_identity_ladder
+from gel_expand.rng import replication_generator
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -34,24 +24,16 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, line
 
 
-@pytest.fixture(scope="module")
-def random_instances():
-    rng = philox_generator(20250)
-    combos = [(m, p) for m in range(2, 6) for p in range(1, m)]
-    out = []
-    for i in range(100):
-        m, p = combos[i % len(combos)]
-        out.append(random_population_moments(rng, m, p))
-    return out
+def _ladder(ladder, b, **kwargs) -> dict:
+    """One harness ladder on a model bundle."""
+    return ladder(b.model, b.measure, b.pm, b.ps, b.mt, **kwargs)
 
 
-def test_criterion_01_projection_identities(random_instances):
+def test_criterion_01_projection_identities():
     start = time.perf_counter()
-    worst = 0.0
-    for pm in random_instances:
-        ps = gx.projection_set(pm)
-        worst = max(worst, max(gx.identity_residuals(pm, ps).values()))
+    ladder = random_identity_ladder(20250, 100)
     elapsed = time.perf_counter() - start
+    worst = max(ladder[key] for key in IDENTITY_KEYS)
     _report(
         "1 projection identities on 100 random instances",
         worst <= 1e-10 and elapsed < 1.0,
@@ -59,12 +41,8 @@ def test_criterion_01_projection_identities(random_instances):
     )
 
 
-def test_criterion_02_partitioned_inverse(random_instances):
-    worst = 0.0
-    for pm in random_instances:
-        phi = gx.phi_system(pm)
-        num = np.linalg.inv(phi.phi)
-        worst = max(worst, float(np.abs(phi.phi_inv - num).max() / np.abs(num).max()))
+def test_criterion_02_partitioned_inverse():
+    worst = random_identity_ladder(20250, 100)["phi-inverse"]
     _report(
         "2 closed-form Phi inverse vs numeric inverse",
         worst <= 1e-10,
@@ -73,13 +51,8 @@ def test_criterion_02_partitioned_inverse(random_instances):
 
 
 def test_criterion_03_influence_term_routes(bundles):
-    worst = 0.0
-    for name, b in bundles.items():
-        for k in range(50):
-            data = gx.simulate(b.model, 200, 9000 + k)
-            ss = sample_stats("etel", b.model, data, b.pm)
-            gap = np.abs(gx.psi_bar(ss, b.ps) - gx.psi_bar_generic(ss, b.ps)).max()
-            worst = max(worst, float(gap))
+    runs = [_ladder(q_ladder, b, n=200, seeds=range(9000, 9050)) for b in bundles.values()]
+    worst = max(run["psi.closed-vs-generic"] for run in runs)
     _report(
         "3 influence term closed form vs -Phi^-1 phi0_bar",
         worst <= 1e-10,
@@ -87,34 +60,8 @@ def test_criterion_03_influence_term_routes(bundles):
     )
 
 
-def _seeded_tensors(b, system, order3=False):
-    layout = b.layout
-    phi1 = (
-        np.zeros((layout.dim_beta, layout.dim_beta))
-        if system == "diff"
-        else phi1_population(b.pm, layout)
-    )
-    return DerivTensors(
-        system=system,
-        method="jacobian_seeded",
-        phi1=phi1,
-        phi2=phi2_jacobian_seeded(system, b.model, b.measure, BetaVector.star_values(b.model)),
-        phi3_theta=(
-            phi3_diff_theta_jacobian_seeded(b.model, b.measure, layout)
-            if order3
-            else None
-        ),
-    )
-
-
 def test_criterion_04_q_closed_vs_generic_fd(skew):
-    dt_fd = _seeded_tensors(skew, "etel")
-    worst = 0.0
-    for k in range(50):
-        data = gx.simulate(skew.model, 200, 9500 + k)
-        ss = sample_stats("etel", skew.model, data, skew.pm, skew.mt)
-        q = gx.q_bar("etel", ss, skew.ps, dt_fd, skew.mt)
-        worst = max(worst, q.max_route_gap)
+    worst = _ladder(q_ladder, skew, n=200, seeds=range(9500, 9550))["q.closed-vs-generic-fd"]
     _report(
         "4 q-term closed form vs generic contraction (FD tensors, skewed model)",
         worst <= 1e-8,
@@ -123,27 +70,9 @@ def test_criterion_04_q_closed_vs_generic_fd(skew):
 
 
 def test_criterion_05_q_system_equality(bundles):
-    worst_closed = 0.0
-    worst_fd = 0.0
-    for name, b in bundles.items():
-        dt = {
-            s: population_tensors(s, b.model, b.pm, order=2, method="closed_form", mt=b.mt)
-            for s in ("etel", "el")
-        }
-        dt_fd = {s: _seeded_tensors(b, s) for s in ("etel", "el")}
-        for k in range(50):
-            data = gx.simulate(b.model, 200, 11_000 + k)
-            ss = {s: sample_stats(s, b.model, data, b.pm, b.mt) for s in ("etel", "el")}
-            q_et = gx.q_bar("etel", ss["etel"], b.ps, dt["etel"], b.mt)
-            q_el = gx.q_bar("el", ss["el"], b.ps, dt["el"], b.mt)
-            worst_closed = max(
-                worst_closed, float(np.abs(q_et.q_bar_generic - q_el.q_bar_generic).max())
-            )
-            qf_et = gx.q_bar("etel", ss["etel"], b.ps, dt_fd["etel"], b.mt)
-            qf_el = gx.q_bar("el", ss["el"], b.ps, dt_fd["el"], b.mt)
-            worst_fd = max(
-                worst_fd, float(np.abs(qf_et.q_bar_generic - qf_el.q_bar_generic).max())
-            )
+    runs = [_ladder(q_ladder, b, n=200, seeds=range(11_000, 11_050)) for b in bundles.values()]
+    worst_closed = max(run["q.system-equality"] for run in runs)
+    worst_fd = max(run["q.system-equality-fd"] for run in runs)
     _report(
         "5 q-term system equality",
         worst_closed <= 1e-12 and worst_fd <= 1e-8,
@@ -153,40 +82,28 @@ def test_criterion_05_q_system_equality(bundles):
 
 
 def test_criterion_06_r_difference_structure(bundles):
-    worst = {"term1": 0.0, "cancel": 0.0, "term3": 0.0, "term4": 0.0, "term4_fd": 0.0}
-    for name in ("SkewModel", "MeanVarModel"):
-        b = bundles[name]
-        dt_et = population_tensors("etel", b.model, b.pm, order=2, method="closed_form", mt=b.mt)
-        dt_diff = population_tensors("diff", b.model, b.pm, order=3, method="closed_form", mt=b.mt)
-        dt_diff_fd = _seeded_tensors(b, "diff", order3=True)
-        for k in range(25):
-            data = gx.simulate(b.model, 200, 12_000 + k)
-            ss_et = sample_stats("etel", b.model, data, b.pm, b.mt)
-            ss_d = sample_stats("diff", b.model, data, b.pm, b.mt)
-            q = gx.q_bar("etel", ss_et, b.ps, dt_et, b.mt)
-            rd = gx.r_diff_terms(ss_d, b.ps, dt_diff, q, b.mt)
-            worst["term1"] = max(worst["term1"], float(np.abs(rd.term1_closed - rd.term1_direct).max()))
-            worst["cancel"] = max(worst["cancel"], float(np.abs(rd.term1_direct + rd.term2_cancel).max()))
-            worst["term3"] = max(worst["term3"], float(np.abs(rd.term3).max()))
-            worst["term4"] = max(worst["term4"], float(np.abs(rd.term4_weighted).max()))
-            if name == "MeanVarModel" and k < 5:
-                rd_fd = gx.r_diff_terms(ss_d, b.ps, dt_diff_fd, q, b.mt)
-                worst["term4_fd"] = max(
-                    worst["term4_fd"], float(np.abs(rd_fd.term4_weighted).max())
-                )
+    seeds = range(12_000, 12_025)
+    runs = [
+        _ladder(r_ladder, bundles["SkewModel"], n=200, seeds=seeds, fd_samples=0),
+        _ladder(r_ladder, bundles["MeanVarModel"], n=200, seeds=seeds, fd_samples=5),
+    ]
+    worst = {
+        key: max(run[key] for run in runs)
+        for key in ("term1", "cancel", "term3", "term4", "term4-fd")
+    }
     ok = (
         worst["term1"] <= 1e-12
         and worst["cancel"] <= 1e-12
         and worst["term3"] <= 1e-10
         and worst["term4"] <= 1e-8
-        and worst["term4_fd"] <= 1e-8
+        and worst["term4-fd"] <= 1e-8
     )
     _report(
         "6 r-difference term structure",
         ok,
         f"term1 {worst['term1']:.2e} <= 1e-12, cancel {worst['cancel']:.2e} <= 1e-12, "
         f"term3 {worst['term3']:.2e} <= 1e-10, term4 {worst['term4']:.2e} (fd "
-        f"{worst['term4_fd']:.2e}) <= 1e-8",
+        f"{worst['term4-fd']:.2e}) <= 1e-8",
     )
 
 

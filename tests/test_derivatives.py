@@ -160,6 +160,47 @@ def test_closed_form_third_order_only_for_diff(mean_var):
         )
 
 
+@pytest.mark.parametrize("system", ["etel", "el", "diff"])
+def test_jacobian_seeded_bundle_matches_direct_calls(skew, system):
+    b = skew
+    order = 3 if system == "diff" else 2
+    dt = population_tensors(
+        system, b.model, b.pm, order=order, method="jacobian_seeded", measure=b.measure
+    )
+    assert dt.method == "jacobian_seeded"
+    D = b.layout.dim_beta
+    phi1 = np.zeros((D, D)) if system == "diff" else phi1_population(b.pm, b.layout)
+    np.testing.assert_array_equal(dt.phi1, phi1)
+    np.testing.assert_array_equal(
+        dt.phi2,
+        phi2_jacobian_seeded(system, b.model, b.measure, BetaVector.star_values(b.model)),
+    )
+    if system == "diff":
+        np.testing.assert_array_equal(
+            dt.phi3_theta, phi3_diff_theta_jacobian_seeded(b.model, b.measure, b.layout)
+        )
+    else:
+        assert dt.phi3_theta is None
+
+
+def test_jacobian_seeded_bundle_errors(skew):
+    with pytest.raises(DimensionError, match="PluginMeasure"):
+        population_tensors("etel", skew.model, skew.pm, method="jacobian_seeded")
+    for system in ("etel", "el"):
+        with pytest.raises(DimensionError, match="only for system='diff'"):
+            population_tensors(
+                system, skew.model, skew.pm, order=3, method="jacobian_seeded",
+                measure=skew.measure,
+            )
+
+
+def test_unknown_tensor_method_lists_all_methods(skew):
+    with pytest.raises(DimensionError) as info:
+        population_tensors("etel", skew.model, skew.pm, method="spline", mt=skew.mt)
+    for method in ("closed_form", "jacobian_seeded", "finite_difference"):
+        assert repr(method) in str(info.value)
+
+
 def test_psi_tensor_roundtrip_and_symmetry(skew):
     phi = gx.phi_system(skew.pm)
     dt = population_tensors("etel", skew.model, skew.pm, order=2, method="closed_form", mt=skew.mt)

@@ -6,16 +6,7 @@ import numpy as np
 import pytest
 
 import gel_expand as gx
-from gel_expand.derivatives import (
-    DerivTensors,
-    SampleStats,
-    phi1_population,
-    phi2_jacobian_seeded,
-    phi3_diff_theta_jacobian_seeded,
-    population_tensors,
-    sample_stats,
-)
-from gel_expand.estimators import BetaVector
+from gel_expand.derivatives import SampleStats, population_tensors, sample_stats
 from gel_expand.expansion import TOLERANCES, _mc_zscores
 from gel_expand.rng import replication_generator
 
@@ -40,28 +31,6 @@ def _manual_stats(bundle, g_bar):
         t_bar=None,
         w_bar=None,
         k_bar=None,
-    )
-
-
-def _tight_dt(bundle, system, order3=False):
-    layout = bundle.layout
-    phi1 = (
-        np.zeros((layout.dim_beta, layout.dim_beta))
-        if system == "diff"
-        else phi1_population(bundle.pm, layout)
-    )
-    return DerivTensors(
-        system=system,
-        method="jacobian_seeded",
-        phi1=phi1,
-        phi2=phi2_jacobian_seeded(
-            system, bundle.model, bundle.measure, BetaVector.star_values(bundle.model)
-        ),
-        phi3_theta=(
-            phi3_diff_theta_jacobian_seeded(bundle.model, bundle.measure, layout)
-            if order3
-            else None
-        ),
     )
 
 
@@ -157,7 +126,10 @@ def test_q_bar_routes_and_system_equality(bundles, name):
         s: population_tensors(s, b.model, b.pm, order=2, method="closed_form", mt=b.mt)
         for s in ("etel", "el")
     }
-    dt_fd = {s: _tight_dt(b, s) for s in ("etel", "el")}
+    dt_fd = {
+        s: population_tensors(s, b.model, b.pm, method="jacobian_seeded", measure=b.measure)
+        for s in ("etel", "el")
+    }
     for k in range(5):
         data = gx.simulate(b.model, 140, 7000 + k)
         ss = {s: sample_stats(s, b.model, data, b.pm, b.mt) for s in ("etel", "el")}
@@ -216,7 +188,9 @@ def test_r_diff_terms_closed(bundles, name):
 def test_r_diff_term4_fd_route(mean_var):
     b = mean_var
     dt_et = population_tensors("etel", b.model, b.pm, order=2, method="closed_form", mt=b.mt)
-    dt_diff_fd = _tight_dt(b, "diff", order3=True)
+    dt_diff_fd = population_tensors(
+        "diff", b.model, b.pm, order=3, method="jacobian_seeded", measure=b.measure
+    )
     data = gx.simulate(b.model, 130, 4300)
     ss_et = sample_stats("etel", b.model, data, b.pm, b.mt)
     ss_d = sample_stats("diff", b.model, data, b.pm, b.mt)
@@ -230,7 +204,9 @@ def test_r_diff_term4_fd_route_skew_scaled(skew):
     # route against the scale of its own weighted contraction terms
     b = skew
     dt_et = population_tensors("etel", b.model, b.pm, order=2, method="closed_form", mt=b.mt)
-    dt_diff_fd = _tight_dt(b, "diff", order3=True)
+    dt_diff_fd = population_tensors(
+        "diff", b.model, b.pm, order=3, method="jacobian_seeded", measure=b.measure
+    )
     data = gx.simulate(b.model, 130, 4301)
     ss_et = sample_stats("etel", b.model, data, b.pm, b.mt)
     ss_d = sample_stats("diff", b.model, data, b.pm, b.mt)

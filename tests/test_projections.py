@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,18 @@ def test_identities_on_random_instances(seed):
     ps = gx.projection_set(pm)
     for key, resid in gx.identity_residuals(pm, ps).items():
         assert resid <= 1e-10, key
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_phi_system_carries_its_projection_set(seed):
+    rng = philox_generator(300 + seed)
+    m = int(rng.integers(2, 6))
+    pm = random_population_moments(rng, m, int(rng.integers(1, m)))
+    phi = gx.phi_system(pm)
+    ps = gx.projection_set(pm)
+    for f in dataclasses.fields(ps):
+        np.testing.assert_array_equal(getattr(phi.ps, f.name), getattr(ps, f.name))
+    np.testing.assert_array_equal(phi.phi, gx.phi1_population(pm, phi.layout))
 
 
 @given(seed=st.integers(0, 10_000))
