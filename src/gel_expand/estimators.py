@@ -16,7 +16,17 @@ Solver layout:
 * ``solve_stacked`` initializes by profiling (pilot theta from the
   just-identified sub-moments, inner duals for the multipliers, tau from
   the tilt mean) and then runs a full Newton iteration on all blocks
-  with an analytic Jacobian.
+  with an analytic Jacobian. The start at the pilot (pilot theta, g
+  there and the tilt multiplier) does not depend on the system, so the
+  last successful one is kept and reused when the next call solves the
+  same ``Dataset`` object with the same model and inner settings: the
+  ETEL/EL pair on one dataset profiles once. ``Dataset`` is immutable
+  (its rows are read-only), so the reuse returns exactly what a fresh
+  computation would.
+* The small dense systems (of size at most D = 1 + 2m + p) go straight
+  to LAPACK ``dgesv`` (the LU solve behind ``np.linalg.solve``, without
+  its per-call dispatch, which dominates at these sizes) and vector
+  norms to ``sqrt(v . v)`` (bitwise ``np.linalg.norm``).
 
 Evaluation helpers accept complex beta so that complex-step
 differentiation can be driven through them; feasibility guards are then
@@ -25,10 +35,12 @@ applied to real parts only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import linprog
 
 from .errors import (
@@ -121,6 +133,29 @@ class BetaVector:
     def star_values(model: MomentModel) -> np.ndarray:
         """Plain array form of beta* = (1, 0, 0, theta*')'."""
         return np.concatenate([[1.0], np.zeros(2 * model.dim_g), model.theta_star])
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for a small real system, by LAPACK dgesv.
+
+    The LU solve of np.linalg.solve at a fraction of its call overhead;
+    scipy may link another LAPACK build than numpy, so x can differ from
+    np.linalg.solve's in the last bits. Raises np.linalg.LinAlgError when
+    a is exactly singular, as np.linalg.solve does.
+    """
+    _, _, x, info = lapack.dgesv(a, b)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgesv failed (info {info}): singular matrix")
+    return x
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a contiguous real 1-D array, bitwise np.linalg.norm(v).
+
+    (np.linalg.norm first copies a strided vector to contiguous memory,
+    whose dot product may round differently.)
+    """
+    return math.sqrt(float(v.dot(v)))
 
 
 def _beta_parts(beta: np.ndarray, layout: IndexLayout):
@@ -361,12 +396,12 @@ def _et_core(
 
     logval, grad, wt = state(lam)
     for _ in range(max_iter):
-        raw = np.exp(min(logval, EXP_CAP)) * np.linalg.norm(grad)
+        raw = np.exp(min(logval, EXP_CAP)) * _norm(grad)
         if logval < EXP_CAP and raw <= tol:
             return lam, wt
         hess = np.einsum("n,na,nb->ab", wt, g, g) - np.outer(grad, grad)
         try:
-            step = np.linalg.solve(hess, -grad)
+            step = _solve(hess, -grad)
         except np.linalg.LinAlgError:
             step = -grad
         if grad @ step >= 0.0:
@@ -376,7 +411,7 @@ def _et_core(
         # resolution near the optimum, where Armijo cannot decide)
         cand = lam + step
         logc, gradc, wtc = state(cand)
-        if np.linalg.norm(gradc) <= 0.9 * np.linalg.norm(grad):
+        if _norm(gradc) <= 0.9 * _norm(grad):
             lam, logval, grad, wt = cand, logc, gradc, wtc
         else:
             t = 1.0
@@ -389,7 +424,7 @@ def _et_core(
                 t *= 0.5
             else:
                 raise _classify_failure(g, "ET inner solve")
-        if np.linalg.norm(lam, np.inf) * gscale > 2.0 * EXP_CAP:
+        if np.abs(lam).max() * gscale > 2.0 * EXP_CAP:
             raise _classify_failure(g, "ET inner solve")
     raise _classify_failure(g, "ET inner solve")
 
@@ -418,12 +453,12 @@ def _el_core(
 
     value, grad, eps = state(kappa)
     for _ in range(max_iter):
-        if np.linalg.norm(grad) <= tol:
+        if _norm(grad) <= tol:
             wt = base_weights * eps
             return kappa, wt / wt.sum()
         hess = np.einsum("n,na,nb->ab", base_weights * eps**2, g, g)
         try:
-            step = np.linalg.solve(hess, -grad)
+            step = _solve(hess, -grad)
         except np.linalg.LinAlgError:
             step = -grad
         if grad @ step >= 0.0:
@@ -431,7 +466,7 @@ def _el_core(
         # local phase, as in the tilt solve: accept a domain-feasible
         # Newton step on gradient decrease alone
         nxt = state(kappa + step)
-        if nxt is not None and np.linalg.norm(nxt[1]) <= 0.9 * np.linalg.norm(grad):
+        if nxt is not None and _norm(nxt[1]) <= 0.9 * _norm(grad):
             kappa, (value, grad, eps) = kappa + step, nxt
         else:
             t = 1.0
@@ -446,7 +481,7 @@ def _el_core(
                 t *= 0.5
             if not moved:
                 raise _classify_failure(g, "EL inner solve")
-        if np.linalg.norm(kappa, np.inf) * gscale > 2.0 * EXP_CAP:
+        if np.abs(kappa).max() * gscale > 2.0 * EXP_CAP:
             raise _classify_failure(g, "EL inner solve")
     raise _classify_failure(g, "EL inner solve")
 
@@ -502,11 +537,11 @@ def pilot_theta(
     for _ in range(max_iter):
         g = model.g_rows(data.rows, theta)[:, :p]
         r = g.mean(axis=0)
-        if np.linalg.norm(r) <= tol * (1.0 + np.linalg.norm(theta)):
+        if _norm(r) <= tol * (1.0 + _norm(theta)):
             return theta
         jac = model.g_jacobian(data.rows, theta)[:, :p, :].mean(axis=0)
         try:
-            theta = theta - np.linalg.solve(jac, r)
+            theta = theta - _solve(jac, r)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError("pilot Jacobian singular") from exc
     raise ConvergenceError("pilot theta iteration did not converge")
@@ -549,19 +584,27 @@ def _profile_init(
     theta0: np.ndarray,
     inner_tol: float,
     max_iter: int,
+    g: np.ndarray | None = None,
+    lam: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Profile initialization: inner multipliers and tau at a fixed theta."""
-    layout = model.layout
-    g = model.g_rows(data.rows, theta0)
+    """Profile initialization: inner multipliers and tau at a fixed theta.
+
+    ``g`` (the moment rows at theta0) and ``lam`` (the tilt multiplier
+    there) may be passed in when already known; they are computed
+    otherwise.
+    """
+    if g is None:
+        g = model.g_rows(data.rows, theta0)
     base = np.full(data.n, 1.0 / data.n)
-    lam, _ = _et_core(g, base, inner_tol, max_iter)
+    if lam is None:
+        lam, _ = _et_core(g, base, inner_tol, max_iter)
     tdot = np.exp(g @ lam)
     tau = float(tdot.mean())
     if system == "etel":
         lhs = np.einsum("n,na,nb->ab", tdot / data.n, g, g)
         rhs = ((tdot - tau) / data.n) @ g
         try:
-            kappa = np.linalg.solve(lhs, rhs)
+            kappa = _solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError("tilted second-moment matrix singular") from exc
     else:
@@ -580,13 +623,13 @@ def _newton_stacked(
 ) -> tuple[np.ndarray, float, int, bool]:
     beta = beta0.copy()
     resid = stacked_residual(system, model, data.rows, beta)
-    norm = float(np.linalg.norm(resid))
+    norm = _norm(resid)
     for it in range(max_iter):
         if norm <= tol:
             return beta, norm, it, True
         try:
             jac = stacked_jacobian(system, model, data.rows, beta)
-            step = np.linalg.solve(jac, -resid)
+            step = _solve(jac, -resid)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"stacked Jacobian singular at iteration {it}"
@@ -600,7 +643,7 @@ def _newton_stacked(
             except (DomainError, OverflowGuardError):
                 t *= 0.5
                 continue
-            cand_norm = float(np.linalg.norm(cand_resid))
+            cand_norm = _norm(cand_resid)
             if cand_norm <= (1.0 - _ARMIJO * t) * norm:
                 beta, resid, norm = cand, cand_resid, cand_norm
                 moved = True
@@ -609,6 +652,22 @@ def _newton_stacked(
         if not moved:
             return beta, norm, it + 1, norm <= tol
     return beta, norm, max_iter, norm <= tol
+
+
+_start_memo: tuple | None = None
+"""The last successful profile start of ``solve_stacked``:
+(data, model, inner_tol, max_iter, theta0, g(theta0), ET multiplier at theta0).
+
+Callers read it once and ``_remember_start`` replaces it whole, so a
+caller in another thread sees a complete entry, never a mixed one.
+"""
+
+
+def _remember_start(data, model, inner_tol, max_iter, theta0, g0, lam0) -> None:
+    global _start_memo
+    for a in (theta0, g0, lam0):
+        a.setflags(write=False)
+    _start_memo = (data, model, inner_tol, max_iter, theta0, g0, lam0)
 
 
 def solve_stacked(
@@ -627,6 +686,14 @@ def solve_stacked(
     tilt mean, then full Newton. If the first attempt stalls it retries
     the profile from a small grid of perturbed pilot values.
 
+    The pilot theta, g at the pilot and the tilt multiplier there do not
+    depend on the system. The last successful set is kept and reused by
+    the next call without ``init`` on the same ``Dataset`` object (by
+    identity), the same model object and the same ``inner_tol`` and
+    ``max_iter``, so solving ETEL and then EL on one dataset computes
+    them once. ``Dataset`` is immutable, so the reports are bitwise those
+    of solves on fresh, equal-valued datasets.
+
     Returns a SolveReport; plain failure to reach tolerance is reported
     via converged=False, while hull / domain / singularity problems
     raise their typed errors.
@@ -639,23 +706,40 @@ def solve_stacked(
         )
 
     last_failure: Exception | None = None
+    pending: list[np.ndarray] = []
     if init is not None:
-        pending = [np.asarray(init.values, dtype=float)]
-        retry_thetas: list[np.ndarray] = []
+        pending.append(np.asarray(init.values, dtype=float))
     else:
-        theta0 = pilot_theta(model, data)
-        g0 = model.g_rows(data.rows, theta0)[:, : model.dim_theta]
-        spread = g0.std(axis=0) / np.sqrt(data.n)
-        retry_thetas = [theta0 + k * spread for k in (-2.0, -1.0, 1.0, 2.0)]
-        pending = []
+        memo = _start_memo
+        if (
+            memo is not None
+            and memo[0] is data
+            and memo[1] is model
+            and memo[2] == inner_tol
+            and memo[3] == max_iter
+        ):
+            theta0, g0, lam0 = memo[4:]
+        else:
+            theta0 = pilot_theta(model, data)
+            g0 = model.g_rows(data.rows, theta0)
+            lam0 = None
         try:
-            pending.append(_profile_init(system, model, data, theta0, inner_tol, max_iter))
+            beta0 = _profile_init(
+                system, model, data, theta0, inner_tol, max_iter, g=g0, lam=lam0
+            )
         except (HullError, ConvergenceError, DomainError, SingularMatrixError) as exc:
             last_failure = exc
+        else:
+            pending.append(beta0)
+            if lam0 is None:
+                _remember_start(
+                    data, model, inner_tol, max_iter,
+                    theta0, g0, beta0[model.layout.lambda_slice].copy(),
+                )
 
     init_beta = pending[0] if pending else None
     best: tuple[np.ndarray, float, int, bool] | None = None
-    while True:
+    for retrying in (False, True):
         while pending:
             beta0 = pending.pop(0)
             if init_beta is None:
@@ -676,22 +760,24 @@ def solve_stacked(
                     iterations=its,
                     converged=True,
                     tol=tol,
-                    init_distance=float(np.linalg.norm(beta - init_beta)),
+                    init_distance=_norm(beta - init_beta),
                 )
             if best is None or result[1] < best[1]:
                 best = result
-        if not retry_thetas:
+        if retrying or init is not None:
             break
-        for theta_try in retry_thetas:
+        # the first start stalled: retry from pilots perturbed by a few
+        # standard errors of the just-identified sub-moments
+        spread = g0[:, : model.dim_theta].std(axis=0) / np.sqrt(data.n)
+        for k in (-2.0, -1.0, 1.0, 2.0):
             try:
                 pending.append(
-                    _profile_init(system, model, data, theta_try, inner_tol, max_iter)
+                    _profile_init(
+                        system, model, data, theta0 + k * spread, inner_tol, max_iter
+                    )
                 )
             except (HullError, ConvergenceError, DomainError, SingularMatrixError) as exc:
                 last_failure = exc
-        retry_thetas = []
-        if not pending:
-            break
 
     if best is None:
         if last_failure is not None:
@@ -705,6 +791,6 @@ def solve_stacked(
         iterations=its,
         converged=False,
         tol=tol,
-        init_distance=float(np.linalg.norm(beta - init_beta)),
+        init_distance=_norm(beta - init_beta),
         reason="max_iter",
     )

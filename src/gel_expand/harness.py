@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -328,8 +329,14 @@ def _sup(a) -> float:
     return float(np.max(np.abs(a)))
 
 
+def _worst(*vals: float) -> float:
+    """The largest value, or NaN if any value is NaN (Python's max keeps a
+    NaN only in first place, so a NaN check value would be dropped)."""
+    return math.nan if any(math.isnan(v) for v in vals) else max(vals)
+
+
 def _bump(worst: dict, key: str, *vals: float) -> None:
-    worst[key] = max(worst[key], *vals)
+    worst[key] = _worst(worst[key], *vals)
 
 
 def _inverse_gap(phi) -> float:
@@ -534,7 +541,7 @@ def _suite_r_terms(config: ExperimentConfig, model) -> tuple[list[CheckResult], 
 
     study = orthogonality_xi7_study(model, mt, n=n, reps=config.reps, seed=config.seed)
     _check(checks, "xi7.orthogonality-mc", "rdiff.kernel-orthogonality",
-           max(study["max_abs_z_xi7"], study["max_abs_z_kernel"]),
+           _worst(study["max_abs_z_xi7"], study["max_abs_z_kernel"]),
            config.tolerance("mc_sigma", TOLERANCES["mc_sigma"]),
            detail=f"{config.reps} replications at n={n}")
     return checks, {}

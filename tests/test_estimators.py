@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import gel_expand as gx
-from gel_expand.errors import DimensionError, DomainError, HullError
+from gel_expand import estimators
+from gel_expand.errors import DimensionError, DomainError, HullError, SingularMatrixError
 from gel_expand.estimators import BetaVector, stacked_jacobian, stacked_residual
 from gel_expand.rng import philox_generator
 
@@ -350,3 +354,213 @@ def test_solve_stacked_unknown_system(mean_var):
     data = gx.simulate(mean_var.model, 50, 2)
     with pytest.raises(DimensionError):
         gx.solve_stacked("both", data, mean_var.model)
+
+
+# ---------------------------------------------------------------------------
+# Shared profile start, LAPACK-direct solves and norms
+# ---------------------------------------------------------------------------
+
+
+def _fingerprint(rep):
+    return (
+        rep.beta_hat.values.tobytes(),
+        rep.iterations,
+        rep.residual_norm,
+        rep.init_distance,
+        rep.converged,
+    )
+
+
+def _fresh(data):
+    return gx.Dataset(data.rows.copy())
+
+
+@pytest.fixture
+def pilot_calls(monkeypatch):
+    """Counts the pilot computations solve_stacked makes."""
+    calls = []
+    real = estimators.pilot_theta
+
+    def counted(model, data, *args, **kwargs):
+        calls.append(data)
+        return real(model, data, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "pilot_theta", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_shared_start_reports_match_fresh_datasets(bundles, name, pilot_calls):
+    model = bundles[name].model
+    data = gx.simulate(model, 120, 29)
+    shared = [gx.solve_stacked(system, data, model) for system in ("etel", "el")]
+    assert len(pilot_calls) == 1  # the EL solve reused the ETEL solve's start
+    fresh = [gx.solve_stacked(system, _fresh(data), model) for system in ("etel", "el")]
+    assert len(pilot_calls) == 3
+    assert [_fingerprint(r) for r in shared] == [_fingerprint(r) for r in fresh]
+
+
+def test_shared_start_interleaved_datasets(mean_var, pilot_calls):
+    model = mean_var.model
+    a, b = gx.simulate(model, 90, 41), gx.simulate(model, 90, 43)
+    got = [
+        gx.solve_stacked("etel", a, model),
+        gx.solve_stacked("etel", b, model),
+        gx.solve_stacked("el", a, model),
+        gx.solve_stacked("el", b, model),
+    ]
+    assert len(pilot_calls) == 4  # one slot: every switch of dataset recomputes
+    want = [
+        gx.solve_stacked(system, _fresh(d), model)
+        for system, d in (("etel", a), ("etel", b), ("el", a), ("el", b))
+    ]
+    assert [_fingerprint(r) for r in got] == [_fingerprint(r) for r in want]
+
+
+@pytest.mark.parametrize(
+    "changed", [{"inner_tol": 1e-12}, {"max_iter": 80}], ids=["inner_tol", "max_iter"]
+)
+def test_shared_start_keyed_by_inner_settings(mean_var, pilot_calls, changed):
+    model = mean_var.model
+    data = gx.simulate(model, 100, 47)
+    gx.solve_stacked("etel", data, model)
+    rep = gx.solve_stacked("el", data, model, **changed)
+    assert len(pilot_calls) == 2
+    assert _fingerprint(rep) == _fingerprint(
+        gx.solve_stacked("el", _fresh(data), model, **changed)
+    )
+
+
+def test_explicit_init_bypasses_shared_start(mean_var, pilot_calls):
+    model = mean_var.model
+    data = gx.simulate(model, 100, 59)
+    gx.solve_stacked("etel", data, model)
+    memo = estimators._start_memo
+    star = BetaVector.star(model)
+    rep = gx.solve_stacked("el", data, model, init=star)
+    assert len(pilot_calls) == 1
+    assert rep.converged
+    assert rep.init_distance == np.linalg.norm(rep.beta_hat.values - star.values)
+    gx.solve_stacked("el", gx.simulate(model, 100, 61), model, init=star)
+    assert len(pilot_calls) == 1
+    assert estimators._start_memo is memo  # an init solve stores nothing
+
+
+def test_shared_start_arrays_are_read_only(mean_var):
+    data = gx.simulate(mean_var.model, 100, 67)
+    gx.solve_stacked("etel", data, mean_var.model)
+    memo = estimators._start_memo
+    assert memo[0] is data and memo[1] is mean_var.model
+    assert not any(a.flags.writeable for a in memo[4:])
+
+
+def test_shared_start_under_threads(mean_var):
+    # one slot shared by every caller: each thread solves its own datasets
+    # while the others keep replacing the slot
+    model = mean_var.model
+    sets = [[gx.simulate(model, 80, 100 + 10 * t + k) for k in range(4)] for t in range(4)]
+    want = [
+        [_fingerprint(gx.solve_stacked(s, _fresh(d), model)) for d in ds for s in ("etel", "el")]
+        for ds in sets
+    ]
+    got = [None] * len(sets)
+
+    def work(t):
+        got[t] = [
+            _fingerprint(gx.solve_stacked(s, d, model)) for d in sets[t] for s in ("etel", "el")
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(len(sets))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == want
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_lapack_solve_agrees_with_numpy(dim):
+    rng = philox_generator(70 + dim)
+    for _ in range(50):
+        a = rng.standard_normal((dim, dim)) + dim * np.eye(dim)
+        b = rng.standard_normal(dim)
+        want = np.linalg.solve(a, b)
+        got = estimators._solve(a, b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_lapack_solve_raises_on_singular():
+    with pytest.raises(np.linalg.LinAlgError):
+        estimators._solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]))
+
+
+def test_norm_helper_is_bitwise_numpy():
+    rng = philox_generator(77)
+    for size in range(1, 9):
+        for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+            v = scale * rng.standard_normal(size)
+            assert estimators._norm(v) == np.linalg.norm(v)
+
+
+def test_singular_pilot_jacobian_raises(mean_var):
+    model = dataclasses.replace(
+        mean_var.model,
+        g_jacobian=lambda rows, theta: np.zeros((rows.shape[0], 2, 1)),
+    )
+    data = gx.simulate(mean_var.model, 50, 3)
+    with pytest.raises(SingularMatrixError, match="pilot"):
+        gx.pilot_theta(model, data)
+    with pytest.raises(SingularMatrixError, match="pilot"):
+        gx.solve_stacked("etel", data, model)
+
+
+@pytest.mark.parametrize("core", ["_et_core", "_el_core"])
+def test_singular_inner_hessian_falls_back_to_gradient(monkeypatch, core):
+    # two identical moment columns make the inner Hessian exactly singular
+    col = philox_generator(83).standard_normal(40) + 0.1
+    g = np.column_stack([col, col])
+    base = np.full(40, 1.0 / 40)
+    singular = []
+    real = estimators._solve
+
+    def spy(a, b):
+        try:
+            return real(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a)
+            raise
+
+    monkeypatch.setattr(estimators, "_solve", spy)
+    mult, wt = getattr(estimators, core)(g, base, 1e-11, 100)
+    assert singular
+    assert np.all(np.isfinite(mult))
+    assert np.linalg.norm(wt @ g) <= 1e-9
+
+
+def test_stalled_first_start_retries_perturbed_pilots(mean_var, monkeypatch):
+    model = mean_var.model
+    data = gx.simulate(model, 100, 71)
+    starts = []
+
+    def stall(system, model_, data_, beta0, tol, max_iter):
+        starts.append(beta0[model.layout.theta_slice].copy())
+        return beta0, 1.0, 1, False
+
+    monkeypatch.setattr(estimators, "_newton_stacked", stall)
+    rep = gx.solve_stacked("etel", data, model)
+    assert not rep.converged and rep.reason == "max_iter"
+
+    theta0 = gx.pilot_theta(model, data)
+    g0 = model.g_rows(data.rows, theta0)[:, : model.dim_theta]
+    spread = g0.std(axis=0) / np.sqrt(data.n)
+    want = [theta0] + [theta0 + k * spread for k in (-2.0, -1.0, 1.0, 2.0)]
+    assert len(starts) == 5
+    for got, expected in zip(starts, want):
+        np.testing.assert_array_equal(got, expected)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 import gel_expand.cli as cli
 from gel_expand.errors import ConfigError
-from gel_expand.harness import parse_config, run_suite
+from gel_expand.harness import _bump, _check, parse_config, run_suite
 
 
 def test_parse_config_requires_seed():
@@ -181,3 +182,29 @@ def test_cli_rejects_unknown_suite_via_argparse():
     with pytest.raises(SystemExit) as err:
         cli.main(["run", "--suite", "everything", "--seed", "1"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [(math.nan, 1e-16, 2e-16), (1e-16, math.nan, 2e-16), (1e-16, 2e-16, math.nan)],
+    ids=["first", "middle", "last"],
+)
+@pytest.mark.parametrize("one_call", [True, False], ids=["one-call", "per-value"])
+def test_bump_propagates_nan_into_a_failing_check(vals, one_call):
+    worst = {"gap": 0.0}
+    if one_call:
+        _bump(worst, "gap", *vals)
+    else:
+        for v in vals:
+            _bump(worst, "gap", v)
+    assert math.isnan(worst["gap"])
+    checks = []
+    _check(checks, "gap", "anchor", worst["gap"], 1e-12)
+    assert math.isnan(checks[0].value) and not checks[0].passed
+
+
+def test_bump_keeps_the_largest_finite_value():
+    worst = {"gap": 0.0}
+    _bump(worst, "gap", 3e-16, 1e-15)
+    _bump(worst, "gap", 2e-16)
+    assert worst["gap"] == 1e-15
