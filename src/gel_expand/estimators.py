@@ -21,8 +21,16 @@ Solver layout:
   last successful one is kept and reused when the next call solves the
   same ``Dataset`` object with the same model and inner settings: the
   ETEL/EL pair on one dataset profiles once. ``Dataset`` is immutable
-  (its rows are read-only), so the reuse returns exactly what a fresh
+  (it owns read-only rows), so the reuse returns exactly what a fresh
   computation would.
+* Every iterate is evaluated once. ``_StackedEval`` computes the per-row
+  features (g, dg, exp(lambda'g), kappa'g, dg'kappa, dg'lambda and the
+  system's coefficient) and from them the phi rows and their weighted
+  sum; the Newton step takes its Jacobian from the evaluation that
+  accepted the iterate. The Jacobian is two weighted Gram GEMMs of
+  (g, dg'lambda, dg'kappa) plus one GEMM of weighted first moments of
+  (g, dg'lambda, dg, d2g). ``phi_rows``, ``stacked_residual`` and
+  ``stacked_jacobian`` are thin wrappers over the same evaluation.
 * The small dense systems (of size at most D = 1 + 2m + p) go straight
   to LAPACK ``dgesv`` (the LU solve behind ``np.linalg.solve``, without
   its per-call dispatch, which dominates at these sizes) and vector
@@ -158,14 +166,118 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def _beta_parts(beta: np.ndarray, layout: IndexLayout):
-    beta = np.asarray(beta)
-    return (
-        beta[0],
-        beta[layout.kappa_slice],
-        beta[layout.lambda_slice],
-        beta[layout.theta_slice],
-    )
+def _gram(w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """sum_n w_n f_n f_n' as one GEMM (w may stack k weight rows, giving k Grams).
+
+    The transpose is plain, not conjugate, so complex rows stay analytic."""
+    return (w[..., None] * f).swapaxes(-1, -2) @ f
+
+
+class _StackedEval:
+    """One evaluation of a stacked system at beta over weighted rows.
+
+    The per-row features g, dg (n, m, p), t = exp(lambda'g), u = kappa'g,
+    dg'kappa, dg'lambda and c = tau - t (1 - u) (ETEL) or
+    eps = 1 / (1 - u) (EL) are computed once; ``phi`` (the stacked moment
+    rows) and ``residual`` (their weighted sum) are built from them at
+    once, ``jacobian()`` only when asked. Guards (exp cap, EL domain) act
+    on real parts, and only plain transposes are used, so complex-step
+    probes pass through.
+    """
+
+    def __init__(self, system, model, rows, beta, weights=None, layout=None):
+        if system not in ("etel", "el"):
+            raise DimensionError(f"unknown system {system!r}; use 'etel' or 'el'")
+        self.system, self.model = system, model
+        self.layout = layout = layout or model.layout
+        self.rows = rows = np.atleast_2d(rows)
+        beta = np.asarray(beta)
+        m, p = layout.dim_g, layout.dim_theta
+        tau = beta[0]
+        self.kl = kl = beta[1 : 1 + 2 * m].reshape(2, m)  # rows kappa', lambda'
+        self.theta = beta[layout.theta_slice]
+        self.g = g = model.g_rows(rows, self.theta)
+        self.gj = gj = model.g_jacobian(rows, self.theta)
+        n = g.shape[0]
+        self.w = w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights)
+
+        u, s = (g @ kl.T).T
+        if np.abs(s.real).max(initial=0.0) > EXP_CAP:
+            raise OverflowGuardError(
+                f"exponent lambda'g exceeded {EXP_CAP:g}; iterate far outside tilt range"
+            )
+        t = np.exp(s)
+        # dg'kappa and dg'lambda of every row, as one GEMM
+        gk, gl = (gj.swapaxes(1, 2).reshape(n * p, m) @ kl.T).reshape(n, p, 2).transpose(2, 0, 1)
+        self.t, self.u, self.gk, self.gl = t, u, gk, gl
+        if system == "etel":
+            self.c = c = tau - t * (1.0 - u)
+            lam_rows, theta_rows = c[:, None] * g, t[:, None] * gk + c[:, None] * gl
+        else:
+            denom = 1.0 - u
+            if np.min(denom.real, initial=np.inf) <= 0.0:
+                raise DomainError("EL evaluation outside the region 1 - kappa'g > 0")
+            self.c = c = 1.0 / denom
+            lam_rows, theta_rows = (c - t)[:, None] * g, c[:, None] * gk
+        self.phi = phi = np.concatenate(
+            ((t - tau)[:, None], t[:, None] * g, lam_rows, theta_rows), axis=1
+        )
+        self.residual = w @ phi
+
+    def jacobian(self) -> np.ndarray:
+        """Weighted sum of the per-row Jacobians d phi / d beta'.
+
+        Every block is a weighted first moment of (g, dg'lambda, dg, d2g)
+        under w, a = w t and v = w c (ETEL) or w eps (EL), or a block of the
+        weighted Grams A and B of F = (g, dg'lambda, dg'kappa) under a and
+        b = w t (1 - u) (ETEL) or w eps^2 (EL).
+        """
+        model, layout = self.model, self.layout
+        if model.g_hessian is None:
+            raise DimensionError(f"{model.name}: g_hessian required for stacked Jacobian")
+        g, gj, t, c, w = self.g, self.gj, self.t, self.c, self.w
+        n, m, p = gj.shape
+        gh = model.g_hessian(self.rows, self.theta)
+        # columns: g [0, m), dg'lambda [m, e), dg'kappa [e, f), dg [f, h), d2g [h, end)
+        e, f, h = m + p, m + 2 * p, m + 2 * p + m * p
+        x = np.concatenate(
+            (g, self.gl, self.gk, gj.reshape(n, m * p), gh.reshape(n, m * p * p)), axis=1
+        )
+        a = w * t
+        etel = self.system == "etel"
+        A, B = _gram(np.array((a, a * (1.0 - self.u) if etel else w * c * c)), x[:, :f])
+        M = np.array((w, a, w * c)) @ x
+        Mw, Ma, Mv = M
+        Ja, Jv = Ma[f:h].reshape(m, p), Mv[f:h].reshape(m, p)
+        if etel:  # sum_n (a_n kappa + v_n lambda)' d2g_n
+            hess = (self.kl.reshape(-1) @ M[1:, h:].reshape(2 * m, p * p)).reshape(p, p)
+        else:  # sum_n v_n kappa' d2g_n
+            hess = (self.kl[0] @ Mv[h:].reshape(m, p * p)).reshape(p, p)
+
+        ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
+        lt = slice(layout.l_lambda, None)  # the lambda and theta blocks together
+        jac = np.zeros((layout.dim_beta,) * 2, dtype=np.result_type(x, t))
+        jac[0, 0] = -w.sum()
+        jac[0, lt] = Ma[:e]
+        jac[ks, lt] = A[:m, :e]
+        jac[ks, ts] += Ja
+        if etel:
+            jac[lt, 0] = Mw[:e]
+            jac[lt, ks] = A[:e, :m]
+            jac[ts, ks] += Ja.T
+            jac[lt, lt] = -B[:e, :e]
+            cross = Jv + A[:m, e:]
+            jac[ls, ts] += cross
+            jac[ts, ls] += cross.T
+            akl = A[e:, m:e]
+            jac[ts, ts] += hess + akl + akl.T
+        else:
+            jac[ls, ks] = B[:m, :m]
+            jac[ts, ks] = B[e:, :m] + Jv.T
+            jac[ls, lt] = -A[:m, :e]
+            jac[ls, ts] += Jv - Ja + B[:m, e:]
+            jac[ts, ts] = hess + B[e:, e:]
+        return jac
 
 
 def phi_rows(
@@ -180,38 +292,7 @@ def phi_rows(
     Guards (exp cap, EL domain) act on real parts, so complex-step
     probes pass through untouched.
     """
-    layout = layout or model.layout
-    tau, kappa, lam, theta = _beta_parts(beta, layout)
-    g = model.g_rows(rows, theta)
-    gjac = model.g_jacobian(np.atleast_2d(rows), theta)
-
-    s = g @ lam
-    if np.max(np.abs(s.real), initial=0.0) > EXP_CAP:
-        raise OverflowGuardError(
-            f"exponent lambda'g exceeded {EXP_CAP:g}; iterate far outside tilt range"
-        )
-    tdot = np.exp(s)
-    u = g @ kappa
-    gk = np.einsum("nmp,m->np", gjac, kappa)
-    gl = np.einsum("nmp,m->np", gjac, lam)
-
-    out = np.empty((g.shape[0], layout.dim_beta), dtype=np.result_type(g, tdot))
-    out[:, 0] = tdot - tau
-    out[:, layout.kappa_slice] = tdot[:, None] * g
-    if system == "etel":
-        c = tau - tdot * (1.0 - u)
-        out[:, layout.lambda_slice] = c[:, None] * g
-        out[:, layout.theta_slice] = tdot[:, None] * gk + c[:, None] * gl
-    elif system == "el":
-        denom = 1.0 - u
-        if np.min(denom.real, initial=np.inf) <= 0.0:
-            raise DomainError("EL evaluation outside the region 1 - kappa'g > 0")
-        eps = 1.0 / denom
-        out[:, layout.lambda_slice] = (eps - tdot)[:, None] * g
-        out[:, layout.theta_slice] = eps[:, None] * gk
-    else:
-        raise DimensionError(f"unknown system {system!r}; use 'etel' or 'el'")
-    return out
+    return _StackedEval(system, model, rows, beta, layout=layout).phi
 
 
 def phi_etel(x: np.ndarray, beta: BetaVector, model: MomentModel) -> np.ndarray:
@@ -233,12 +314,8 @@ def stacked_residual(
     beta: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Weighted mean of the stacked moment rows (uniform weights by default)."""
-    rows = np.atleast_2d(rows)
-    values = phi_rows(system, model, rows, beta)
-    if weights is None:
-        return values.mean(axis=0)
-    return weights @ values
+    """Weighted sum of the stacked moment rows (uniform weights 1/n by default)."""
+    return _StackedEval(system, model, rows, beta, weights).residual
 
 
 def stacked_jacobian(
@@ -248,95 +325,12 @@ def stacked_jacobian(
     beta: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Weighted mean of the per-observation Jacobian d phi / d beta'.
+    """Weighted sum of the per-observation Jacobian d phi / d beta'.
 
     Requires the model to supply g_hessian (the theta block of the
     fourth row needs second derivatives of g).
     """
-    rows = np.atleast_2d(rows)
-    layout = model.layout
-    tau, kappa, lam, theta = _beta_parts(np.asarray(beta), layout)
-    n = rows.shape[0]
-    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights)
-
-    g = model.g_rows(rows, theta)
-    gjac = model.g_jacobian(rows, theta)
-    if model.g_hessian is None:
-        raise DimensionError(f"{model.name}: g_hessian required for stacked Jacobian")
-    ghess = model.g_hessian(rows, theta)
-
-    s = g @ lam
-    if np.max(np.abs(s.real), initial=0.0) > EXP_CAP:
-        raise OverflowGuardError("exponent lambda'g exceeded the safety cap")
-    tdot = np.exp(s)
-    u = g @ kappa
-    gk = np.einsum("nmp,m->np", gjac, kappa)
-    gl = np.einsum("nmp,m->np", gjac, lam)
-    hk = np.einsum("nmqr,m->nqr", ghess, kappa)
-    hl = np.einsum("nmqr,m->nqr", ghess, lam)
-
-    dtype = np.result_type(g, tdot)
-    D = layout.dim_beta
-    jac = np.zeros((D, D), dtype=dtype)
-    ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
-    wt = w * tdot
-
-    # tau row: phi1 = tdot - tau
-    jac[0, 0] = -w.sum()
-    jac[0, ls] = wt @ g
-    jac[0, ts] = wt @ gl
-
-    # kappa rows: phi2 = tdot g
-    jac[ks, ls] = np.einsum("n,na,nb->ab", wt, g, g)
-    jac[ks, ts] = np.einsum("n,nap->ap", wt, gjac) + np.einsum(
-        "n,na,np->ap", wt, g, gl
-    )
-
-    if system == "etel":
-        c = tau - tdot * (1.0 - u)
-        wc = w * c
-        dc_dth = tdot[:, None] * (gk - (1.0 - u)[:, None] * gl)
-        jac[ls, 0] = w @ g
-        jac[ls, ks] = np.einsum("n,na,nb->ab", wt, g, g)
-        jac[ls, ls] = -np.einsum("n,na,nb->ab", wt * (1.0 - u), g, g)
-        jac[ls, ts] = np.einsum("n,nap->ap", wc, gjac) + np.einsum(
-            "n,na,np->ap", w, g, dc_dth
-        )
-        jac[ts, 0] = w @ gl
-        jac[ts, ks] = np.einsum("n,naq->qa", wt, gjac) + np.einsum(
-            "n,nq,na->qa", wt, gl, g
-        )
-        jac[ts, ls] = (
-            np.einsum("n,nq,na->qa", wt, gk, g)
-            + np.einsum("n,naq->qa", wc, gjac)
-            - np.einsum("n,nq,na->qa", wt * (1.0 - u), gl, g)
-        )
-        jac[ts, ts] = (
-            np.einsum("n,nqr->qr", wt, hk)
-            + np.einsum("n,nqr->qr", wc, hl)
-            + np.einsum("n,nq,nr->qr", wt, gk, gl)
-            + np.einsum("n,nq,nr->qr", w, gl, dc_dth)
-        )
-    elif system == "el":
-        denom = 1.0 - u
-        if np.min(denom.real, initial=np.inf) <= 0.0:
-            raise DomainError("EL Jacobian outside the region 1 - kappa'g > 0")
-        eps = 1.0 / denom
-        weps = w * eps
-        jac[ls, ks] = np.einsum("n,na,nb->ab", w * eps**2, g, g)
-        jac[ls, ls] = -np.einsum("n,na,nb->ab", wt, g, g)
-        jac[ls, ts] = np.einsum("n,nap->ap", w * (eps - tdot), gjac) + np.einsum(
-            "n,na,np->ap", w, g, eps[:, None] ** 2 * gk - tdot[:, None] * gl
-        )
-        jac[ts, ks] = np.einsum("n,naq->qa", weps, gjac) + np.einsum(
-            "n,nq,na->qa", w * eps**2, gk, g
-        )
-        jac[ts, ts] = np.einsum("n,nqr->qr", weps, hk) + np.einsum(
-            "n,nq,nr->qr", w * eps**2, gk, gk
-        )
-    else:
-        raise DimensionError(f"unknown system {system!r}; use 'etel' or 'el'")
-    return jac
+    return _StackedEval(system, model, rows, beta, weights).jacobian()
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +393,7 @@ def _et_core(
         raw = np.exp(min(logval, EXP_CAP)) * _norm(grad)
         if logval < EXP_CAP and raw <= tol:
             return lam, wt
-        hess = np.einsum("n,na,nb->ab", wt, g, g) - np.outer(grad, grad)
+        hess = _gram(wt, g) - np.outer(grad, grad)
         try:
             step = _solve(hess, -grad)
         except np.linalg.LinAlgError:
@@ -456,7 +450,7 @@ def _el_core(
         if _norm(grad) <= tol:
             wt = base_weights * eps
             return kappa, wt / wt.sum()
-        hess = np.einsum("n,na,nb->ab", base_weights * eps**2, g, g)
+        hess = _gram(base_weights * eps**2, g)
         try:
             step = _solve(hess, -grad)
         except np.linalg.LinAlgError:
@@ -601,7 +595,7 @@ def _profile_init(
     tdot = np.exp(g @ lam)
     tau = float(tdot.mean())
     if system == "etel":
-        lhs = np.einsum("n,na,nb->ab", tdot / data.n, g, g)
+        lhs = _gram(tdot / data.n, g)
         rhs = ((tdot - tau) / data.n) @ g
         try:
             kappa = _solve(lhs, rhs)
@@ -621,15 +615,17 @@ def _newton_stacked(
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, float, int, bool]:
+    # the accepted candidate's evaluation gives the next Jacobian, so
+    # every iterate is evaluated once
+    w = np.full(data.n, 1.0 / data.n)
     beta = beta0.copy()
-    resid = stacked_residual(system, model, data.rows, beta)
-    norm = _norm(resid)
+    ev = _StackedEval(system, model, data.rows, beta, w)
+    norm = _norm(ev.residual)
     for it in range(max_iter):
         if norm <= tol:
             return beta, norm, it, True
         try:
-            jac = stacked_jacobian(system, model, data.rows, beta)
-            step = _solve(jac, -resid)
+            step = _solve(ev.jacobian(), -ev.residual)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"stacked Jacobian singular at iteration {it}"
@@ -639,13 +635,13 @@ def _newton_stacked(
         for _ in range(_MAX_HALVINGS):
             cand = beta + t * step
             try:
-                cand_resid = stacked_residual(system, model, data.rows, cand)
+                cand_ev = _StackedEval(system, model, data.rows, cand, w)
             except (DomainError, OverflowGuardError):
                 t *= 0.5
                 continue
-            cand_norm = _norm(cand_resid)
+            cand_norm = _norm(cand_ev.residual)
             if cand_norm <= (1.0 - _ARMIJO * t) * norm:
-                beta, resid, norm = cand, cand_resid, cand_norm
+                beta, ev, norm = cand, cand_ev, cand_norm
                 moved = True
                 break
             t *= 0.5

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -96,12 +97,13 @@ class IndexLayout:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An immutable matrix of observations, one row per draw."""
+    """An immutable matrix of observations, one row per draw (a read-only copy)."""
 
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
+        # a private copy: writes through the caller's array cannot reach it
+        rows = np.array(self.rows, dtype=float)
         if rows.ndim != 2:
             raise DimensionError("Dataset rows must be a 2-d array (n, dim_x)")
         if rows.shape[0] < 1:
@@ -176,8 +178,9 @@ class MomentModel:
         theta.setflags(write=False)
         object.__setattr__(self, "theta_star", theta)
 
-    @property
+    @cached_property
     def layout(self) -> IndexLayout:
+        """The stacked-parameter layout, built and validated once per model."""
         return IndexLayout(self.dim_g, self.dim_theta)
 
     def g_rows(self, rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -242,8 +245,8 @@ def dataset_from_csv(path: str | Path) -> Dataset:
 
 
 def _mean_var_g(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    z = rows[:, 0] - theta[0]
-    return np.stack([z, z * z - 1.0], axis=1)
+    z = rows[:, :1] - theta[0]
+    return np.concatenate((z, z * z - 1.0), axis=1)
 
 
 def _mean_var_jac(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -14,7 +14,13 @@ from scipy.optimize import brentq
 
 import gel_expand as gx
 from gel_expand import estimators
-from gel_expand.errors import DimensionError, DomainError, HullError, SingularMatrixError
+from gel_expand.errors import (
+    DimensionError,
+    DomainError,
+    HullError,
+    OverflowGuardError,
+    SingularMatrixError,
+)
 from gel_expand.estimators import BetaVector, stacked_jacobian, stacked_residual
 from gel_expand.rng import philox_generator
 
@@ -150,6 +156,110 @@ def test_jacobian_matches_fd_of_residual(mean_var):
             - stacked_residual("el", model, data.rows, bm)
         ) / (2 * h)
     np.testing.assert_allclose(jac_el, fd_el, atol=1e-7)
+
+
+def _probe_beta(model, g, seed):
+    """A beta off beta* whose multipliers keep exp(lambda'g) and 1 - kappa'g tame."""
+    rng = philox_generator(seed)
+    m = model.dim_g
+    scale = 0.2 / float(np.abs(g).sum(axis=1).max())
+    return np.concatenate(
+        [
+            [1.0 + 0.1 * rng.standard_normal()],
+            scale * rng.standard_normal(2 * m),
+            model.theta_star + 0.1 * rng.standard_normal(model.dim_theta),
+        ]
+    )
+
+
+def _rows_and_weights(bundle, weighting):
+    if weighting == "uniform":
+        return gx.simulate(bundle.model, 40, 17).rows, None
+    return bundle.measure.points, bundle.measure.weights
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "measure"])
+@pytest.mark.parametrize("system", ["etel", "el"])
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_jacobian_is_complex_step_of_residual(bundles, name, system, weighting):
+    model = bundles[name].model
+    rows, weights = _rows_and_weights(bundles[name], weighting)
+    beta = _probe_beta(model, model.g_rows(rows, model.theta_star), 23)
+    jac = stacked_jacobian(system, model, rows, beta, weights)
+    h = 1e-20
+    cs = np.empty_like(jac)
+    for j in range(beta.shape[0]):
+        probe = beta.astype(complex)
+        probe[j] += 1j * h
+        cs[:, j] = stacked_residual(system, model, rows, probe, weights).imag / h
+    assert np.abs(jac - cs).max() <= 1e-13 * np.abs(jac).max()
+
+
+def _scaled_multiplier(model, rows, beta, block, target, factor):
+    """beta with its lambda block scaled so that max |lambda'g| over the rows
+    is target * factor, or its kappa block so that max kappa'g is."""
+    layout = model.layout
+    sl = layout.kappa_slice if block == "kappa" else layout.lambda_slice
+    values = model.g_rows(rows, beta[layout.theta_slice]) @ beta[sl]
+    reach = np.abs(values).max() if block == "lambda" else values.max()
+    out = beta.copy()
+    out[sl] *= target * factor / float(reach)
+    return out
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "measure"])
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_guards_trip_at_the_same_beta(bundles, name, weighting):
+    # both the residual and the Jacobian raise exactly past the exp cap
+    # (either system) and past the EL domain edge (EL only)
+    model = bundles[name].model
+    rows, weights = _rows_and_weights(bundles[name], weighting)
+    beta = _probe_beta(model, model.g_rows(rows, model.theta_star), 29)
+    evaluations = (stacked_residual, stacked_jacobian)
+    for factor, trips in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
+        over = _scaled_multiplier(model, rows, beta, "lambda", estimators.EXP_CAP, factor)
+        edge = _scaled_multiplier(model, rows, beta, "kappa", 1.0, factor)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fn in evaluations:
+                for system in ("etel", "el"):
+                    if trips:
+                        with pytest.raises(OverflowGuardError):
+                            fn(system, model, rows, over, weights)
+                    else:
+                        fn(system, model, rows, over, weights)
+                fn("etel", model, rows, edge, weights)  # no domain in ETEL
+                if trips:
+                    with pytest.raises(DomainError):
+                        fn("el", model, rows, edge, weights)
+                else:
+                    fn("el", model, rows, edge, weights)
+
+
+@pytest.mark.parametrize("system", ["etel", "el"])
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_newton_evaluates_each_accepted_iterate_once(bundles, name, system, monkeypatch):
+    # one g evaluation per iterate (the start and each accepted full step)
+    # and one Hessian of g per Jacobian; the Jacobian of an iterate comes
+    # from the evaluation that accepted it
+    model = bundles[name].model
+    data = gx.simulate(model, 200, 41)
+    theta0 = estimators.pilot_theta(model, data) + 0.05
+    beta0 = estimators._profile_init(system, model, data, theta0, 1e-11, 100)
+    hessians = []
+    counted = dataclasses.replace(
+        model, g_hessian=lambda rows, theta: hessians.append(1) or model.g_hessian(rows, theta)
+    )
+    g_calls = []
+    g_rows = gx.MomentModel.g_rows
+    monkeypatch.setattr(
+        gx.MomentModel, "g_rows", lambda self, *a: g_calls.append(1) or g_rows(self, *a)
+    )
+    beta, norm, its, converged = estimators._newton_stacked(
+        system, counted, data, beta0, 1e-9, 100
+    )
+    assert converged and its >= 2
+    assert len(g_calls) == its + 1
+    assert len(hessians) == its
 
 
 # ---------------------------------------------------------------------------

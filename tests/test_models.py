@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,31 @@ def test_dataset_validation():
     assert ds.n == 3 and ds.dim_x == 2
     with pytest.raises(ValueError):
         ds.rows[0, 0] = 1.0  # immutable
+
+
+def test_dataset_is_not_changed_through_its_base_array():
+    base = np.arange(12.0).reshape(6, 2)
+    view = base[:3]
+    ds = gx.Dataset(view)
+    base[0, 0] = 99.0
+    assert ds.rows[0, 0] == 0.0
+    assert base.flags.writeable and view.flags.writeable
+    assert not ds.rows.flags.writeable
+
+
+def test_dataset_leaves_callers_array_writeable():
+    rows = np.ones((4, 1))
+    ds = gx.Dataset(rows)
+    rows[0, 0] = 5.0
+    assert ds.rows[0, 0] == 1.0 and not ds.rows.flags.writeable
+
+
+def test_model_layout_built_once_and_model_stays_frozen():
+    model = gx.build_model("SkewModel")
+    assert model.layout is model.layout
+    assert model.layout == gx.IndexLayout(model.dim_g, model.dim_theta)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.dim_g = 3
 
 
 def test_index_layout_offsets():
