@@ -35,7 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--theta-star", dest="theta_star", help="true parameter value")
     run.add_argument("--skew-df", dest="skew_df", help="chi-square df for SkewModel")
     run.add_argument("--n-nodes", dest="n_nodes", help="quadrature nodes of the plug-in measure")
-    run.add_argument("--n-ref", dest="n_ref", help="reference sample size for models without a rule")
     run.add_argument("--out", help="output directory for report.json and tables")
     run.add_argument(
         "--tol-override",
@@ -54,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
 
     overrides: dict[str, str] = {}
     for key in ("suite", "model", "seed", "n", "reps", "samples", "theta_star",
-                "skew_df", "n_nodes", "n_ref", "out"):
+                "skew_df", "n_nodes", "out"):
         value = getattr(args, key)
         if value is not None:
             overrides[key] = str(value)

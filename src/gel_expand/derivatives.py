@@ -12,7 +12,9 @@ parameter layout (tau, kappa, lambda, theta):
   expected stacked moment E*[phi(beta)] around beta*, and a tighter
   "jacobian-seeded" oracle that complex-steps the analytic stacked
   Jacobian (exact to roundoff for second order, near-roundoff for the
-  third-order difference slices).
+  third-order difference slices). Every finite difference goes through
+  one engine, ``_fd_tensor``: nested central differences with one
+  Richardson level over sorted index tuples.
 * sample bars: sqrt(n)-scaled, expectation-centered sums of the
   per-observation derivatives. Because the per-observation derivative
   arrays have exactly the same block structure as the population
@@ -30,6 +32,7 @@ their last two indices, the third-derivative slices in (j, k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +172,16 @@ def _phi2_diff_blocks(
     return out
 
 
+def _phi2_blocks(system, layout, omega, G, T, W, K) -> np.ndarray:
+    """Second-derivative blocks of a system from (Omega, G, T, W, K)-shaped
+    inputs: population moments, or their centered sample bars."""
+    if system == "el":
+        return _phi2_el_blocks(layout, omega, G, T, W, K)
+    if system == "diff":
+        return _phi2_diff_blocks(layout, G, T, W)
+    return _phi2_el_blocks(layout, omega, G, T, W, K) + _phi2_diff_blocks(layout, G, T, W)
+
+
 def phi2_population(
     system: str,
     pm: PopulationMoments,
@@ -177,13 +190,7 @@ def phi2_population(
 ) -> np.ndarray:
     """Closed-form population second-derivative tensor for a system."""
     _check_system(system)
-    if system == "el":
-        return _phi2_el_blocks(layout, pm.Omega, pm.G, mt.T, mt.W, mt.K)
-    if system == "diff":
-        return _phi2_diff_blocks(layout, pm.G, mt.T, mt.W)
-    return _phi2_el_blocks(layout, pm.Omega, pm.G, mt.T, mt.W, mt.K) + _phi2_diff_blocks(
-        layout, pm.G, mt.T, mt.W
-    )
+    return _phi2_blocks(system, layout, pm.Omega, pm.G, mt.T, mt.W, mt.K)
 
 
 def phi3_diff_theta_population(
@@ -227,27 +234,18 @@ def phi3_diff_theta_population(
 # ---------------------------------------------------------------------------
 
 
-def _expected_phi(system: str, model: MomentModel, measure: PluginMeasure):
-    if system == "diff":
-        def fun(beta: np.ndarray) -> np.ndarray:
-            return stacked_residual(
-                "etel", model, measure.points, beta, measure.weights
-            ) - stacked_residual("el", model, measure.points, beta, measure.weights)
-    else:
-        def fun(beta: np.ndarray) -> np.ndarray:
-            return stacked_residual(system, model, measure.points, beta, measure.weights)
-    return fun
+def _expected(fn, system: str, model: MomentModel, measure: PluginMeasure):
+    """beta -> fn(system, ...) under the plug-in measure, where fn is
+    ``stacked_residual`` or ``stacked_jacobian``; system 'diff' gives the
+    ETEL value minus the EL value."""
 
+    def fun(beta: np.ndarray) -> np.ndarray:
+        if system == "diff":
+            return fn("etel", model, measure.points, beta, measure.weights) - fn(
+                "el", model, measure.points, beta, measure.weights
+            )
+        return fn(system, model, measure.points, beta, measure.weights)
 
-def _expected_jacobian(system: str, model: MomentModel, measure: PluginMeasure):
-    if system == "diff":
-        def fun(beta: np.ndarray) -> np.ndarray:
-            return stacked_jacobian(
-                "etel", model, measure.points, beta, measure.weights
-            ) - stacked_jacobian("el", model, measure.points, beta, measure.weights)
-    else:
-        def fun(beta: np.ndarray) -> np.ndarray:
-            return stacked_jacobian(system, model, measure.points, beta, measure.weights)
     return fun
 
 
@@ -270,63 +268,63 @@ def _fd_step_limits(
     return limits
 
 
-def _central(fun, beta: np.ndarray, j: int, h: float) -> np.ndarray:
-    bp = beta.copy()
-    bp[j] += h
-    bm = beta.copy()
-    bm[j] -= h
-    return (fun(bp) - fun(bm)) / (2.0 * h)
+def _nested_central(fun, beta: np.ndarray, idx, h: np.ndarray) -> np.ndarray:
+    """Central difference of fun in beta[idx[-1]] (step h[idx[-1]]) of the
+    nested central differences over idx[:-1]; the innermost is idx[0]."""
+    if not idx:
+        return fun(beta)
+    *inner, j = idx
+    bp, bm = beta.copy(), beta.copy()
+    bp[j] += h[j]
+    bm[j] -= h[j]
+    return (_nested_central(fun, bp, inner, h) - _nested_central(fun, bm, inner, h)) / (2.0 * h[j])
 
 
-def _central_rich(fun, beta: np.ndarray, j: int, h: float) -> np.ndarray:
-    coarse = _central(fun, beta, j, h)
-    fine = _central(fun, beta, j, 0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+def _fd_tensor(
+    fun,
+    beta0: np.ndarray,
+    order: int,
+    exponent: float,
+    limits: np.ndarray | None = None,
+    last: slice = slice(None),
+) -> np.ndarray:
+    """order-th derivative tensor of fun at beta0 by nested central differences
+    with one Richardson level, steps eps^exponent (1 + |beta0|) capped by limits.
 
-
-def _fd_steps(beta0: np.ndarray, exponent: float, limits: np.ndarray | None) -> np.ndarray:
+    Each sorted index tuple is differenced once and its block written to
+    every permutation. The last axis can be restricted to ``last`` (a
+    slice of the beta indices); tuples with no index there are skipped.
+    The result has fun's shape, then order - 1 axes of length D, then one
+    axis over the indices in ``last``.
+    """
+    D = beta0.shape[0]
+    cols = {idx: col for col, idx in enumerate(range(D)[last])}
     steps = _EPS**exponent * (1.0 + np.abs(beta0))
     if limits is not None:
         steps = np.minimum(steps, limits)
-    return steps
+    out = None
+    for idx in combinations_with_replacement(range(D), order):
+        if cols.keys().isdisjoint(idx):
+            continue
+        coarse = _nested_central(fun, beta0, idx, steps)
+        fine = _nested_central(fun, beta0, idx, 0.5 * steps)
+        block = (4.0 * fine - coarse) / 3.0
+        if out is None:
+            out = np.zeros(block.shape + (D,) * (order - 1) + (len(cols),))
+        for perm in set(permutations(idx)):
+            if perm[-1] in cols:
+                out[(...,) + perm[:-1] + (cols[perm[-1]],)] = block
+    return out
 
 
 def fd_phi1(fun, beta0: np.ndarray, limits: np.ndarray | None = None) -> np.ndarray:
     """Central differences with one Richardson level, step eps^(1/3)."""
-    D = beta0.shape[0]
-    steps = _fd_steps(beta0, 1.0 / 3.0, limits)
-    cols = [_central_rich(fun, beta0, j, steps[j]) for j in range(D)]
-    return np.stack(cols, axis=-1)
-
-
-def _stencil2(fun, beta0: np.ndarray, j: int, k: int, hj: float, hk: float) -> np.ndarray:
-    inner = lambda b: _central(fun, b, k, hk)
-    return _central(inner, beta0, j, hj)
-
-
-def _stencil3(
-    fun, beta0: np.ndarray, j: int, k: int, q: int, hj: float, hk: float, hq: float
-) -> np.ndarray:
-    level1 = lambda b: _central(fun, b, q, hq)
-    level2 = lambda b: _central(level1, b, k, hk)
-    return _central(level2, beta0, j, hj)
+    return _fd_tensor(fun, beta0, 1, 1.0 / 3.0, limits)
 
 
 def fd_phi2(fun, beta0: np.ndarray, limits: np.ndarray | None = None) -> np.ndarray:
     """Nested central differences with one Richardson level, step eps^(1/4)."""
-    D = beta0.shape[0]
-    steps = _fd_steps(beta0, 0.25, limits)
-    out = None
-    for k in range(D):
-        for j in range(k, D):
-            coarse = _stencil2(fun, beta0, j, k, steps[j], steps[k])
-            fine = _stencil2(fun, beta0, j, k, 0.5 * steps[j], 0.5 * steps[k])
-            block = (4.0 * fine - coarse) / 3.0
-            if out is None:
-                out = np.zeros(block.shape + (D, D))
-            out[..., j, k] = block
-            out[..., k, j] = block
-    return out
+    return _fd_tensor(fun, beta0, 2, 0.25, limits)
 
 
 def fd_phi3(
@@ -339,26 +337,7 @@ def fd_phi3(
     derivative in (beta_j, beta_k, beta_theta_q). Only the sorted index
     triples with at least one theta index are differenced.
     """
-    D = beta0.shape[0]
-    theta_col = {idx: col for col, idx in enumerate(range(D)[theta_slice])}
-    steps = _fd_steps(beta0, 1.0 / 6.0, limits)
-    out = None
-    for q in range(D):
-        for k in range(q, D):
-            for j in range(k, D):
-                if theta_col.keys().isdisjoint((j, k, q)):
-                    continue
-                coarse = _stencil3(fun, beta0, j, k, q, steps[j], steps[k], steps[q])
-                fine = _stencil3(
-                    fun, beta0, j, k, q, 0.5 * steps[j], 0.5 * steps[k], 0.5 * steps[q]
-                )
-                block = (4.0 * fine - coarse) / 3.0
-                if out is None:
-                    out = np.zeros(block.shape + (D, D, len(theta_col)))
-                for a, b, c in {(j, k, q), (j, q, k), (k, j, q), (k, q, j), (q, j, k), (q, k, j)}:
-                    if c in theta_col:
-                        out[..., a, b, theta_col[c]] = block
-    return out
+    return _fd_tensor(fun, beta0, 3, 1.0 / 6.0, limits, theta_slice)
 
 
 def phi2_jacobian_seeded(
@@ -369,7 +348,7 @@ def phi2_jacobian_seeded(
     Exact to machine precision: the complex step incurs no subtractive
     cancellation, and the expected Jacobian is analytic in beta.
     """
-    jac_fun = _expected_jacobian(system, model, measure)
+    jac_fun = _expected(stacked_jacobian, system, model, measure)
     D = beta0.shape[0]
     out = np.zeros((D, D, D))
     for k in range(D):
@@ -384,19 +363,10 @@ def phi3_diff_theta_jacobian_seeded(
 ) -> np.ndarray:
     """Theta-slices of the third-derivative difference, FD over the
     complex-stepped second-derivative tensor (Richardson, step eps^(1/5))."""
-    beta0 = BetaVector.star_values(model)
-    p = layout.dim_theta
-    D = layout.dim_beta
-
-    def phi2_at(beta: np.ndarray) -> np.ndarray:
-        return phi2_jacobian_seeded("diff", model, measure, beta)
-
-    out = np.zeros((D, D, D, p))
-    for q in range(p):
-        j = layout.l_theta + q
-        h = _EPS ** 0.2 * (1.0 + abs(beta0[j]))
-        out[..., q] = _central_rich(phi2_at, beta0, j, h)
-    return out
+    return _fd_tensor(
+        lambda beta: phi2_jacobian_seeded("diff", model, measure, beta),
+        BetaVector.star_values(model), 1, 0.2, last=layout.theta_slice,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +424,7 @@ def population_tensors(
     beta0 = BetaVector.star_values(model)
     phi2 = phi3_theta = None
     if method == "finite_difference":
-        fun = _expected_phi(system, model, measure)
+        fun = _expected(stacked_residual, system, model, measure)
         limits = _fd_step_limits(model, measure, layout)
         phi1 = fd_phi1(fun, beta0, limits)
         if order >= 2:
@@ -566,14 +536,7 @@ def sample_stats(
         ) / n
         w_bar = root_n * (w_mean - mt.W)
         k_bar = root_n * (ghess.mean(axis=0) - mt.K)
-        if system == "diff":
-            phi2_bar = _phi2_diff_blocks(layout, G_bar, t_bar, w_bar)
-        elif system == "el":
-            phi2_bar = _phi2_el_blocks(layout, omega_bar, G_bar, t_bar, w_bar, k_bar)
-        else:
-            phi2_bar = _phi2_el_blocks(
-                layout, omega_bar, G_bar, t_bar, w_bar, k_bar
-            ) + _phi2_diff_blocks(layout, G_bar, t_bar, w_bar)
+        phi2_bar = _phi2_blocks(system, layout, omega_bar, G_bar, t_bar, w_bar, k_bar)
 
     return SampleStats(
         system=system,

@@ -9,20 +9,24 @@ population root.
 
 Solver layout:
 
-* ``et_inner_solve`` / ``el_inner_solve`` are damped Newton methods on
-  the strictly convex inner duals (log of the tilt normalizer, and the
-  negative log empirical likelihood). Step halving keeps EL iterates in
-  the region 1 - kappa'g > 0.
+* One line search, ``_backtrack``, halves steps (t = 1, 1/2, ...) for
+  every Newton in the module, and one damped Newton, ``_dual_newton``,
+  solves both strictly convex inner duals (log of the tilt normalizer,
+  negative log empirical likelihood; ``et_inner_solve`` /
+  ``el_inner_solve``), each dual giving only its state, Hessian and
+  stopping rule. A full step that shrinks the gradient norm is taken
+  outright, otherwise Armijo decides; EL candidates outside
+  1 - kappa'g > 0 are rejected.
 * ``solve_stacked`` initializes by profiling (pilot theta from the
   just-identified sub-moments, inner duals for the multipliers, tau from
-  the tilt mean) and then runs a full Newton iteration on all blocks
-  with an analytic Jacobian. The start at the pilot (pilot theta, g
-  there and the tilt multiplier) does not depend on the system, so the
-  last successful one is kept and reused when the next call solves the
-  same ``Dataset`` object with the same model and inner settings: the
-  ETEL/EL pair on one dataset profiles once. ``Dataset`` is immutable
-  (it owns read-only rows), so the reuse returns exactly what a fresh
-  computation would.
+  the tilt mean), runs a full Newton iteration on all blocks with an
+  analytic Jacobian and, if that start stalls, retries from perturbed
+  pilots. The start at the pilot (pilot theta, g there and the tilt
+  multiplier) does not depend on the system, so the last successful one
+  is reused when the next call solves the same ``Dataset`` object with
+  the same model and inner settings: the ETEL/EL pair on one dataset
+  profiles once. ``Dataset`` is immutable (it owns read-only rows), so
+  the reuse returns exactly what a fresh computation would.
 * Every iterate is evaluated once. ``_StackedEval`` computes the per-row
   features (g, dg, exp(lambda'g), kappa'g, dg'kappa, dg'lambda and the
   system's coefficient) and from them the phi rows and their weighted
@@ -30,7 +34,9 @@ Solver layout:
   accepted the iterate. The Jacobian is two weighted Gram GEMMs of
   (g, dg'lambda, dg'kappa) plus one GEMM of weighted first moments of
   (g, dg'lambda, dg, d2g). ``phi_rows``, ``stacked_residual`` and
-  ``stacked_jacobian`` are thin wrappers over the same evaluation.
+  ``stacked_jacobian`` are thin wrappers over the same evaluation. The
+  line search rejects a candidate outside the exp cap or the EL domain,
+  or whose residual norm overflows (without a warning).
 * The small dense systems (of size at most D = 1 + 2m + p) go straight
   to LAPACK ``dgesv`` (the LU solve behind ``np.linalg.solve``, without
   its per-call dispatch, which dominates at these sizes) and vector
@@ -353,12 +359,64 @@ def _hull_separated(g: np.ndarray) -> bool:
     return bool(res.status == 0)
 
 
-def _classify_failure(g: np.ndarray, what: str) -> Exception:
-    if _hull_separated(g):
-        return HullError(
-            f"{what}: origin outside the convex hull of the moment values"
+def _backtrack(x, step, evaluate, accept):
+    """Step halving: the first candidate x + t step, t = 1, 1/2, ... (at most
+    _MAX_HALVINGS tries), whose evaluation is not None and passes
+    accept(t, evaluation). Returns (candidate, evaluation), or None."""
+    t = 1.0
+    for _ in range(_MAX_HALVINGS):
+        cand = x + t * step
+        ev = evaluate(cand)
+        if ev is not None and accept(t, ev):
+            return cand, ev
+        t *= 0.5
+    return None
+
+
+def _dual_newton(g, state, hessian, converged, max_iter, what):
+    """Damped Newton from 0 on a strictly convex inner dual over the moment rows g.
+
+    ``state(x)`` gives (objective, gradient, per-row weight factors), or
+    None outside the domain; ``hessian`` and ``converged`` read a state.
+    A full Newton step that shrinks the gradient norm is accepted outright
+    (near the optimum the objective decrement drops below fp resolution,
+    where Armijo cannot decide); otherwise the step is halved until Armijo
+    holds. Returns (x, state at x). A failure (no acceptable step, a
+    runaway multiplier or the iteration budget spent) raises HullError when
+    a hyperplane separates the origin from the rows of g, ConvergenceError
+    otherwise.
+    """
+    m = g.shape[1]
+    if m == 1 and (g.min() > 0.0 or g.max() < 0.0):
+        raise HullError(f"{what}: all moment values on one side of the origin")
+    gscale = max(float(np.max(np.abs(g))), 1e-12)
+    x = np.zeros(m)
+    st = state(x)
+    for _ in range(max_iter):
+        if converged(st):
+            return x, st
+        value, grad, _ = st
+        try:
+            step = _solve(hessian(st), -grad)
+        except np.linalg.LinAlgError:
+            step = -grad
+        if grad @ step >= 0.0:
+            step = -grad
+        slope = grad @ step
+        local = 0.9 * _norm(grad)
+        found = _backtrack(
+            x, step, state,
+            lambda t, c: (t == 1.0 and _norm(c[1]) <= local)
+            or c[0] <= value + _ARMIJO * t * slope,
         )
-    return ConvergenceError(f"{what}: iteration budget exhausted before tolerance")
+        if found is None:
+            break
+        x, st = found
+        if np.abs(x).max() * gscale > 2.0 * EXP_CAP:
+            break
+    if _hull_separated(g):
+        raise HullError(f"{what}: origin outside the convex hull of the moment values")
+    raise ConvergenceError(f"{what}: iteration budget exhausted before tolerance")
 
 
 def _et_core(
@@ -372,55 +430,22 @@ def _et_core(
     Returns (lam, tilted weights). Convergence is declared on the raw
     gradient norm || sum w exp(lam'g) g || <= tol.
     """
-    n, m = g.shape
-    if m == 1 and (g.min() > 0.0 or g.max() < 0.0):
-        raise HullError("ET inner solve: all moment values on one side of the origin")
-    gscale = max(float(np.max(np.abs(g))), 1e-12)
-    lam = np.zeros(m)
 
-    def state(lam_):
-        s = g @ lam_
+    def state(lam):
+        s = g @ lam
         smax = float(np.max(s))
         e = base_weights * np.exp(s - smax)
         z = float(e.sum())
         wt = e / z
-        logval = smax + np.log(z)
-        grad = wt @ g
-        return logval, grad, wt
+        return smax + np.log(z), wt @ g, wt
 
-    logval, grad, wt = state(lam)
-    for _ in range(max_iter):
-        raw = np.exp(min(logval, EXP_CAP)) * _norm(grad)
-        if logval < EXP_CAP and raw <= tol:
-            return lam, wt
-        hess = _gram(wt, g) - np.outer(grad, grad)
-        try:
-            step = _solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        if grad @ step >= 0.0:
-            step = -grad
-        # local phase: a full Newton step that shrinks the gradient is
-        # accepted outright (the objective decrement drops below fp
-        # resolution near the optimum, where Armijo cannot decide)
-        cand = lam + step
-        logc, gradc, wtc = state(cand)
-        if _norm(gradc) <= 0.9 * _norm(grad):
-            lam, logval, grad, wt = cand, logc, gradc, wtc
-        else:
-            t = 1.0
-            for _ in range(_MAX_HALVINGS):
-                cand = lam + t * step
-                logc, gradc, wtc = state(cand)
-                if logc <= logval + _ARMIJO * t * (grad @ step):
-                    lam, logval, grad, wt = cand, logc, gradc, wtc
-                    break
-                t *= 0.5
-            else:
-                raise _classify_failure(g, "ET inner solve")
-        if np.abs(lam).max() * gscale > 2.0 * EXP_CAP:
-            raise _classify_failure(g, "ET inner solve")
-    raise _classify_failure(g, "ET inner solve")
+    lam, (_, _, wt) = _dual_newton(
+        g, state,
+        lambda st: _gram(st[2], g) - np.outer(st[1], st[1]),
+        lambda st: st[0] < EXP_CAP and np.exp(st[0]) * _norm(st[1]) <= tol,
+        max_iter, "ET inner solve",
+    )
+    return lam, wt
 
 
 def _el_core(
@@ -430,54 +455,22 @@ def _el_core(
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on M(kappa) = -sum w log(1 - kappa'g), restricted to its domain."""
-    n, m = g.shape
-    if m == 1 and (g.min() > 0.0 or g.max() < 0.0):
-        raise HullError("EL inner solve: all moment values on one side of the origin")
-    gscale = max(float(np.max(np.abs(g))), 1e-12)
-    kappa = np.zeros(m)
 
-    def state(kappa_):
-        denom = 1.0 - g @ kappa_
+    def state(kappa):
+        denom = 1.0 - g @ kappa
         if denom.min() <= 0.0:
             return None
         eps = 1.0 / denom
-        value = -float(base_weights @ np.log(denom))
-        grad = (base_weights * eps) @ g
-        return value, grad, eps
+        return -float(base_weights @ np.log(denom)), (base_weights * eps) @ g, eps
 
-    value, grad, eps = state(kappa)
-    for _ in range(max_iter):
-        if _norm(grad) <= tol:
-            wt = base_weights * eps
-            return kappa, wt / wt.sum()
-        hess = _gram(base_weights * eps**2, g)
-        try:
-            step = _solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        if grad @ step >= 0.0:
-            step = -grad
-        # local phase, as in the tilt solve: accept a domain-feasible
-        # Newton step on gradient decrease alone
-        nxt = state(kappa + step)
-        if nxt is not None and _norm(nxt[1]) <= 0.9 * _norm(grad):
-            kappa, (value, grad, eps) = kappa + step, nxt
-        else:
-            t = 1.0
-            moved = False
-            for _ in range(_MAX_HALVINGS):
-                cand = kappa + t * step
-                nxt = state(cand)
-                if nxt is not None and nxt[0] <= value + _ARMIJO * t * (grad @ step):
-                    kappa, (value, grad, eps) = cand, nxt
-                    moved = True
-                    break
-                t *= 0.5
-            if not moved:
-                raise _classify_failure(g, "EL inner solve")
-        if np.abs(kappa).max() * gscale > 2.0 * EXP_CAP:
-            raise _classify_failure(g, "EL inner solve")
-    raise _classify_failure(g, "EL inner solve")
+    kappa, (_, _, eps) = _dual_newton(
+        g, state,
+        lambda st: _gram(base_weights * st[2] ** 2, g),
+        lambda st: _norm(st[1]) <= tol,
+        max_iter, "EL inner solve",
+    )
+    wt = base_weights * eps
+    return kappa, wt / wt.sum()
 
 
 def et_inner_solve(
@@ -603,8 +596,7 @@ def _profile_init(
             raise SingularMatrixError("tilted second-moment matrix singular") from exc
     else:
         kappa, _ = _el_core(g, base, inner_tol, max_iter)
-    beta = np.concatenate([[tau], kappa, lam, theta0])
-    return beta
+    return np.concatenate([[tau], kappa, lam, theta0])
 
 
 def _newton_stacked(
@@ -618,6 +610,18 @@ def _newton_stacked(
     # the accepted candidate's evaluation gives the next Jacobian, so
     # every iterate is evaluated once
     w = np.full(data.n, 1.0 / data.n)
+
+    def evaluate(cand):
+        # a candidate outside the exp cap or the EL domain, or whose
+        # residual norm overflows, is rejected and the step halved
+        try:
+            ev = _StackedEval(system, model, data.rows, cand, w)
+        except (DomainError, OverflowGuardError):
+            return None
+        with np.errstate(over="ignore"):
+            norm = _norm(ev.residual)
+        return (ev, norm) if norm < math.inf else None
+
     beta = beta0.copy()
     ev = _StackedEval(system, model, data.rows, beta, w)
     norm = _norm(ev.residual)
@@ -630,23 +634,12 @@ def _newton_stacked(
             raise SingularMatrixError(
                 f"stacked Jacobian singular at iteration {it}"
             ) from exc
-        t = 1.0
-        moved = False
-        for _ in range(_MAX_HALVINGS):
-            cand = beta + t * step
-            try:
-                cand_ev = _StackedEval(system, model, data.rows, cand, w)
-            except (DomainError, OverflowGuardError):
-                t *= 0.5
-                continue
-            cand_norm = _norm(cand_ev.residual)
-            if cand_norm <= (1.0 - _ARMIJO * t) * norm:
-                beta, ev, norm = cand, cand_ev, cand_norm
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
+        found = _backtrack(
+            beta, step, evaluate, lambda t, c: c[1] <= (1.0 - _ARMIJO * t) * norm
+        )
+        if found is None:
             return beta, norm, it + 1, norm <= tol
+        beta, (ev, norm) = found
     return beta, norm, max_iter, norm <= tol
 
 
@@ -700,93 +693,77 @@ def solve_stacked(
         raise DimensionError(
             f"need n >= dim_g + 1 = {model.dim_g + 1} observations, got {data.n}"
         )
+    if init is not None:
+        beta0 = np.asarray(init.values, dtype=float)
+        result = _newton_stacked(system, model, data, beta0, tol, max_iter)
+        return _report(system, model, result, tol, beta0)
+
+    memo = _start_memo
+    if (
+        memo is not None
+        and memo[0] is data
+        and memo[1] is model
+        and memo[2] == inner_tol
+        and memo[3] == max_iter
+    ):
+        theta0, g0, lam0 = memo[4:]
+    else:
+        theta0 = pilot_theta(model, data)
+        g0 = model.g_rows(data.rows, theta0)
+        lam0 = None
+
+    def start(k):
+        if k:
+            # a retry pilot sits k standard errors of the just-identified
+            # sub-moments away from the pilot
+            spread = g0[:, : model.dim_theta].std(axis=0) / np.sqrt(data.n)
+            return _profile_init(system, model, data, theta0 + k * spread, inner_tol, max_iter)
+        beta0 = _profile_init(system, model, data, theta0, inner_tol, max_iter, g=g0, lam=lam0)
+        if lam0 is None:
+            _remember_start(data, model, inner_tol, max_iter,
+                            theta0, g0, beta0[model.layout.lambda_slice].copy())
+        return beta0
 
     last_failure: Exception | None = None
-    pending: list[np.ndarray] = []
-    if init is not None:
-        pending.append(np.asarray(init.values, dtype=float))
-    else:
-        memo = _start_memo
-        if (
-            memo is not None
-            and memo[0] is data
-            and memo[1] is model
-            and memo[2] == inner_tol
-            and memo[3] == max_iter
-        ):
-            theta0, g0, lam0 = memo[4:]
-        else:
-            theta0 = pilot_theta(model, data)
-            g0 = model.g_rows(data.rows, theta0)
-            lam0 = None
-        try:
-            beta0 = _profile_init(
-                system, model, data, theta0, inner_tol, max_iter, g=g0, lam=lam0
-            )
-        except (HullError, ConvergenceError, DomainError, SingularMatrixError) as exc:
-            last_failure = exc
-        else:
-            pending.append(beta0)
-            if lam0 is None:
-                _remember_start(
-                    data, model, inner_tol, max_iter,
-                    theta0, g0, beta0[model.layout.lambda_slice].copy(),
-                )
-
-    init_beta = pending[0] if pending else None
-    best: tuple[np.ndarray, float, int, bool] | None = None
-    for retrying in (False, True):
-        while pending:
-            beta0 = pending.pop(0)
+    init_beta = best = None
+    # the pilot itself first; the perturbed pilots only if its start stalls
+    # (or fails), all of them profiled before any is iterated
+    for offsets in ((0.0,), (-2.0, -1.0, 1.0, 2.0)):
+        starts = []
+        for k in offsets:
+            try:
+                starts.append(start(k))
+            except (HullError, ConvergenceError, DomainError, SingularMatrixError) as exc:
+                last_failure = exc
+        for beta0 in starts:
             if init_beta is None:
                 init_beta = beta0
             try:
                 result = _newton_stacked(system, model, data, beta0, tol, max_iter)
             except (DomainError, OverflowGuardError) as exc:
-                if init is not None:
-                    raise
                 last_failure = exc
                 continue
             if result[3]:
-                beta, norm, its, _ = result
-                return SolveReport(
-                    system=system,
-                    beta_hat=BetaVector(beta, model.layout),
-                    residual_norm=norm,
-                    iterations=its,
-                    converged=True,
-                    tol=tol,
-                    init_distance=_norm(beta - init_beta),
-                )
+                return _report(system, model, result, tol, init_beta)
             if best is None or result[1] < best[1]:
                 best = result
-        if retrying or init is not None:
-            break
-        # the first start stalled: retry from pilots perturbed by a few
-        # standard errors of the just-identified sub-moments
-        spread = g0[:, : model.dim_theta].std(axis=0) / np.sqrt(data.n)
-        for k in (-2.0, -1.0, 1.0, 2.0):
-            try:
-                pending.append(
-                    _profile_init(
-                        system, model, data, theta0 + k * spread, inner_tol, max_iter
-                    )
-                )
-            except (HullError, ConvergenceError, DomainError, SingularMatrixError) as exc:
-                last_failure = exc
-
     if best is None:
         if last_failure is not None:
             raise last_failure
         raise ConvergenceError(f"{system}: no usable start for the stacked solve")
-    beta, norm, its, _ = best
+    return _report(system, model, best, tol, init_beta)
+
+
+def _report(system, model, result, tol, init_beta) -> SolveReport:
+    """The SolveReport of a ``_newton_stacked`` result."""
+    beta, norm, its, converged = result
     return SolveReport(
         system=system,
         beta_hat=BetaVector(beta, model.layout),
         residual_norm=norm,
         iterations=its,
-        converged=False,
+        converged=converged,
         tol=tol,
         init_distance=_norm(beta - init_beta),
-        reason="max_iter",
+        reason=None if converged else "max_iter",
     )

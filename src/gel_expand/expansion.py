@@ -273,7 +273,8 @@ class RDiffReport:
     """The four theta-block terms of the ETEL-EL r_bar difference.
 
     term1 must equal its closed form H g_bar (g_bar'P g_bar)/2 and be
-    cancelled exactly by term2_cancel; term2_xi7 is the surviving cubic
+    cancelled exactly by term2_cancel, the part of term2 carried by
+    q_bar's tau entry; term2_xi7 is the surviving cubic
     kernel in P g_bar; term3 and term4_weighted contract to zero.
     """
 
@@ -347,7 +348,8 @@ def r_diff_terms(
 
     psi2_diff = -np.einsum("lh,hjk->ljk", phi_inv, dt_diff.phi2)
     term2_direct = np.einsum("ljk,j,k->l", psi2_diff, q_vec, psi)[ts]
-    term2_cancel = -term1_closed
+    # the part of term2 carried by q_bar's tau entry; it cancels term1
+    term2_cancel = (psi2_diff[:, 0, :] @ psi)[ts] * q_vec[0]
     term2_xi7 = term2_direct - term2_cancel
 
     core = ps.H @ xi7_kernel(u1, ps, mt)

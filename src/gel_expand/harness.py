@@ -77,7 +77,6 @@ _DEFAULTS: dict[str, object] = {
     "reps": 1000,
     "samples": 50,
     "n_nodes": 96,
-    "n_ref": 1_000_000,
     "out": None,
     "seed": None,
 }
@@ -96,7 +95,6 @@ class ExperimentConfig:
     theta_star: float
     skew_df: int
     n_nodes: int
-    n_ref: int
     out_dir: str | None
     tol_overrides: dict[str, float] = field(default_factory=dict)
 
@@ -119,7 +117,6 @@ class ExperimentConfig:
             "theta_star": repr(self.theta_star),
             "skew_df": self.skew_df,
             "n_nodes": self.n_nodes,
-            "n_ref": self.n_ref,
             "out": self.out_dir or "",
         }
         for key, val in sorted(self.tol_overrides.items()):
@@ -171,7 +168,8 @@ def parse_config(
     """Merge defaults, an optional config file and flag overrides.
 
     Flag overrides win over file values. Raises ConfigError naming the
-    offending key for anything malformed, unknown or missing.
+    offending key for anything malformed, unknown, missing or out of
+    range (a negative seed; a count, sample size, node count or df below 1).
     """
     raw: dict[str, str] = {}
     if path is not None:
@@ -226,7 +224,7 @@ def parse_config(
         v = values[key]
         return v if isinstance(v, float) else _parse_float(key, str(v))
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         model=model,
         suite=suite,
         seed=as_int("seed"),
@@ -236,10 +234,17 @@ def parse_config(
         theta_star=as_float("theta_star"),
         skew_df=as_int("skew_df"),
         n_nodes=as_int("n_nodes"),
-        n_ref=as_int("n_ref"),
         out_dir=str(values["out"]) if values["out"] else None,
         tol_overrides=tol_overrides,
     )
+    for key, value, least in (
+        ("seed", config.seed, 0), ("reps", config.reps, 1), ("samples", config.samples, 1),
+        ("n_nodes", config.n_nodes, 1), ("skew_df", config.skew_df, 1),
+        *(("n", v, 1) for v in config.n_list),
+    ):
+        if value < least:
+            raise ConfigError(f"config key {key!r}: expected an integer >= {least}, got {value}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +316,7 @@ def _check(
 
 
 def _measure_bundle(config: ExperimentConfig, model):
-    measure = reference_measure(model, n_ref=config.n_ref, n_nodes=config.n_nodes)
+    measure = reference_measure(model, n_nodes=config.n_nodes)
     pm = population_moments(model, "reference_sample", measure=measure)
     mt = moment_tensors(model, measure)
     return measure, pm, mt

@@ -93,17 +93,26 @@ def test_phi3_diff_theta_closed_vs_oracles(bundles, name):
     assert np.abs(closed - np.transpose(closed, (0, 2, 1, 3))).max() <= 1e-12
 
 
+def _central(fun, beta, j, h):
+    bp = beta.copy()
+    bp[j] += h
+    bm = beta.copy()
+    bm[j] -= h
+    return (fun(bp) - fun(bm)) / (2.0 * h)
+
+
+def _stencil3(fun, beta0, j, k, q, hj, hk, hq):
+    # hand-nested: innermost difference in q, then k, then j
+    level1 = lambda b: _central(fun, b, q, hq)
+    level2 = lambda b: _central(level1, b, k, hk)
+    return _central(level2, beta0, j, hj)
+
+
 def test_fd_phi3_theta_only_matches_full_stencil(skew):
-    from gel_expand.derivatives import (
-        _expected_phi,
-        _fd_step_limits,
-        _fd_steps,
-        _stencil3,
-        fd_phi3,
-    )
+    from gel_expand.derivatives import _EPS, _expected, _fd_step_limits, fd_phi3
 
     layout = skew.layout
-    expected = _expected_phi("diff", skew.model, skew.measure)
+    expected = _expected(gx.stacked_residual, "diff", skew.model, skew.measure)
     calls = 0
 
     def fun(beta):
@@ -120,7 +129,7 @@ def test_fd_phi3_theta_only_matches_full_stencil(skew):
     assert touching == 21
     assert calls == 16 * touching
 
-    steps = _fd_steps(beta0, 1.0 / 6.0, limits)
+    steps = np.minimum(_EPS ** (1.0 / 6.0) * (1.0 + np.abs(beta0)), limits)
     for a, b, c in [(0, 0, 5), (2, 4, 5), (4, 2, 5), (5, 1, 5), (1, 5, 5), (5, 5, 5), (3, 0, 5)]:
         j, k, q = sorted((a, b, c), reverse=True)
         coarse = _stencil3(expected, beta0, j, k, q, steps[j], steps[k], steps[q])
@@ -128,6 +137,34 @@ def test_fd_phi3_theta_only_matches_full_stencil(skew):
             expected, beta0, j, k, q, 0.5 * steps[j], 0.5 * steps[k], 0.5 * steps[q]
         )
         np.testing.assert_array_equal(out[:, a, b, c - lt], (4.0 * fine - coarse) / 3.0)
+
+
+def test_fd_engine_matches_hand_nested_stencils(mean_var):
+    # the one FD engine behind fd_phi1/fd_phi2 and the seeded third order
+    # reproduces the hand-nested stencils bitwise
+    from gel_expand.derivatives import _EPS, _expected, _fd_step_limits, fd_phi2
+
+    layout = mean_var.layout
+    fun = _expected(gx.stacked_residual, "el", mean_var.model, mean_var.measure)
+    beta0 = BetaVector.star_values(mean_var.model)
+    limits = _fd_step_limits(mean_var.model, mean_var.measure, layout)
+    h1 = np.minimum(_EPS ** (1.0 / 3.0) * (1.0 + np.abs(beta0)), limits)
+    h2 = np.minimum(_EPS**0.25 * (1.0 + np.abs(beta0)), limits)
+
+    def rich(stencil, *steps):
+        return (4.0 * stencil(*(0.5 * h for h in steps)) - stencil(*steps)) / 3.0
+
+    d1 = fd_phi1(fun, beta0, limits)
+    d2 = fd_phi2(fun, beta0, limits)
+    for j in range(layout.dim_beta):
+        np.testing.assert_array_equal(d1[:, j], rich(lambda h: _central(fun, beta0, j, h), h1[j]))
+        for k in range(j + 1):  # innermost difference on the smaller index
+            want = rich(
+                lambda hj, hk: _central(lambda b: _central(fun, b, k, hk), beta0, j, hj),
+                h2[j], h2[k],
+            )
+            np.testing.assert_array_equal(d2[:, j, k], want)
+            np.testing.assert_array_equal(d2[:, k, j], want)
 
 
 def test_phi2_symmetry_closed(skew):
@@ -327,9 +364,9 @@ def test_phi1_bar_system_difference(mean_var):
 
 
 def test_fd_phi1_oracle_against_closed(mean_var):
-    from gel_expand.derivatives import _expected_phi
+    from gel_expand.derivatives import _expected
 
-    fun = _expected_phi("etel", mean_var.model, mean_var.measure)
+    fun = _expected(gx.stacked_residual, "etel", mean_var.model, mean_var.measure)
     fd = fd_phi1(fun, BetaVector.star_values(mean_var.model))
     closed = phi1_population(mean_var.pm, mean_var.layout)
     assert (np.abs(fd - closed) / (1.0 + np.abs(closed))).max() <= 1e-4

@@ -7,6 +7,7 @@ import json
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from gel_expand.errors import (
     SingularMatrixError,
 )
 from gel_expand.estimators import BetaVector, stacked_jacobian, stacked_residual
-from gel_expand.rng import philox_generator
+from gel_expand.rng import philox_generator, replication_generator
 
 
 def _naive_phi_etel(x, beta, model):
@@ -629,6 +630,61 @@ def test_singular_pilot_jacobian_raises(mean_var):
         gx.pilot_theta(model, data)
     with pytest.raises(SingularMatrixError, match="pilot"):
         gx.solve_stacked("etel", data, model)
+
+
+class _RecordingNumpy:
+    """Stands in for numpy inside estimators and records the array arguments
+    of exp and log: every ET state evaluation takes exp of its row
+    exponents, every EL one the log of its row denominators."""
+
+    def __init__(self):
+        self.args = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        if np.ndim(x):
+            self.args.append(np.asarray(x).tobytes())
+        return np.exp(x)
+
+    def log(self, x):
+        if np.ndim(x):
+            self.args.append(np.asarray(x).tobytes())
+        return np.log(x)
+
+
+@pytest.mark.parametrize("core, n", [("_et_core", 10), ("_el_core", 20)])
+def test_dual_newton_evaluates_each_candidate_once(monkeypatch, core, n):
+    # on these SkewModel samples some full Newton step fails the local
+    # gradient test and then passes Armijo: its candidate is evaluated once
+    model = gx.build_model("SkewModel")
+    data = gx.Dataset(np.asarray(model.sampler(replication_generator(31, 8), n), dtype=float))
+    g = model.g_rows(data.rows, estimators.pilot_theta(model, data))
+    want = getattr(estimators, core)(g, np.full(n, 1.0 / n), 1e-11, 100)
+    recorder = _RecordingNumpy()
+    monkeypatch.setattr(estimators, "np", recorder)
+    got = getattr(estimators, core)(g, np.full(n, 1.0 / n), 1e-11, 100)
+    monkeypatch.undo()
+    assert len(recorder.args) >= 2  # the start and at least one step
+    assert len(set(recorder.args)) == len(recorder.args)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_stacked_overflowing_candidate_rejected_without_warning():
+    # a trial step on this sample has a residual norm beyond the float
+    # range; it is rejected quietly and the solve converges as before
+    model = gx.build_model("SkewModel")
+    data = gx.Dataset(np.asarray(model.sampler(replication_generator(977, 38), 6), dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = gx.solve_stacked("etel", data, model)
+    assert rep.converged and rep.iterations == 4
+    assert rep.beta_hat.values.tobytes().hex() == (
+        "67d79d5d5d5bed3f00008c9af2c0493d1b86d53e1781d1bf"
+        "f2ebe80d130bbcbf77b49b0010f1babf53aca6b64466d7bf"
+    )
 
 
 @pytest.mark.parametrize("core", ["_et_core", "_el_core"])

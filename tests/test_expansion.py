@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,22 @@ def test_r_diff_terms_closed(bundles, name):
         assert np.abs(rd.term3).max() <= TOLERANCES["term3"]
         assert np.abs(rd.term4_weighted).max() <= TOLERANCES["closed_form"]
         assert rd.xi7_supported == "+1/2"
+
+
+def test_r_diff_cancel_reads_q_bar_tau(skew):
+    # term1 is linear in q_bar's tau entry, and term2_cancel is the part of
+    # term2 carried by that entry, so the two cancel whatever its value
+    b = skew
+    dt_et = population_tensors("etel", b.model, b.pm, order=2, method="closed_form", mt=b.mt)
+    dt_diff = population_tensors("diff", b.model, b.pm, order=3, method="closed_form", mt=b.mt)
+    data = gx.simulate(b.model, 130, 4250)
+    ss_d = sample_stats("diff", b.model, data, b.pm, b.mt)
+    q = gx.q_bar("etel", sample_stats("etel", b.model, data, b.pm, b.mt), b.ps, dt_et, b.mt)
+    q_vec = q.q_bar_generic.copy()
+    q_vec[0] += 0.75
+    rd = gx.r_diff_terms(ss_d, b.ps, dt_diff, dataclasses.replace(q, q_bar_generic=q_vec), b.mt)
+    assert np.abs(rd.term1_direct - rd.term1_closed).max() > 1e-3  # term1 moved
+    assert np.abs(rd.term1_direct + rd.term2_cancel).max() <= TOLERANCES["closed_form"]
 
 
 def test_r_diff_term4_fd_route(mean_var):

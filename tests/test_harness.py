@@ -57,6 +57,25 @@ def test_flag_overrides_file(tmp_path):
     assert "reps=99" in config.resolved_lines()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", "-4"), ("reps", "-1"), ("samples", "0"), ("n", "50,0"), ("n_nodes", "0"),
+     ("skew_df", "0")],
+)
+def test_out_of_range_config_value_is_a_config_error(key, value):
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        parse_config(overrides={"seed": "1", key: value})
+    flag = "--" + key.replace("_", "-")
+    argv = ["run", "--suite", "identities", "--model", "SkewModel", "--seed", "1",
+            f"{flag}={value}", "--quiet"]
+    assert cli.main(argv) == 2
+
+
+def test_n_ref_is_not_a_config_key():
+    with pytest.raises(ConfigError, match="unknown config key 'n_ref'"):
+        parse_config(overrides={"seed": "1", "n_ref": "1000"})
+
+
 def test_parse_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "nope.ini", overrides={"seed": "1"})
