@@ -201,32 +201,16 @@ def phi3_diff_theta_population(
     Returns a (D, D, D, p) array whose slice [.., q] is the second
     derivative in (beta_j, beta_k) of the theta_q-derivative of the
     system difference. Only these slices enter the weighted cubic
-    remainder check.
+    remainder check. Slice q is the second-derivative difference with
+    (G, T, W) replaced by their theta_q-derivatives (K[:, :, q],
+    U[..., q], V[:, :, q, :]); K is symmetric in its theta indices.
     """
-    D = layout.dim_beta
-    m, p = layout.dim_g, layout.dim_theta
-    ll, lt = layout.l_lambda, layout.l_theta
-    ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
     K, U, V = mt.K, mt.U, mt.V
-    out = np.zeros((D, D, D, p))
-    for q in range(p):
-        sl = out[..., q]
-        for h in range(m):
-            row = sl[ll + h]
-            row[0, ts] = K[h, :, q]
-            row[ts, 0] = K[h, :, q]
-            row[ks, ks] = -2.0 * U[h, :, :, q]
-            row[ks, ls] = U[h, :, :, q]
-            row[ls, ks] = U[h, :, :, q]
-        for h in range(p):
-            row = sl[lt + h]
-            row[0, ls] = K[:, q, h]
-            row[ls, 0] = K[:, q, h]
-            row[ks, ks] = -V[:, :, q, h]
-            row[ks, ls] = V[:, :, q, h]
-            row[ls, ks] = V[:, :, q, h]
-            row[ls, ls] = -V[:, :, q, h]
-    return out
+    slices = [
+        _phi2_diff_blocks(layout, K[:, :, q], U[..., q], V[:, :, q, :])
+        for q in range(layout.dim_theta)
+    ]
+    return np.stack(slices, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +433,21 @@ def population_tensors(
     )
 
 
+def _neg_inv_contract(phi_inv: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """-Phi^-1 contracted with the first index of a derivative tensor."""
+    return -np.einsum("lh,h...->l...", phi_inv, tensor)
+
+
 def psi_tensors(dt: DerivTensors, phi_inv: np.ndarray) -> DerivTensors:
     """Contract every tensor with -Phi^-1 on its first index."""
-    neg = -phi_inv
     return DerivTensors(
         system=dt.system,
         method=dt.method,
-        phi1=neg @ dt.phi1,
-        phi2=None if dt.phi2 is None else np.einsum("lh,hjk->ljk", neg, dt.phi2),
+        phi1=_neg_inv_contract(phi_inv, dt.phi1),
+        phi2=None if dt.phi2 is None else _neg_inv_contract(phi_inv, dt.phi2),
         phi3_theta=None
         if dt.phi3_theta is None
-        else np.einsum("lh,hjkq->ljkq", neg, dt.phi3_theta),
+        else _neg_inv_contract(phi_inv, dt.phi3_theta),
     )
 
 
@@ -497,12 +485,12 @@ def sample_stats(
     data: Dataset,
     pm: PopulationMoments,
     mt: MomentTensors | None = None,
-    theta_star: np.ndarray | None = None,
 ) -> SampleStats:
-    """Compute the sample bars of a dataset at theta_star (verification mode)."""
+    """Compute the sample bars of a dataset at the model's theta_star
+    (verification mode)."""
     _check_system(system)
     layout = model.layout
-    theta = model.theta_star if theta_star is None else np.asarray(theta_star, float)
+    theta = model.theta_star
     rows = data.rows
     n = data.n
     root_n = float(np.sqrt(n))
@@ -513,9 +501,7 @@ def sample_stats(
     G_bar = root_n * (gjac.mean(axis=0) - pm.G)
     omega_bar = root_n * (np.einsum("na,nb->ab", g, g) / n - pm.Omega)
 
-    beta_star = np.concatenate(
-        [[1.0], np.zeros(2 * layout.dim_g), theta]
-    )
+    beta_star = BetaVector.star_values(model)
     if system == "diff":
         rows_star = phi_rows("etel", model, rows, beta_star) - phi_rows(
             "el", model, rows, beta_star

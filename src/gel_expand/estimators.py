@@ -24,7 +24,7 @@ Solver layout:
   pilots. The start at the pilot (pilot theta, g there and the tilt
   multiplier) does not depend on the system, so the last successful one
   is reused when the next call solves the same ``Dataset`` object with
-  the same model and inner settings: the ETEL/EL pair on one dataset
+  the same model and ``max_iter``: the ETEL/EL pair on one dataset
   profiles once. ``Dataset`` is immutable (it owns read-only rows), so
   the reuse returns exactly what a fresh computation would.
 * Every iterate is evaluated once. ``_StackedEval`` computes the per-row
@@ -87,6 +87,10 @@ EXP_CAP = 700.0
 
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
+_INNER_TOL = 1e-11
+_INNER_MAX_ITER = 100
+_PILOT_TOL = 1e-12
+_PILOT_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -139,9 +143,7 @@ class BetaVector:
 
     @classmethod
     def star(cls, model: MomentModel) -> "BetaVector":
-        layout = model.layout
-        m, p = layout.dim_g, layout.dim_theta
-        return cls.from_blocks(1.0, np.zeros(m), np.zeros(m), model.theta_star, layout)
+        return cls(cls.star_values(model), model.layout)
 
     @staticmethod
     def star_values(model: MomentModel) -> np.ndarray:
@@ -191,11 +193,11 @@ class _StackedEval:
     probes pass through.
     """
 
-    def __init__(self, system, model, rows, beta, weights=None, layout=None):
+    def __init__(self, system, model, rows, beta, weights=None):
         if system not in ("etel", "el"):
             raise DimensionError(f"unknown system {system!r}; use 'etel' or 'el'")
         self.system, self.model = system, model
-        self.layout = layout = layout or model.layout
+        self.layout = layout = model.layout
         self.rows = rows = np.atleast_2d(rows)
         beta = np.asarray(beta)
         m, p = layout.dim_g, layout.dim_theta
@@ -286,31 +288,26 @@ class _StackedEval:
         return jac
 
 
-def phi_rows(
-    system: str,
-    model: MomentModel,
-    rows: np.ndarray,
-    beta: np.ndarray,
-    layout: IndexLayout | None = None,
-) -> np.ndarray:
-    """Per-observation stacked moment rows, shape (n, dim_beta).
+def phi_rows(system: str, model: MomentModel, rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Per-observation stacked moment rows, shape (n, dim_beta), in
+    ``model.layout``.
 
     Guards (exp cap, EL domain) act on real parts, so complex-step
     probes pass through untouched.
     """
-    return _StackedEval(system, model, rows, beta, layout=layout).phi
+    return _StackedEval(system, model, rows, beta).phi
 
 
 def phi_etel(x: np.ndarray, beta: BetaVector, model: MomentModel) -> np.ndarray:
     """Evaluate the ETEL stacked moment vector at one observation."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    return phi_rows("etel", model, x, beta.values, beta.layout)[0]
+    return phi_rows("etel", model, x, beta.values)[0]
 
 
 def phi_el(x: np.ndarray, beta: BetaVector, model: MomentModel) -> np.ndarray:
     """Evaluate the EL stacked moment vector at one observation."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    return phi_rows("el", model, x, beta.values, beta.layout)[0]
+    return phi_rows("el", model, x, beta.values)[0]
 
 
 def stacked_residual(
@@ -474,11 +471,7 @@ def _el_core(
 
 
 def et_inner_solve(
-    model: MomentModel,
-    data: Dataset,
-    theta: np.ndarray,
-    tol: float = 1e-11,
-    max_iter: int = 100,
+    model: MomentModel, data: Dataset, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exponential-tilting multiplier and weights at a fixed theta.
 
@@ -487,15 +480,11 @@ def et_inner_solve(
     """
     g = model.g_rows(data.rows, np.asarray(theta, dtype=float))
     base = np.full(data.n, 1.0 / data.n)
-    return _et_core(g, base, tol, max_iter)
+    return _et_core(g, base, _INNER_TOL, _INNER_MAX_ITER)
 
 
 def el_inner_solve(
-    model: MomentModel,
-    data: Dataset,
-    theta: np.ndarray,
-    tol: float = 1e-11,
-    max_iter: int = 100,
+    model: MomentModel, data: Dataset, theta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """EL multiplier and weights at a fixed theta.
 
@@ -504,7 +493,7 @@ def el_inner_solve(
     """
     g = model.g_rows(data.rows, np.asarray(theta, dtype=float))
     base = np.full(data.n, 1.0 / data.n)
-    return _el_core(g, base, tol, max_iter)
+    return _el_core(g, base, _INNER_TOL, _INNER_MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +501,14 @@ def el_inner_solve(
 # ---------------------------------------------------------------------------
 
 
-def pilot_theta(
-    model: MomentModel,
-    data: Dataset,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-) -> np.ndarray:
+def pilot_theta(model: MomentModel, data: Dataset) -> np.ndarray:
     """Just-identified pilot: Newton root of the first p moment components."""
     p = model.dim_theta
     theta = np.zeros(p)
-    for _ in range(max_iter):
+    for _ in range(_PILOT_MAX_ITER):
         g = model.g_rows(data.rows, theta)[:, :p]
         r = g.mean(axis=0)
-        if _norm(r) <= tol * (1.0 + _norm(theta)):
+        if _norm(r) <= _PILOT_TOL * (1.0 + _norm(theta)):
             return theta
         jac = model.g_jacobian(data.rows, theta)[:, :p, :].mean(axis=0)
         try:
@@ -569,7 +553,6 @@ def _profile_init(
     model: MomentModel,
     data: Dataset,
     theta0: np.ndarray,
-    inner_tol: float,
     max_iter: int,
     g: np.ndarray | None = None,
     lam: np.ndarray | None = None,
@@ -584,7 +567,7 @@ def _profile_init(
         g = model.g_rows(data.rows, theta0)
     base = np.full(data.n, 1.0 / data.n)
     if lam is None:
-        lam, _ = _et_core(g, base, inner_tol, max_iter)
+        lam, _ = _et_core(g, base, _INNER_TOL, max_iter)
     tdot = np.exp(g @ lam)
     tau = float(tdot.mean())
     if system == "etel":
@@ -595,7 +578,7 @@ def _profile_init(
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError("tilted second-moment matrix singular") from exc
     else:
-        kappa, _ = _el_core(g, base, inner_tol, max_iter)
+        kappa, _ = _el_core(g, base, _INNER_TOL, max_iter)
     return np.concatenate([[tau], kappa, lam, theta0])
 
 
@@ -645,18 +628,18 @@ def _newton_stacked(
 
 _start_memo: tuple | None = None
 """The last successful profile start of ``solve_stacked``:
-(data, model, inner_tol, max_iter, theta0, g(theta0), ET multiplier at theta0).
+(data, model, max_iter, theta0, g(theta0), ET multiplier at theta0).
 
 Callers read it once and ``_remember_start`` replaces it whole, so a
 caller in another thread sees a complete entry, never a mixed one.
 """
 
 
-def _remember_start(data, model, inner_tol, max_iter, theta0, g0, lam0) -> None:
+def _remember_start(data, model, max_iter, theta0, g0, lam0) -> None:
     global _start_memo
     for a in (theta0, g0, lam0):
         a.setflags(write=False)
-    _start_memo = (data, model, inner_tol, max_iter, theta0, g0, lam0)
+    _start_memo = (data, model, max_iter, theta0, g0, lam0)
 
 
 def solve_stacked(
@@ -666,20 +649,20 @@ def solve_stacked(
     init: BetaVector | None = None,
     tol: float = 1e-9,
     max_iter: int = 100,
-    inner_tol: float = 1e-11,
 ) -> SolveReport:
     """Solve the full stacked system for beta-hat.
 
     Without an explicit init the solver profiles: pilot theta from the
     just-identified sub-moments, inner dual multipliers, tau from the
     tilt mean, then full Newton. If the first attempt stalls it retries
-    the profile from a small grid of perturbed pilot values.
+    the profile from a small grid of perturbed pilot values. ``max_iter``
+    bounds the Newton iterations and the inner dual solves of the start.
 
     The pilot theta, g at the pilot and the tilt multiplier there do not
     depend on the system. The last successful set is kept and reused by
     the next call without ``init`` on the same ``Dataset`` object (by
-    identity), the same model object and the same ``inner_tol`` and
-    ``max_iter``, so solving ETEL and then EL on one dataset computes
+    identity), the same model object and the same ``max_iter``, so
+    solving ETEL and then EL on one dataset computes
     them once. ``Dataset`` is immutable, so the reports are bitwise those
     of solves on fresh, equal-valued datasets.
 
@@ -699,14 +682,8 @@ def solve_stacked(
         return _report(system, model, result, tol, beta0)
 
     memo = _start_memo
-    if (
-        memo is not None
-        and memo[0] is data
-        and memo[1] is model
-        and memo[2] == inner_tol
-        and memo[3] == max_iter
-    ):
-        theta0, g0, lam0 = memo[4:]
+    if memo is not None and memo[0] is data and memo[1] is model and memo[2] == max_iter:
+        theta0, g0, lam0 = memo[3:]
     else:
         theta0 = pilot_theta(model, data)
         g0 = model.g_rows(data.rows, theta0)
@@ -717,10 +694,10 @@ def solve_stacked(
             # a retry pilot sits k standard errors of the just-identified
             # sub-moments away from the pilot
             spread = g0[:, : model.dim_theta].std(axis=0) / np.sqrt(data.n)
-            return _profile_init(system, model, data, theta0 + k * spread, inner_tol, max_iter)
-        beta0 = _profile_init(system, model, data, theta0, inner_tol, max_iter, g=g0, lam=lam0)
+            return _profile_init(system, model, data, theta0 + k * spread, max_iter)
+        beta0 = _profile_init(system, model, data, theta0, max_iter, g=g0, lam=lam0)
         if lam0 is None:
-            _remember_start(data, model, inner_tol, max_iter,
+            _remember_start(data, model, max_iter,
                             theta0, g0, beta0[model.layout.lambda_slice].copy())
         return beta0
 

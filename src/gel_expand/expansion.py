@@ -26,15 +26,15 @@ xi7 orthogonality, and the n^-3/2 scaling of the estimator difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, GelError
-from .derivatives import DerivTensors, SampleStats
+from .derivatives import DerivTensors, SampleStats, _neg_inv_contract
 from .estimators import solve_stacked
 from .models import Dataset, MomentModel
-from .population import MomentTensors, PopulationMoments, population_moments
+from .population import MomentTensors, population_moments
 from .projections import ProjectionSet, phi_inverse_matrix, projection_set
 from .rng import replication_generator
 
@@ -70,8 +70,21 @@ TOLERANCES: dict[str, float] = {
     "term3": 1e-10,
     # Monte Carlo z-score band
     "mc_sigma": 3.0,
+    # closed-form derivative tensors against the finite-difference oracle
+    "tensor_fd": 1e-4,
+    # closed-form third-order slices against the jacobian-seeded oracle
+    "tensor_seeded3": 1e-7,
+    # band of the log-log slope of the estimator-difference study
+    "slope_min": -2.0,
+    "slope_max": -1.0,
 }
-"""Tolerance ladder used by the identity suites and the test suite."""
+"""Tolerance ladder used by the suites and the tests; runs override it by name."""
+
+_XI7_MATCH_TOL = 1e-6
+"""Relative gap within which the xi7 remainder matches a closed-form candidate."""
+
+_MAX_FAIL_RATE = 0.05
+"""Share of failed replications at one n above which the scaling study aborts."""
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -139,22 +152,6 @@ class ExpansionTerms:
     def max_route_gap(self) -> float:
         return float(np.max(np.abs(self.q_bar_closed - self.q_bar_generic)))
 
-    def to_dict(self) -> dict:
-        def arr(a: np.ndarray) -> list[float]:
-            return [float(v) for v in np.atleast_1d(a)]
-
-        return {
-            "system": self.system,
-            "psi_bar": arr(self.psi_bar),
-            "q_bar_closed": arr(self.q_bar_closed),
-            "q_bar_generic": arr(self.q_bar_generic),
-            "xi1": arr(self.xi1),
-            "xi2": arr(self.xi2),
-            "xi3": arr(self.xi3),
-            "xi4": arr(self.xi4),
-            "max_route_gap": self.max_route_gap,
-        }
-
 
 def q_bar(
     system: str,
@@ -178,7 +175,7 @@ def q_bar(
     psi = psi_bar(ss, ps)
 
     psi1_bar = -phi_inv @ ss.phi1_bar
-    psi2 = -np.einsum("lh,hjk->ljk", phi_inv, dt.phi2)
+    psi2 = _neg_inv_contract(phi_inv, dt.phi2)
     q_generic = psi1_bar @ psi + 0.5 * np.einsum("ljk,j,k->l", psi2, psi, psi)
 
     # closed form
@@ -244,7 +241,7 @@ def q_diff_decomposition(
     phi_inv = phi_inverse_matrix(ps, layout)
     psi = psi_bar(ss_diff, ps)
     piece1 = (-phi_inv @ ss_diff.phi1_bar) @ psi
-    psi2_diff = -np.einsum("lh,hjk->ljk", phi_inv, dt_diff.phi2)
+    psi2_diff = _neg_inv_contract(phi_inv, dt_diff.phi2)
     piece2 = 0.5 * np.einsum("ljk,j,k->l", psi2_diff, psi, psi)
     return piece1, piece2
 
@@ -287,26 +284,6 @@ class RDiffReport:
     xi7_supported: str | None
     term3: np.ndarray
     term4_weighted: np.ndarray
-    xi_weights: dict[str, float] = field(
-        default_factory=lambda: {"both_theta": 1.0, "one_theta": 1.5, "neither_theta": 3.0}
-    )
-
-    def to_dict(self) -> dict:
-        def arr(a: np.ndarray) -> list[float]:
-            return [float(v) for v in np.atleast_1d(a)]
-
-        return {
-            "term1_closed": arr(self.term1_closed),
-            "term1_direct": arr(self.term1_direct),
-            "term2_direct": arr(self.term2_direct),
-            "term2_cancel": arr(self.term2_cancel),
-            "term2_xi7": arr(self.term2_xi7),
-            "xi7_candidates": {k: arr(v) for k, v in self.xi7_candidates.items()},
-            "xi7_supported": self.xi7_supported,
-            "term3": arr(self.term3),
-            "term4_weighted": arr(self.term4_weighted),
-            "xi_weights": self.xi_weights,
-        }
 
 
 def r_diff_terms(
@@ -315,7 +292,6 @@ def r_diff_terms(
     dt_diff: DerivTensors,
     q: ExpansionTerms,
     mt: MomentTensors,
-    match_tol: float = 1e-6,
 ) -> RDiffReport:
     """Evaluate the four r_bar difference terms on one sample.
 
@@ -346,7 +322,7 @@ def r_diff_terms(
     psi1_diff = -phi_inv @ ss_diff.phi1_bar
     term1_direct = (psi1_diff @ q_vec)[ts]
 
-    psi2_diff = -np.einsum("lh,hjk->ljk", phi_inv, dt_diff.phi2)
+    psi2_diff = _neg_inv_contract(phi_inv, dt_diff.phi2)
     term2_direct = np.einsum("ljk,j,k->l", psi2_diff, q_vec, psi)[ts]
     # the part of term2 carried by q_bar's tau entry; it cancels term1
     term2_cancel = (psi2_diff[:, 0, :] @ psi)[ts] * q_vec[0]
@@ -357,11 +333,11 @@ def r_diff_terms(
     supported = None
     scale = 1.0 + float(np.max(np.abs(term2_xi7)))
     for name, cand in candidates.items():
-        if float(np.max(np.abs(cand - term2_xi7))) <= match_tol * scale:
+        if float(np.max(np.abs(cand - term2_xi7))) <= _XI7_MATCH_TOL * scale:
             supported = name
             break
 
-    psi2_diff_bar = -np.einsum("lh,hjk->ljk", phi_inv, ss_diff.phi2_bar)
+    psi2_diff_bar = _neg_inv_contract(phi_inv, ss_diff.phi2_bar)
     term3 = np.einsum("ljk,j,k->l", psi2_diff_bar, psi, psi)[ts]
 
     xi = xi_weight_matrix(layout)
@@ -444,7 +420,6 @@ def orthogonality_xi7_study(
     n: int = 200,
     reps: int = 20000,
     seed: int = 0,
-    pm: PopulationMoments | None = None,
 ) -> dict:
     """Monte Carlo check that the xi7 kernel is uncorrelated with H g_bar.
 
@@ -452,11 +427,10 @@ def orthogonality_xi7_study(
     of psi_bar is linear in H g_bar; P Omega H' = 0 makes their products
     mean-zero. Reported are the max |z| over (kernel, theta) pairs for
     the projected xi7 vector and for the unprojected cubic kernel, which
-    stays informative when H annihilates the kernel identically.
+    stays informative when H annihilates the kernel identically. P and H
+    come from the model's analytic moments.
     """
-    if pm is None:
-        pm = population_moments(model, "analytic")
-    ps = projection_set(pm)
+    ps = projection_set(population_moments(model, "analytic"))
     p = model.dim_theta
 
     gbars = _scaled_g_bars(model, n, reps, seed)
@@ -493,12 +467,10 @@ def var_psi_bar_study(
     n: int = 400,
     reps: int = 20000,
     seed: int = 0,
-    pm: PopulationMoments | None = None,
 ) -> dict:
-    """Empirical covariance of psi_bar against its exact block display."""
-    if pm is None:
-        pm = population_moments(model, "analytic")
-    ps = projection_set(pm)
+    """Empirical covariance of psi_bar against its exact block display
+    (built from the model's analytic moments)."""
+    ps = projection_set(population_moments(model, "analytic"))
     layout = model.layout
     target = var_psi_bar(ps, layout)
 
@@ -554,7 +526,6 @@ def expansion_difference_study(
     reps: int,
     seed: int,
     tol: float = 1e-9,
-    max_fail_rate: float = 0.05,
 ) -> StudyResult:
     """Monte Carlo scaling of |theta_hat_etel - theta_hat_el| across n.
 
@@ -562,8 +533,8 @@ def expansion_difference_study(
     replicated datasets, records the median absolute difference of the
     theta components and the n^2-scaled gap of their variances, and
     fits the log-log slope of the medians. Replications where either
-    solver fails are excluded and counted; a failure rate above
-    ``max_fail_rate`` aborts with diagnostics.
+    solver fails are excluded and counted; a failure rate above 5% at
+    any n aborts with diagnostics.
     """
     if not n_list:
         raise DimensionError("n_list must not be empty")
@@ -590,10 +561,10 @@ def expansion_difference_study(
             diffs.append(float(np.max(np.abs(t_et - t_el))))
             et_thetas.append(t_et)
             el_thetas.append(t_el)
-        if reps > 0 and failed / reps > max_fail_rate:
+        if reps > 0 and failed / reps > _MAX_FAIL_RATE:
             raise ConvergenceError(
                 f"solver failure rate {failed}/{reps} at n={n} exceeds "
-                f"{max_fail_rate:.0%}; aborting study"
+                f"{_MAX_FAIL_RATE:.0%}; aborting study"
             )
         if et_thetas:
             var_et = np.var(np.stack(et_thetas), axis=0, ddof=1) if len(et_thetas) > 1 else np.zeros(model.dim_theta)

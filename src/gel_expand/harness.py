@@ -103,8 +103,9 @@ class ExperimentConfig:
             return build_model(self.model, theta_star=self.theta_star, df=self.skew_df)
         return build_model(self.model, theta_star=self.theta_star)
 
-    def tolerance(self, key: str, default: float) -> float:
-        return float(self.tol_overrides.get(key, default))
+    def tolerance(self, key: str) -> float:
+        """The named TOLERANCES entry, or its override."""
+        return float(self.tol_overrides.get(key, TOLERANCES[key]))
 
     def resolved_lines(self) -> list[str]:
         items = {
@@ -169,7 +170,8 @@ def parse_config(
 
     Flag overrides win over file values. Raises ConfigError naming the
     offending key for anything malformed, unknown, missing or out of
-    range (a negative seed; a count, sample size, node count or df below 1).
+    range (a negative seed; a count, sample size, node count or df below 1;
+    a ``tol.<name>`` whose name is not in TOLERANCES).
     """
     raw: dict[str, str] = {}
     if path is not None:
@@ -177,24 +179,21 @@ def parse_config(
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
-    known = set(_DEFAULTS) | {"tol"}
     tol_overrides: dict[str, float] = {}
     values: dict[str, object] = dict(_DEFAULTS)
     for key, value in raw.items():
         if key.startswith("tol."):
+            if key[4:] not in TOLERANCES:
+                raise ConfigError(
+                    f"unknown tolerance {key[4:]!r} in {key!r}; valid names: "
+                    f"{', '.join(sorted(TOLERANCES))}"
+                )
             tol_overrides[key[4:]] = _parse_float(key, value)
             continue
-        if key == "tol":
-            for piece in value.split():
-                if "=" not in piece:
-                    raise ConfigError(f"config key 'tol': expected name=value, got {piece!r}")
-                name, num = piece.split("=", 1)
-                tol_overrides[name.strip()] = _parse_float("tol", num)
-            continue
-        if key not in known:
+        if key not in _DEFAULTS:
             raise ConfigError(
                 f"unknown config key {key!r}; valid keys: "
-                f"{', '.join(sorted(known))} and tol.<name>"
+                f"{', '.join(sorted(_DEFAULTS))} and tol.<name>"
             )
         values[key] = value
 
@@ -438,7 +437,7 @@ def r_ladder(model, measure, pm, ps, mt, n: int, seeds, fd_samples: int) -> dict
 
 def _suite_identities(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
     checks: list[CheckResult] = []
-    tol_id = config.tolerance("identity", TOLERANCES["identity"])
+    tol_id = config.tolerance("identity")
     count = 100
     worst = random_identity_ladder(config.seed, count)
     for key in IDENTITY_KEYS:
@@ -461,7 +460,7 @@ def _suite_identities(config: ExperimentConfig, model) -> tuple[list[CheckResult
 
 def _suite_tensors(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
     checks: list[CheckResult] = []
-    tol_fd = config.tolerance("tensor_fd", 1e-4)
+    tol_fd = config.tolerance("tensor_fd")
     measure, pm, mt = _measure_bundle(config, model)
 
     def gap(a, b) -> float:
@@ -483,21 +482,21 @@ def _suite_tensors(config: ExperimentConfig, model) -> tuple[list[CheckResult], 
         asym = float(np.max(np.abs(dtf.phi2 - np.transpose(dtf.phi2, (0, 2, 1)))))
         _check(checks, f"{system}.phi2.fd-symmetry", "tensors.symmetry", asym, tol_fd)
         _check(checks, f"{system}.phi2.closed-vs-seeded", "tensors.second-order",
-               gap(dtc.phi2, dts.phi2), config.tolerance("identity", TOLERANCES["identity"]))
+               gap(dtc.phi2, dts.phi2), config.tolerance("identity"))
         if system == "diff":
             _check(checks, "diff.phi3-theta.closed-vs-fd", "tensors.third-order",
                    gap(dtc.phi3_theta, dtf.phi3_theta), tol_fd)
             _check(checks, "diff.phi3-theta.closed-vs-seeded", "tensors.third-order",
                    gap(dtc.phi3_theta, dts.phi3_theta),
-                   config.tolerance("tensor_seeded3", 1e-7))
+                   config.tolerance("tensor_seeded3"))
     return checks, {}
 
 
 def _suite_q_equality(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
     checks: list[CheckResult] = []
-    tol_closed = config.tolerance("closed_form", TOLERANCES["closed_form"])
-    tol_fd = config.tolerance("fd_backed", TOLERANCES["fd_backed"])
-    tol_psi = config.tolerance("psi_bar", TOLERANCES["psi_bar"])
+    tol_closed = config.tolerance("closed_form")
+    tol_fd = config.tolerance("fd_backed")
+    tol_psi = config.tolerance("psi_bar")
     measure, pm, mt = _measure_bundle(config, model)
     n = config.n_list[-1] if config.n_list else 200
     seeds = range(config.seed + 1000, config.seed + 1000 + config.samples)
@@ -515,7 +514,7 @@ def _suite_q_equality(config: ExperimentConfig, model) -> tuple[list[CheckResult
     study = var_psi_bar_study(model, n=n, reps=config.reps, seed=config.seed)
     _check(
         checks, "psi.covariance-mc", "influence.covariance",
-        study["max_abs_z"], config.tolerance("mc_sigma", TOLERANCES["mc_sigma"]),
+        study["max_abs_z"], config.tolerance("mc_sigma"),
         detail=f"{config.reps} replications at n={n}",
     )
     return checks, {}
@@ -523,9 +522,9 @@ def _suite_q_equality(config: ExperimentConfig, model) -> tuple[list[CheckResult
 
 def _suite_r_terms(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
     checks: list[CheckResult] = []
-    tol_closed = config.tolerance("closed_form", TOLERANCES["closed_form"])
-    tol_term3 = config.tolerance("term3", TOLERANCES["term3"])
-    tol_fd = config.tolerance("fd_backed", TOLERANCES["fd_backed"])
+    tol_closed = config.tolerance("closed_form")
+    tol_term3 = config.tolerance("term3")
+    tol_fd = config.tolerance("fd_backed")
     measure, pm, mt = _measure_bundle(config, model)
     n = config.n_list[-1] if config.n_list else 200
     seeds = range(config.seed + 2000, config.seed + 2000 + config.samples)
@@ -547,7 +546,7 @@ def _suite_r_terms(config: ExperimentConfig, model) -> tuple[list[CheckResult], 
     study = orthogonality_xi7_study(model, mt, n=n, reps=config.reps, seed=config.seed)
     _check(checks, "xi7.orthogonality-mc", "rdiff.kernel-orthogonality",
            _worst(study["max_abs_z_xi7"], study["max_abs_z_kernel"]),
-           config.tolerance("mc_sigma", TOLERANCES["mc_sigma"]),
+           config.tolerance("mc_sigma"),
            detail=f"{config.reps} replications at n={n}")
     return checks, {}
 
@@ -559,8 +558,8 @@ def _suite_mc_study(config: ExperimentConfig, model) -> tuple[list[CheckResult],
     )
     tables = {"study": result.to_rows()}
     if result.slope is not None:
-        lo = config.tolerance("slope_min", -2.0)
-        hi = config.tolerance("slope_max", -1.0)
+        lo = config.tolerance("slope_min")
+        hi = config.tolerance("slope_max")
         # the slope band is calibrated for the normal mean/variance model
         # over moderate n; heavily skewed models sit outside their
         # asymptotic regime there, so the slope is reported unasserted

@@ -6,7 +6,8 @@ sampler. The three built-ins cover the cases the identity suites need:
 
 * ``MeanVarModel``   mean/variance moments of a unit normal, m=2 > p=1,
   so the projection residual P is nonzero but all odd moments vanish.
-* ``JustIdentModel`` a single mean moment, m=p=1, the degenerate P=0 case.
+* ``JustIdentModel`` a single mean moment of a unit normal, m=p=1, the
+  degenerate P=0 case.
 * ``SkewModel``      the same moments driven by a standardized chi-square,
   so third-moment tensors are nonzero and every cubic term is exercised.
 
@@ -95,9 +96,10 @@ class IndexLayout:
         return slice(self.l_theta, self.l_theta + self.dim_theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An immutable matrix of observations, one row per draw (a read-only copy)."""
+    """An immutable matrix of observations, one row per draw (a read-only copy,
+    compared and hashed by identity as the solver's start memo keys it)."""
 
     rows: np.ndarray
 
@@ -128,9 +130,9 @@ class AnalyticMoments:
     Omega: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentModel:
-    """A moment-condition model E[g(x, theta_star)] = 0.
+    """A moment-condition model E[g(x, theta_star)] = 0 (compared by identity).
 
     Parameters
     ----------
@@ -263,10 +265,10 @@ def _mean_var_hess(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermite_rule(theta_star: float, sigma: float = 1.0):
+def _hermite_rule(theta_star: float):
     def rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         nodes, weights = roots_hermite(n_nodes)
-        x = theta_star + sigma * math.sqrt(2.0) * nodes
+        x = theta_star + math.sqrt(2.0) * nodes
         w = weights / math.sqrt(math.pi)
         return x[:, None], w / w.sum()
 
@@ -312,8 +314,8 @@ def make_mean_var_model(theta_star: float = 0.0) -> MomentModel:
     )
 
 
-def make_just_ident_model(theta_star: float = 0.0, sigma: float = 1.0) -> MomentModel:
-    """x ~ Normal(theta_star, sigma^2) with the single moment g = x - theta."""
+def make_just_ident_model(theta_star: float = 0.0) -> MomentModel:
+    """x ~ Normal(theta_star, 1) with the single moment g = x - theta."""
 
     def g(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
         return rows[:, :1] - theta[0]
@@ -325,7 +327,7 @@ def make_just_ident_model(theta_star: float = 0.0, sigma: float = 1.0) -> Moment
         return np.zeros((rows.shape[0], 1, 1, 1), dtype=np.result_type(rows, theta))
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return theta_star + sigma * rng.standard_normal((n, 1))
+        return theta_star + rng.standard_normal((n, 1))
 
     return MomentModel(
         name="JustIdentModel",
@@ -337,10 +339,8 @@ def make_just_ident_model(theta_star: float = 0.0, sigma: float = 1.0) -> Moment
         g_jacobian=jac,
         g_hessian=hess,
         sampler=sampler,
-        gauss_rule=_hermite_rule(theta_star, sigma),
-        analytic=AnalyticMoments(
-            G=np.array([[-1.0]]), Omega=np.array([[sigma**2]])
-        ),
+        gauss_rule=_hermite_rule(theta_star),
+        analytic=AnalyticMoments(G=np.array([[-1.0]]), Omega=np.array([[1.0]])),
     )
 
 
@@ -403,19 +403,21 @@ def build_model(name: str, **params) -> MomentModel:
     return _MODEL_FACTORIES[name](**params)
 
 
-def jacobian_fd_error(
-    model: MomentModel, n_points: int = 100, seed: int = 11, scale: float = 1.0
-) -> float:
+_FD_CHECK_POINTS = 100
+_FD_CHECK_SEED = 11
+
+
+def jacobian_fd_error(model: MomentModel) -> float:
     """Max relative error of g_jacobian against central differences of g.
 
-    Points are drawn around the simulator's range and theta around
-    theta_star so the check exercises the region the solvers visit.
+    Points are drawn from the simulator and theta around theta_star (unit
+    normal offsets) so the check exercises the region the solvers visit.
     """
-    rng = philox_generator(seed)
-    rows = model.sampler(rng, n_points)
-    thetas = model.theta_star + scale * rng.standard_normal((n_points, model.dim_theta))
+    rng = philox_generator(_FD_CHECK_SEED)
+    rows = model.sampler(rng, _FD_CHECK_POINTS)
+    thetas = model.theta_star + rng.standard_normal((_FD_CHECK_POINTS, model.dim_theta))
     worst = 0.0
-    for i in range(n_points):
+    for i in range(_FD_CHECK_POINTS):
         x = rows[i : i + 1]
         theta = thetas[i]
         jac = model.g_jacobian(x, theta)[0]

@@ -8,12 +8,12 @@ the finite-difference oracles to be the *same* object, otherwise
 sampling noise (order n_ref^-1/2) swamps the tolerances. We therefore
 realize "the population" as an explicit finitely-supported measure:
 
-* models with a ``gauss_rule`` get quadrature nodes, which integrate the
-  relevant smooth integrands to machine accuracy;
+* models with a ``gauss_rule`` get n_nodes quadrature nodes, which
+  integrate the relevant smooth integrands to machine accuracy;
 * other models fall back to an i.i.d. reference sample of size n_ref
   with a fixed seed.
 
-The measure is then exponentially tilted once at theta_star so that
+The measure is then always exponentially tilted at theta_star so that
 E[g(x, theta_star)] = 0 holds exactly; under the tilted measure the
 model is a true population for its own moment condition, and the
 simplified zero blocks of the derivative displays are exact.
@@ -42,6 +42,8 @@ __all__ = [
 DEFAULT_N_REF = 1_000_000
 DEFAULT_N_NODES = 96
 DEFAULT_REF_SEED = 20240
+_TILT_TOL = 1e-13
+_WEIGHT_FLOOR = 1e-18
 
 
 @dataclass(frozen=True)
@@ -79,35 +81,29 @@ def reference_measure(
     n_ref: int = DEFAULT_N_REF,
     n_nodes: int = DEFAULT_N_NODES,
     seed: int = DEFAULT_REF_SEED,
-    tilt: bool = True,
-    tilt_tol: float = 1e-13,
-    weight_floor: float = 1e-18,
 ) -> PluginMeasure:
     """Build the plug-in population measure for a model.
 
-    With ``tilt=True`` the base weights are exponentially tilted so the
-    moment condition holds exactly at theta_star under the measure.
-    Support points whose relative weight falls below ``weight_floor``
-    are dropped: they carry no numerical mass but would force the
-    finite-difference probes of the EL system through its pole.
+    Support points whose weight falls below 1e-18 of the largest are
+    dropped: they carry no numerical mass but would force the
+    finite-difference probes of the EL system through its pole. The
+    remaining weights are exponentially tilted (gradient tolerance 1e-13)
+    so the moment condition holds exactly at theta_star under the measure.
     """
     if model.gauss_rule is not None:
         points, weights = model.gauss_rule(n_nodes)
-        kind = "gauss"
+        kind = "gauss+tilt"
     else:
         rng = philox_generator(seed)
         points = np.asarray(model.sampler(rng, n_ref), dtype=float)
         weights = np.full(n_ref, 1.0 / n_ref)
-        kind = "monte_carlo"
+        kind = "monte_carlo+tilt"
     points = np.atleast_2d(points)
-    if weight_floor > 0.0:
-        keep = weights >= weight_floor * weights.max()
-        points, weights = points[keep], weights[keep]
-        weights = weights / weights.sum()
-    if tilt:
-        g = model.g_rows(points, model.theta_star)
-        _, weights = _et_core(np.asarray(g, dtype=float), weights, tilt_tol, 200)
-        kind += "+tilt"
+    keep = weights >= _WEIGHT_FLOOR * weights.max()
+    points, weights = points[keep], weights[keep]
+    weights = weights / weights.sum()
+    g = model.g_rows(points, model.theta_star)
+    _, weights = _et_core(np.asarray(g, dtype=float), weights, _TILT_TOL, 200)
     return PluginMeasure(points=points, weights=weights, kind=kind)
 
 
@@ -141,11 +137,9 @@ def population_moments(
     model: MomentModel,
     method: str = "analytic",
     measure: PluginMeasure | None = None,
-    n_ref: int = DEFAULT_N_REF,
-    n_nodes: int = DEFAULT_N_NODES,
-    seed: int = DEFAULT_REF_SEED,
 ) -> PopulationMoments:
-    """Population G and Omega, analytic or from the reference measure.
+    """Population G and Omega, analytic or from the reference measure
+    (``measure``, by default ``reference_measure(model)``).
 
     Raises SingularMatrixError when the resulting Omega fails its
     conditioning check (limit 1e12), naming the model and support size.
@@ -157,7 +151,7 @@ def population_moments(
         support = "analytic"
     elif method == "reference_sample":
         if measure is None:
-            measure = reference_measure(model, n_ref=n_ref, n_nodes=n_nodes, seed=seed)
+            measure = reference_measure(model)
         g = model.g_rows(measure.points, model.theta_star)
         gjac = model.g_jacobian(measure.points, model.theta_star)
         pm = PopulationMoments(

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
+_INVERSE_CHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -156,11 +157,11 @@ def phi_inverse_matrix(ps: ProjectionSet, layout: IndexLayout) -> np.ndarray:
     return inv
 
 
-def phi_system(pm: PopulationMoments, check_tol: float = 1e-10) -> PhiSystem:
+def phi_system(pm: PopulationMoments) -> PhiSystem:
     """Assemble Phi and its closed-form inverse; verify their product.
 
     Phi is identical for the ETEL and EL stackings. The constructor
-    fails if ||Phi Phi^-1 - I||_inf exceeds check_tol * ||Phi||_inf.
+    fails if ||Phi Phi^-1 - I||_inf exceeds 1e-10 * max(||Phi||_inf, 1).
     """
     ps = projection_set(pm)
     layout = IndexLayout(pm.dim_g, pm.dim_theta)
@@ -168,18 +169,16 @@ def phi_system(pm: PopulationMoments, check_tol: float = 1e-10) -> PhiSystem:
     phi = phi1_population(pm, layout)
     inv = phi_inverse_matrix(ps, layout)
     resid = _inf_norm(phi @ inv - np.eye(D))
-    if resid > check_tol * max(_inf_norm(phi), 1.0):
+    if resid > _INVERSE_CHECK_TOL * max(_inf_norm(phi), 1.0):
         raise SingularMatrixError(
             f"closed-form Phi inverse failed its product check (residual {resid:.3e})"
         )
     return PhiSystem(phi=phi, phi_inv=inv, layout=layout, ps=ps)
 
 
-def random_population_moments(
-    rng: np.random.Generator, m: int, p: int, spread: float = 1.0
-) -> PopulationMoments:
+def random_population_moments(rng: np.random.Generator, m: int, p: int) -> PopulationMoments:
     """A random well-conditioned (G, Omega) instance for identity sweeps."""
     a = rng.standard_normal((m, m))
-    omega = a @ a.T + (0.5 + spread) * np.eye(m)
+    omega = a @ a.T + 1.5 * np.eye(m)
     G = rng.standard_normal((m, p))
     return PopulationMoments(G=G, Omega=omega)

@@ -93,6 +93,55 @@ def test_phi3_diff_theta_closed_vs_oracles(bundles, name):
     assert np.abs(closed - np.transpose(closed, (0, 2, 1, 3))).max() <= 1e-12
 
 
+def _phi3_diff_theta_blocks_written_out(mt, layout):
+    """The theta-slices of the third-derivative difference, block by block."""
+    D = layout.dim_beta
+    m, p = layout.dim_g, layout.dim_theta
+    ll, lt = layout.l_lambda, layout.l_theta
+    ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
+    K, U, V = mt.K, mt.U, mt.V
+    out = np.zeros((D, D, D, p))
+    for q in range(p):
+        sl = out[..., q]
+        for h in range(m):
+            row = sl[ll + h]
+            row[0, ts] = K[h, :, q]
+            row[ts, 0] = K[h, :, q]
+            row[ks, ks] = -2.0 * U[h, :, :, q]
+            row[ks, ls] = U[h, :, :, q]
+            row[ls, ks] = U[h, :, :, q]
+        for h in range(p):
+            row = sl[lt + h]
+            row[0, ls] = K[:, q, h]
+            row[ls, 0] = K[:, q, h]
+            row[ks, ks] = -V[:, :, q, h]
+            row[ks, ls] = V[:, :, q, h]
+            row[ls, ks] = V[:, :, q, h]
+            row[ls, ls] = -V[:, :, q, h]
+    return out
+
+
+def test_phi3_diff_theta_slices_with_two_parameters():
+    # m = 3, p = 2: every theta slice is the second-derivative difference
+    # layout over (K, U, V); K is an expected Hessian, so symmetric in theta
+    rng = np.random.default_rng(17)
+    m, p = 3, 2
+    layout = gx.IndexLayout(m, p)
+    K = rng.standard_normal((m, p, p))
+    K = K + K.transpose(0, 2, 1)
+    mt = gx.MomentTensors(
+        T=np.zeros((m, m, m)),
+        W=np.zeros((m, m, p)),
+        K=K,
+        U=rng.standard_normal((m, m, m, p)),
+        V=rng.standard_normal((m, m, p, p)),
+    )
+    got = phi3_diff_theta_population(mt, layout)
+    want = _phi3_diff_theta_blocks_written_out(mt, layout)
+    assert got.shape == (layout.dim_beta,) * 3 + (p,)
+    np.testing.assert_array_equal(got, want)
+
+
 def _central(fun, beta, j, h):
     bp = beta.copy()
     bp[j] += h

@@ -9,6 +9,7 @@ import pytest
 
 import gel_expand.cli as cli
 from gel_expand.errors import ConfigError
+from gel_expand.expansion import TOLERANCES
 from gel_expand.harness import _bump, _check, parse_config, run_suite
 
 
@@ -74,6 +75,31 @@ def test_out_of_range_config_value_is_a_config_error(key, value):
 def test_n_ref_is_not_a_config_key():
     with pytest.raises(ConfigError, match="unknown config key 'n_ref'"):
         parse_config(overrides={"seed": "1", "n_ref": "1000"})
+
+
+def test_tolerance_defaults_come_from_the_table():
+    config = parse_config(overrides={"seed": "1", "tol.slope_min": "-3"})
+    assert config.tolerance("slope_min") == -3.0
+    assert config.tolerance("slope_max") == TOLERANCES["slope_max"] == -1.0
+    assert config.tolerance("tensor_fd") == TOLERANCES["tensor_fd"] == 1e-4
+    assert config.tolerance("tensor_seeded3") == TOLERANCES["tensor_seeded3"] == 1e-7
+    assert TOLERANCES["slope_min"] == -2.0
+
+
+def test_unknown_tolerance_override_is_a_config_error(capsys):
+    with pytest.raises(ConfigError, match="'closed_fomr'"):
+        parse_config(overrides={"seed": "1", "tol.closed_fomr": "1e-3"})
+    argv = ["run", "--suite", "identities", "--model", "MeanVarModel", "--seed", "1",
+            "--tol-override", "closed_fomr=1e-3", "--quiet"]
+    assert cli.main(argv) == 2
+    assert "closed_fomr" in capsys.readouterr().err
+
+
+def test_tol_is_not_a_config_key(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("seed = 1\ntol = identity=1e-9 psi_bar=1e-9\n")
+    with pytest.raises(ConfigError, match="unknown config key 'tol'"):
+        parse_config(ini)
 
 
 def test_parse_config_missing_file(tmp_path):

@@ -137,7 +137,9 @@ def test_population_moments_singular_omega_names_model():
         sampler=base.sampler,
     )
     with pytest.raises(SingularMatrixError, match="DegenerateModel"):
-        gx.population_moments(model, "reference_sample", n_ref=500, seed=4)
+        gx.population_moments(
+            model, "reference_sample", measure=gx.reference_measure(model, n_ref=500, seed=4)
+        )
 
 
 def test_population_moments_unknown_method(mean_var):
