@@ -14,7 +14,11 @@ parameter layout (tau, kappa, lambda, theta):
   Jacobian (exact to roundoff for second order, near-roundoff for the
   third-order difference slices). Every finite difference goes through
   one engine, ``_fd_tensor``: nested central differences with one
-  Richardson level over sorted index tuples.
+  Richardson level over sorted index tuples. Each oracle evaluates all
+  its probe points in one batched stacked evaluation (split only past
+  ``_BATCH_ROWS`` rows), each probe bitwise its own evaluation: one call
+  per FD tensor, one of the D complex-step probes of the second order
+  and one of the 4 D probes of the seeded third order, per system.
 * sample bars: sqrt(n)-scaled, expectation-centered sums of the
   per-observation derivatives. Because the per-observation derivative
   arrays have exactly the same block structure as the population
@@ -60,6 +64,9 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _CS_STEP = 1e-200
+_BATCH_ROWS = 2**15
+"""Most rows (probes times support points) one stacked evaluation of an
+oracle holds; larger probe sets are split into calls of this size."""
 
 SYSTEMS = ("etel", "el", "diff")
 
@@ -221,14 +228,28 @@ def phi3_diff_theta_population(
 def _expected(fn, system: str, model: MomentModel, measure: PluginMeasure):
     """beta -> fn(system, ...) under the plug-in measure, where fn is
     ``stacked_residual`` or ``stacked_jacobian``; system 'diff' gives the
-    ETEL value minus the EL value."""
+    ETEL value minus the EL value.
+
+    beta may stack probe points on leading axes, shape (..., D); they are
+    evaluated together, at most _BATCH_ROWS support rows per call, each
+    probe bitwise its own evaluation.
+    """
+    points, weights = measure.points, measure.weights
+    chunk = max(1, _BATCH_ROWS // measure.size)
+
+    def value(beta: np.ndarray) -> np.ndarray:
+        if system == "diff":
+            return fn("etel", model, points, beta, weights) - fn(
+                "el", model, points, beta, weights
+            )
+        return fn(system, model, points, beta, weights)
 
     def fun(beta: np.ndarray) -> np.ndarray:
-        if system == "diff":
-            return fn("etel", model, measure.points, beta, measure.weights) - fn(
-                "el", model, measure.points, beta, measure.weights
-            )
-        return fn(system, model, measure.points, beta, measure.weights)
+        beta = np.asarray(beta)
+        flat = beta.reshape(-1, beta.shape[-1])
+        parts = [value(flat[i : i + chunk]) for i in range(0, flat.shape[0], chunk)]
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return out.reshape(beta.shape[:-1] + out.shape[1:])
 
     return fun
 
@@ -252,18 +273,6 @@ def _fd_step_limits(
     return limits
 
 
-def _nested_central(fun, beta: np.ndarray, idx, h: np.ndarray) -> np.ndarray:
-    """Central difference of fun in beta[idx[-1]] (step h[idx[-1]]) of the
-    nested central differences over idx[:-1]; the innermost is idx[0]."""
-    if not idx:
-        return fun(beta)
-    *inner, j = idx
-    bp, bm = beta.copy(), beta.copy()
-    bp[j] += h[j]
-    bm[j] -= h[j]
-    return (_nested_central(fun, bp, inner, h) - _nested_central(fun, bm, inner, h)) / (2.0 * h[j])
-
-
 def _fd_tensor(
     fun,
     beta0: np.ndarray,
@@ -280,21 +289,44 @@ def _fd_tensor(
     slice of the beta indices); tuples with no index there are skipped.
     The result has fun's shape, then order - 1 axes of length D, then one
     axis over the indices in ``last``.
+
+    fun maps probes (..., D) to values (..., *out) and gets every probe
+    in one call, shape (tuples, 2 step levels, 2**order signs, D). A probe
+    adds +-h to beta0 from the tuple's last index to its first, and the
+    differences (plus - minus) / 2h run from the first index outward:
+    bitwise the nested recursion with the innermost difference on the
+    first index.
     """
     D = beta0.shape[0]
     cols = {idx: col for col, idx in enumerate(range(D)[last])}
     steps = _EPS**exponent * (1.0 + np.abs(beta0))
     if limits is not None:
         steps = np.minimum(steps, limits)
-    out = None
-    for idx in combinations_with_replacement(range(D), order):
-        if cols.keys().isdisjoint(idx):
-            continue
-        coarse = _nested_central(fun, beta0, idx, steps)
-        fine = _nested_central(fun, beta0, idx, 0.5 * steps)
-        block = (4.0 * fine - coarse) / 3.0
-        if out is None:
-            out = np.zeros(block.shape + (D,) * (order - 1) + (len(cols),))
+    tuples = [
+        idx for idx in combinations_with_replacement(range(D), order)
+        if not cols.keys().isdisjoint(idx)
+    ]
+    index = np.array(tuples)  # (T, order)
+    T, S = len(tuples), 2**order
+    # h[t, level, l]: the coarse (level 0) and fine step of index l of tuple t
+    h = np.stack((steps, 0.5 * steps), axis=-1)[index].swapaxes(1, 2)
+    # probe s moves index l by -h when bit l of s is set, +h otherwise
+    sign = 1.0 - 2.0 * ((np.arange(S)[:, None] >> np.arange(order)) & 1)
+    probes = np.broadcast_to(beta0, (T, 2, S, D)).copy()
+    for l in reversed(range(order)):
+        probes[np.arange(T), :, :, index[:, l]] += h[:, :, l, None] * sign[:, l]
+
+    values = fun(probes)
+    shape = values.shape[3:]
+    diff = values.reshape(T, 2, S, -1)
+    for l in range(order):
+        diff = diff.reshape(T, 2, -1, 2, diff.shape[-1])
+        diff = (diff[:, :, :, 0] - diff[:, :, :, 1]) / (2.0 * h[:, :, l, None, None])
+    coarse, fine = diff[:, 0, 0], diff[:, 1, 0]
+    blocks = ((4.0 * fine - coarse) / 3.0).reshape((T,) + shape)
+
+    out = np.zeros(shape + (D,) * (order - 1) + (len(cols),))
+    for idx, block in zip(tuples, blocks):
         for perm in set(permutations(idx)):
             if perm[-1] in cols:
                 out[(...,) + perm[:-1] + (cols[perm[-1]],)] = block
@@ -330,16 +362,16 @@ def phi2_jacobian_seeded(
     """Second-derivative tensor via complex-stepping the analytic Jacobian.
 
     Exact to machine precision: the complex step incurs no subtractive
-    cancellation, and the expected Jacobian is analytic in beta.
+    cancellation, and the expected Jacobian is analytic in beta. beta0
+    may carry leading axes, shape (..., D), giving (..., D, D, D).
     """
     jac_fun = _expected(stacked_jacobian, system, model, measure)
-    D = beta0.shape[0]
-    out = np.zeros((D, D, D))
-    for k in range(D):
-        bc = beta0.astype(complex)
-        bc[k] += 1j * _CS_STEP
-        out[:, :, k] = jac_fun(bc).imag / _CS_STEP
-    return out
+    D = beta0.shape[-1]
+    # probe k, at [..., k, :], steps coordinate k; all D probes in one call
+    probes = np.repeat(beta0[..., None, :].astype(complex), D, axis=-2)
+    probes[..., range(D), range(D)] += 1j * _CS_STEP
+    d2 = jac_fun(probes).imag / _CS_STEP
+    return np.ascontiguousarray(np.moveaxis(d2, -3, -1))
 
 
 def phi3_diff_theta_jacobian_seeded(
@@ -474,9 +506,6 @@ class SampleStats:
     phi0_bar: np.ndarray
     phi1_bar: np.ndarray
     phi2_bar: np.ndarray | None
-    t_bar: np.ndarray | None
-    w_bar: np.ndarray | None
-    k_bar: np.ndarray | None
 
 
 def sample_stats(
@@ -511,7 +540,7 @@ def sample_stats(
     phi0_bar = root_n * rows_star.mean(axis=0)
     phi1_bar = phi1_bar_matrix(system, g_bar, omega_bar, G_bar, layout)
 
-    phi2_bar = t_bar = w_bar = k_bar = None
+    phi2_bar = None
     if mt is not None:
         if model.g_hessian is None:
             raise DimensionError(f"{model.name}: g_hessian required for phi2 bars")
@@ -534,9 +563,6 @@ def sample_stats(
         phi0_bar=phi0_bar,
         phi1_bar=phi1_bar,
         phi2_bar=phi2_bar,
-        t_bar=t_bar,
-        w_bar=w_bar,
-        k_bar=k_bar,
     )
 
 

@@ -37,6 +37,11 @@ Solver layout:
   ``stacked_jacobian`` are thin wrappers over the same evaluation. The
   line search rejects a candidate outside the exp cap or the EL domain,
   or whose residual norm overflows (without a warning).
+* The evaluation is batched: beta (..., D) stacks probe points on
+  leading axes, each bitwise the evaluation at that beta alone. The
+  derivative oracles pass all their probes at once; the solver passes
+  one beta, the same code with no leading axes. A probe outside the exp
+  cap or the EL domain fails the whole batch.
 * The small dense systems (of size at most D = 1 + 2m + p) go straight
   to LAPACK ``dgesv`` (the LU solve behind ``np.linalg.solve``, without
   its per-call dispatch, which dominates at these sizes) and vector
@@ -184,13 +189,17 @@ def _gram(w: np.ndarray, f: np.ndarray) -> np.ndarray:
 class _StackedEval:
     """One evaluation of a stacked system at beta over weighted rows.
 
-    The per-row features g, dg (n, m, p), t = exp(lambda'g), u = kappa'g,
-    dg'kappa, dg'lambda and c = tau - t (1 - u) (ETEL) or
-    eps = 1 / (1 - u) (EL) are computed once; ``phi`` (the stacked moment
-    rows) and ``residual`` (their weighted sum) are built from them at
-    once, ``jacobian()`` only when asked. Guards (exp cap, EL domain) act
-    on real parts, and only plain transposes are used, so complex-step
-    probes pass through.
+    beta may carry leading axes, shape (..., D): every array below then
+    carries them too, and each leading index is bitwise the evaluation at
+    that beta alone (the row GEMMs run slice by slice with the same
+    operand layouts). The per-row features g, dg (..., n, m, p),
+    t = exp(lambda'g), u = kappa'g, dg'kappa, dg'lambda and
+    c = tau - t (1 - u) (ETEL) or eps = 1 / (1 - u) (EL) are computed
+    once; ``phi`` (the stacked moment rows, (..., n, D)) and ``residual``
+    (their weighted sum, (..., D)) are built from them at once,
+    ``jacobian()`` ((..., D, D)) only when asked. Guards (exp cap, EL
+    domain) act on real parts, over the whole batch, and only plain
+    transposes are used, so complex-step probes pass through.
     """
 
     def __init__(self, system, model, rows, beta, weights=None):
@@ -201,39 +210,45 @@ class _StackedEval:
         self.rows = rows = np.atleast_2d(rows)
         beta = np.asarray(beta)
         m, p = layout.dim_g, layout.dim_theta
-        tau = beta[0]
-        self.kl = kl = beta[1 : 1 + 2 * m].reshape(2, m)  # rows kappa', lambda'
-        self.theta = beta[layout.theta_slice]
+        lead = beta.shape[:-1]
+        tau = beta[..., 0, None]
+        # rows kappa', lambda'
+        self.kl = kl = beta[..., 1 : 1 + 2 * m].reshape(lead + (2, m))
+        self.theta = beta[..., layout.theta_slice]
         self.g = g = model.g_rows(rows, self.theta)
         self.gj = gj = model.g_jacobian(rows, self.theta)
-        n = g.shape[0]
+        n = rows.shape[0]
         self.w = w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights)
 
-        u, s = (g @ kl.T).T
+        us = g @ kl.swapaxes(-1, -2)
+        u, s = us[..., 0], us[..., 1]
         if np.abs(s.real).max(initial=0.0) > EXP_CAP:
             raise OverflowGuardError(
                 f"exponent lambda'g exceeded {EXP_CAP:g}; iterate far outside tilt range"
             )
         t = np.exp(s)
         # dg'kappa and dg'lambda of every row, as one GEMM
-        gk, gl = (gj.swapaxes(1, 2).reshape(n * p, m) @ kl.T).reshape(n, p, 2).transpose(2, 0, 1)
+        gkl = (
+            gj.swapaxes(-1, -2).reshape(lead + (n * p, m)) @ kl.swapaxes(-1, -2)
+        ).reshape(lead + (n, p, 2))
+        gk, gl = gkl[..., 0], gkl[..., 1]
         self.t, self.u, self.gk, self.gl = t, u, gk, gl
         if system == "etel":
             self.c = c = tau - t * (1.0 - u)
-            lam_rows, theta_rows = c[:, None] * g, t[:, None] * gk + c[:, None] * gl
+            lam_rows, theta_rows = c[..., None] * g, t[..., None] * gk + c[..., None] * gl
         else:
             denom = 1.0 - u
             if np.min(denom.real, initial=np.inf) <= 0.0:
                 raise DomainError("EL evaluation outside the region 1 - kappa'g > 0")
             self.c = c = 1.0 / denom
-            lam_rows, theta_rows = (c - t)[:, None] * g, c[:, None] * gk
+            lam_rows, theta_rows = (c - t)[..., None] * g, c[..., None] * gk
         self.phi = phi = np.concatenate(
-            ((t - tau)[:, None], t[:, None] * g, lam_rows, theta_rows), axis=1
+            ((t - tau)[..., None], t[..., None] * g, lam_rows, theta_rows), axis=-1
         )
         self.residual = w @ phi
 
     def jacobian(self) -> np.ndarray:
-        """Weighted sum of the per-row Jacobians d phi / d beta'.
+        """Weighted sum of the per-row Jacobians d phi / d beta', (..., D, D).
 
         Every block is a weighted first moment of (g, dg'lambda, dg, d2g)
         under w, a = w t and v = w c (ETEL) or w eps (EL), or a block of the
@@ -244,53 +259,61 @@ class _StackedEval:
         if model.g_hessian is None:
             raise DimensionError(f"{model.name}: g_hessian required for stacked Jacobian")
         g, gj, t, c, w = self.g, self.gj, self.t, self.c, self.w
-        n, m, p = gj.shape
+        lead, (n, m, p) = gj.shape[:-3], gj.shape[-3:]
         gh = model.g_hessian(self.rows, self.theta)
         # columns: g [0, m), dg'lambda [m, e), dg'kappa [e, f), dg [f, h), d2g [h, end)
         e, f, h = m + p, m + 2 * p, m + 2 * p + m * p
         x = np.concatenate(
-            (g, self.gl, self.gk, gj.reshape(n, m * p), gh.reshape(n, m * p * p)), axis=1
+            (g, self.gl, self.gk, gj.reshape(lead + (n, m * p)),
+             gh.reshape(lead + (n, m * p * p))),
+            axis=-1,
         )
         a = w * t
         etel = self.system == "etel"
-        A, B = _gram(np.array((a, a * (1.0 - self.u) if etel else w * c * c)), x[:, :f])
-        M = np.array((w, a, w * c)) @ x
-        Mw, Ma, Mv = M
-        Ja, Jv = Ma[f:h].reshape(m, p), Mv[f:h].reshape(m, p)
+        A, B = _gram(np.array((a, a * (1.0 - self.u) if etel else w * c * c)), x[..., :f])
+        # weight rows (w, a, v) of the first-moment GEMM, per leading index
+        wav = np.empty(a.shape[:-1] + (3, n), dtype=a.dtype)
+        wav[..., 0, :] = w
+        wav[..., 1, :] = a
+        np.multiply(w, c, out=wav[..., 2, :])
+        M = wav @ x
+        Mw, Ma, Mv = M[..., 0, :], M[..., 1, :], M[..., 2, :]
+        Ja, Jv = Ma[..., f:h].reshape(lead + (m, p)), Mv[..., f:h].reshape(lead + (m, p))
         if etel:  # sum_n (a_n kappa + v_n lambda)' d2g_n
-            hess = (self.kl.reshape(-1) @ M[1:, h:].reshape(2 * m, p * p)).reshape(p, p)
+            kl, d2 = self.kl.reshape(lead + (1, 2 * m)), M[..., 1:, h:]
         else:  # sum_n v_n kappa' d2g_n
-            hess = (self.kl[0] @ Mv[h:].reshape(m, p * p)).reshape(p, p)
+            kl, d2 = self.kl[..., :1, :], Mv[..., h:]
+        hess = (kl @ d2.reshape(lead + (kl.shape[-1], p * p))).reshape(lead + (p, p))
 
         ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
         lt = slice(layout.l_lambda, None)  # the lambda and theta blocks together
-        jac = np.zeros((layout.dim_beta,) * 2, dtype=np.result_type(x, t))
-        jac[0, 0] = -w.sum()
-        jac[0, lt] = Ma[:e]
-        jac[ks, lt] = A[:m, :e]
-        jac[ks, ts] += Ja
+        jac = np.zeros(lead + (layout.dim_beta,) * 2, dtype=np.result_type(x, t))
+        jac[..., 0, 0] = -w.sum()
+        jac[..., 0, lt] = Ma[..., :e]
+        jac[..., ks, lt] = A[..., :m, :e]
+        jac[..., ks, ts] += Ja
         if etel:
-            jac[lt, 0] = Mw[:e]
-            jac[lt, ks] = A[:e, :m]
-            jac[ts, ks] += Ja.T
-            jac[lt, lt] = -B[:e, :e]
-            cross = Jv + A[:m, e:]
-            jac[ls, ts] += cross
-            jac[ts, ls] += cross.T
-            akl = A[e:, m:e]
-            jac[ts, ts] += hess + akl + akl.T
+            jac[..., lt, 0] = Mw[..., :e]
+            jac[..., lt, ks] = A[..., :e, :m]
+            jac[..., ts, ks] += Ja.swapaxes(-1, -2)
+            jac[..., lt, lt] = -B[..., :e, :e]
+            cross = Jv + A[..., :m, e:]
+            jac[..., ls, ts] += cross
+            jac[..., ts, ls] += cross.swapaxes(-1, -2)
+            akl = A[..., e:, m:e]
+            jac[..., ts, ts] += hess + akl + akl.swapaxes(-1, -2)
         else:
-            jac[ls, ks] = B[:m, :m]
-            jac[ts, ks] = B[e:, :m] + Jv.T
-            jac[ls, lt] = -A[:m, :e]
-            jac[ls, ts] += Jv - Ja + B[:m, e:]
-            jac[ts, ts] = hess + B[e:, e:]
+            jac[..., ls, ks] = B[..., :m, :m]
+            jac[..., ts, ks] = B[..., e:, :m] + Jv.swapaxes(-1, -2)
+            jac[..., ls, lt] = -A[..., :m, :e]
+            jac[..., ls, ts] += Jv - Ja + B[..., :m, e:]
+            jac[..., ts, ts] = hess + B[..., e:, e:]
         return jac
 
 
 def phi_rows(system: str, model: MomentModel, rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Per-observation stacked moment rows, shape (n, dim_beta), in
-    ``model.layout``.
+    """Per-observation stacked moment rows, shape (..., n, dim_beta) for
+    beta (..., dim_beta), in ``model.layout``.
 
     Guards (exp cap, EL domain) act on real parts, so complex-step
     probes pass through untouched.
@@ -317,7 +340,8 @@ def stacked_residual(
     beta: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Weighted sum of the stacked moment rows (uniform weights 1/n by default)."""
+    """Weighted sum of the stacked moment rows (uniform weights 1/n by
+    default), shape (..., dim_beta) for beta (..., dim_beta)."""
     return _StackedEval(system, model, rows, beta, weights).residual
 
 
@@ -328,7 +352,8 @@ def stacked_jacobian(
     beta: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Weighted sum of the per-observation Jacobian d phi / d beta'.
+    """Weighted sum of the per-observation Jacobian d phi / d beta',
+    shape (..., dim_beta, dim_beta) for beta (..., dim_beta).
 
     Requires the model to supply g_hessian (the theta block of the
     fourth row needs second derivatives of g).

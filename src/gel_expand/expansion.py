@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .estimators import solve_stacked
 from .models import Dataset, MomentModel
 from .population import MomentTensors, population_moments
 from .projections import ProjectionSet, phi_inverse_matrix, projection_set
-from .rng import replication_generator
+from .rng import replication_streams
 
 __all__ = [
     "TOLERANCES",
@@ -137,16 +138,12 @@ def var_psi_bar(ps: ProjectionSet, layout) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExpansionTerms:
-    """q_bar via both routes plus the auxiliary vectors of its closed form."""
+    """q_bar via both routes: the closed form and the generic contraction."""
 
     system: str
     psi_bar: np.ndarray
     q_bar_closed: np.ndarray
     q_bar_generic: np.ndarray
-    xi1: np.ndarray
-    xi2: np.ndarray
-    xi3: np.ndarray
-    xi4: np.ndarray
 
     @property
     def max_route_gap(self) -> float:
@@ -216,10 +213,6 @@ def q_bar(
         psi_bar=psi,
         q_bar_closed=q_closed,
         q_bar_generic=q_generic,
-        xi1=xi1,
-        xi2=xi2,
-        xi3=xi3,
-        xi4=xi4,
     )
 
 
@@ -277,10 +270,8 @@ class RDiffReport:
 
     term1_closed: np.ndarray
     term1_direct: np.ndarray
-    term2_direct: np.ndarray
     term2_cancel: np.ndarray
     term2_xi7: np.ndarray
-    xi7_candidates: dict[str, np.ndarray]
     xi7_supported: str | None
     term3: np.ndarray
     term4_weighted: np.ndarray
@@ -297,7 +288,7 @@ def r_diff_terms(
 
     ``ss_diff`` must be the system='diff' sample stats (with phi2 bars),
     ``dt_diff`` the difference tensors at order 3. The xi7 kernel is
-    reported as the direct remainder term2_direct - term2_cancel and
+    reported as the direct remainder, term2 minus term2_cancel, and
     compared against the two closed-form coefficient candidates; the
     matching one is recorded.
     """
@@ -348,10 +339,8 @@ def r_diff_terms(
     return RDiffReport(
         term1_closed=term1_closed,
         term1_direct=term1_direct,
-        term2_direct=term2_direct,
         term2_cancel=term2_cancel,
         term2_xi7=term2_xi7,
-        xi7_candidates=candidates,
         xi7_supported=supported,
         term3=term3,
         term4_weighted=term4,
@@ -386,12 +375,13 @@ def _scaled_g_bars(model: MomentModel, n: int, reps: int, seed: int) -> np.ndarr
     does not depend on how replications are grouped into chunks.
     """
     out = np.empty((reps, model.dim_g))
+    streams = replication_streams(seed, 0, reps)
     for start in range(0, reps, _MC_CHUNK):
         stop = min(start + _MC_CHUNK, reps)
         rows = np.concatenate(
             [
-                np.asarray(model.sampler(replication_generator(seed, rep), n), dtype=float)
-                for rep in range(start, stop)
+                np.asarray(model.sampler(gen, n), dtype=float)
+                for gen in islice(streams, stop - start)
             ]
         )
         g = model.g_rows(rows, model.theta_star).reshape(stop - start, n, model.dim_g)
@@ -544,8 +534,7 @@ def expansion_difference_study(
         et_thetas: list[np.ndarray] = []
         el_thetas: list[np.ndarray] = []
         failed = 0
-        for rep in range(reps):
-            rng = replication_generator(seed, n_idx * reps + rep)
+        for rng in replication_streams(seed, n_idx * reps, (n_idx + 1) * reps):
             data = Dataset(np.asarray(model.sampler(rng, n), dtype=float))
             try:
                 rep_et = solve_stacked("etel", data, model, tol=tol)

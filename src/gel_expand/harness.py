@@ -33,6 +33,7 @@ import numpy as np
 from .derivatives import population_tensors, sample_stats
 from .errors import ConfigError
 from .expansion import (
+    _MAX_FAIL_RATE,
     TOLERANCES,
     expansion_difference_study,
     orthogonality_xi7_study,
@@ -578,7 +579,7 @@ def _suite_mc_study(config: ExperimentConfig, model) -> tuple[list[CheckResult],
         (r.reps_failed / max(r.reps_failed + r.reps_ok, 1) for r in result.rows),
         default=0.0,
     )
-    _check(checks, "scaling.failure-rate", "solver.robustness", fail_rate, 0.05)
+    _check(checks, "scaling.failure-rate", "solver.robustness", fail_rate, _MAX_FAIL_RATE)
     return checks, tables
 
 

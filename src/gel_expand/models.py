@@ -11,10 +11,13 @@ sampler. The three built-ins cover the cases the identity suites need:
 * ``SkewModel``      the same moments driven by a standardized chi-square,
   so third-moment tensors are nonzero and every cubic term is exercised.
 
-All moment callables are vectorized over observations: they accept an
-(n, dim_x) array and return (n, m), (n, m, p) or (n, m, p, p) arrays.
-They must also accept complex theta, which the finite-difference oracles
-rely on for complex-step differentiation.
+All moment callables are vectorized over observations and over theta:
+they take an (n, dim_x) array of rows and theta of shape (..., p), and
+return (..., n, m), (..., n, m, p) or (..., n, m, p, p) arrays, one
+(n, ...) block per leading index of theta, each equal bitwise to the
+call with that theta alone. The derivative oracles evaluate all their
+probe points in one such call. The callables must also accept complex
+theta, which the oracles rely on for complex-step differentiation.
 """
 
 from __future__ import annotations
@@ -143,14 +146,16 @@ class MomentModel:
     theta_star : ndarray, shape (p,)
         True parameter used by the simulator and all population quantities.
     g : callable
-        ``g(rows, theta) -> (n, m)``, vectorized over rows.
+        ``g(rows, theta) -> (..., n, m)`` for rows (n, dim_x) and theta
+        (..., p): vectorized over rows, and over any leading axes of
+        theta (one block of rows per theta, bitwise the single call).
     g_jacobian : callable
-        ``(rows, theta) -> (n, m, p)`` derivative of g in theta.
+        ``(rows, theta) -> (..., n, m, p)`` derivative of g in theta.
     sampler : callable
         ``(generator, n) -> (n, dim_x)`` i.i.d. draws from the DGP.
     g_hessian : callable, optional
-        ``(rows, theta) -> (n, m, p, p)`` second theta-derivative. Needed
-        by the analytic stacked Jacobian and the derivative tensors.
+        ``(rows, theta) -> (..., n, m, p, p)`` second theta-derivative.
+        Needed by the analytic stacked Jacobian and the derivative tensors.
     gauss_rule : callable, optional
         ``(n_nodes) -> (points, weights)`` quadrature rule that integrates
         smooth functions of x essentially exactly under the DGP. Used to
@@ -186,19 +191,20 @@ class MomentModel:
         return IndexLayout(self.dim_g, self.dim_theta)
 
     def g_rows(self, rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Evaluate g on an (n, dim_x) batch with shape checks."""
+        """Evaluate g on an (n, dim_x) batch with shape checks; theta of
+        shape (..., p) gives (..., n, m)."""
         rows = np.atleast_2d(rows)
         if rows.shape[1] != self.dim_x:
             raise DimensionError(
                 f"{self.name}: observation has dim {rows.shape[1]}, expected {self.dim_x}"
             )
-        theta = np.asarray(theta).reshape(-1)
-        if theta.shape[0] != self.dim_theta:
+        theta = np.asarray(theta)
+        if theta.shape[-1:] != (self.dim_theta,):
             raise DimensionError(
-                f"{self.name}: theta has dim {theta.shape[0]}, expected {self.dim_theta}"
+                f"{self.name}: theta has shape {theta.shape}, expected (..., {self.dim_theta})"
             )
         out = self.g(rows, theta)
-        if out.shape != (rows.shape[0], self.dim_g):
+        if out.shape != theta.shape[:-1] + (rows.shape[0], self.dim_g):
             raise DimensionError(f"{self.name}: g returned shape {out.shape}")
         return out
 
@@ -247,21 +253,22 @@ def dataset_from_csv(path: str | Path) -> Dataset:
 
 
 def _mean_var_g(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    z = rows[:, :1] - theta[0]
-    return np.concatenate((z, z * z - 1.0), axis=1)
+    z = rows[:, :1] - theta[..., None, :1]
+    return np.concatenate((z, z * z - 1.0), axis=-1)
 
 
 def _mean_var_jac(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    z = rows[:, 0] - theta[0]
-    out = np.empty((rows.shape[0], 2, 1), dtype=np.result_type(rows, theta))
-    out[:, 0, 0] = -1.0
-    out[:, 1, 0] = -2.0 * z
+    z = rows[:, 0] - theta[..., None, 0]
+    out = np.empty(z.shape + (2, 1), dtype=np.result_type(rows, theta))
+    out[..., 0, 0] = -1.0
+    out[..., 1, 0] = -2.0 * z
     return out
 
 
 def _mean_var_hess(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    out = np.zeros((rows.shape[0], 2, 1, 1), dtype=np.result_type(rows, theta))
-    out[:, 1, 0, 0] = 2.0
+    shape = theta.shape[:-1] + (rows.shape[0], 2, 1, 1)
+    out = np.zeros(shape, dtype=np.result_type(rows, theta))
+    out[..., 1, 0, 0] = 2.0
     return out
 
 
@@ -318,13 +325,15 @@ def make_just_ident_model(theta_star: float = 0.0) -> MomentModel:
     """x ~ Normal(theta_star, 1) with the single moment g = x - theta."""
 
     def g(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return rows[:, :1] - theta[0]
+        return rows[:, :1] - theta[..., None, :1]
 
     def jac(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return np.full((rows.shape[0], 1, 1), -1.0, dtype=np.result_type(rows, theta))
+        shape = theta.shape[:-1] + (rows.shape[0], 1, 1)
+        return np.full(shape, -1.0, dtype=np.result_type(rows, theta))
 
     def hess(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return np.zeros((rows.shape[0], 1, 1, 1), dtype=np.result_type(rows, theta))
+        shape = theta.shape[:-1] + (rows.shape[0], 1, 1, 1)
+        return np.zeros(shape, dtype=np.result_type(rows, theta))
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return theta_star + rng.standard_normal((n, 1))

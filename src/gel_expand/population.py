@@ -52,7 +52,6 @@ class PluginMeasure:
 
     points: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -92,19 +91,17 @@ def reference_measure(
     """
     if model.gauss_rule is not None:
         points, weights = model.gauss_rule(n_nodes)
-        kind = "gauss+tilt"
     else:
         rng = philox_generator(seed)
         points = np.asarray(model.sampler(rng, n_ref), dtype=float)
         weights = np.full(n_ref, 1.0 / n_ref)
-        kind = "monte_carlo+tilt"
     points = np.atleast_2d(points)
     keep = weights >= _WEIGHT_FLOOR * weights.max()
     points, weights = points[keep], weights[keep]
     weights = weights / weights.sum()
     g = model.g_rows(points, model.theta_star)
     _, weights = _et_core(np.asarray(g, dtype=float), weights, _TILT_TOL, 200)
-    return PluginMeasure(points=points, weights=weights, kind=kind)
+    return PluginMeasure(points=points, weights=weights)
 
 
 @dataclass(frozen=True)

@@ -162,11 +162,13 @@ def test_fd_phi3_theta_only_matches_full_stencil(skew):
 
     layout = skew.layout
     expected = _expected(gx.stacked_residual, "diff", skew.model, skew.measure)
-    calls = 0
+    calls = probes = 0
 
     def fun(beta):
-        nonlocal calls
+        # the engine passes every probe in one batch, shape (..., D)
+        nonlocal calls, probes
         calls += 1
+        probes += np.asarray(beta).reshape(-1, beta.shape[-1]).shape[0]
         return expected(beta)
 
     beta0 = BetaVector.star_values(skew.model)
@@ -176,7 +178,8 @@ def test_fd_phi3_theta_only_matches_full_stencil(skew):
     D, lt = layout.dim_beta, layout.l_theta
     touching = sum(1 for q in range(D) for k in range(q, D) for j in range(max(k, lt), D))
     assert touching == 21
-    assert calls == 16 * touching
+    assert calls == 1
+    assert probes == 16 * touching
 
     steps = np.minimum(_EPS ** (1.0 / 6.0) * (1.0 + np.abs(beta0)), limits)
     for a, b, c in [(0, 0, 5), (2, 4, 5), (4, 2, 5), (5, 1, 5), (1, 5, 5), (5, 5, 5), (3, 0, 5)]:
@@ -267,6 +270,69 @@ def test_jacobian_seeded_bundle_matches_direct_calls(skew, system):
         )
     else:
         assert dt.phi3_theta is None
+
+
+@pytest.mark.parametrize("system", ["etel", "el", "diff"])
+def test_seeded_second_order_matches_one_probe_at_a_time(skew, system):
+    # all D complex-step probes go to one evaluation; each column is the
+    # one-probe complex step, and a stack of base points gives each its own
+    from gel_expand.derivatives import _CS_STEP, _expected
+
+    jac_fun = _expected(gx.stacked_jacobian, system, skew.model, skew.measure)
+    beta0 = BetaVector.star_values(skew.model)
+    D = beta0.shape[0]
+    want = np.zeros((D, D, D))
+    for k in range(D):
+        probe = beta0.astype(complex)
+        probe[k] += 1j * _CS_STEP
+        want[:, :, k] = jac_fun(probe).imag / _CS_STEP
+    got = phi2_jacobian_seeded(system, skew.model, skew.measure, beta0)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+    bases = beta0 + np.linspace(-1e-4, 1e-4, 3 * D).reshape(3, D)
+    stacked = phi2_jacobian_seeded(system, skew.model, skew.measure, bases)
+    assert stacked.shape == (3, D, D, D)
+    for base, block in zip(bases, stacked):
+        np.testing.assert_array_equal(
+            block, phi2_jacobian_seeded(system, skew.model, skew.measure, base)
+        )
+
+
+def test_seeded_third_order_is_one_evaluation_per_system(skew, monkeypatch):
+    from gel_expand import derivatives
+
+    calls = []
+
+    def counted(system, model, rows, beta, weights=None):
+        calls.append((system, beta.shape))
+        return gx.stacked_jacobian(system, model, rows, beta, weights)
+
+    monkeypatch.setattr(derivatives, "stacked_jacobian", counted)
+    phi3_diff_theta_jacobian_seeded(skew.model, skew.measure, skew.layout)
+    D = skew.layout.dim_beta
+    # one theta index, two step levels, +-h: 4 base points, D probes each
+    assert calls == [("etel", (4 * D, D)), ("el", (4 * D, D))]
+
+
+def test_oracle_batches_are_capped_in_rows(skew, monkeypatch):
+    # a probe set larger than the row cap is split into several calls,
+    # with the same values as one call
+    from gel_expand import derivatives
+
+    fun = derivatives._expected(gx.stacked_residual, "diff", skew.model, skew.measure)
+    D = skew.layout.dim_beta
+    probes = BetaVector.star_values(skew.model) + np.linspace(0.0, 1e-5, 7 * D).reshape(7, D)
+    whole = fun(probes)
+    sizes = []
+
+    def counted(system, model, rows, beta, weights=None):
+        sizes.append(beta.shape[0])
+        return gx.stacked_residual(system, model, rows, beta, weights)
+
+    monkeypatch.setattr(derivatives, "_BATCH_ROWS", 3 * skew.measure.size)
+    split = derivatives._expected(counted, "diff", skew.model, skew.measure)(probes)
+    assert sizes == [3, 3, 3, 3, 1, 1]  # (etel, el) per chunk of at most 3 probes
+    np.testing.assert_array_equal(split, whole)
 
 
 def test_jacobian_seeded_bundle_errors(skew):

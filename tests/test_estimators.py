@@ -236,6 +236,87 @@ def test_guards_trip_at_the_same_beta(bundles, name, weighting):
                     fn("el", model, rows, edge, weights)
 
 
+def _probe_stack(model, rows, count, complex_step):
+    """count probes off beta*, shape (count, D); complex ones carry an
+    imaginary step 1e-20 in coordinate k mod D (probe k)."""
+    g = model.g_rows(rows, model.theta_star)
+    probes = np.stack([_probe_beta(model, g, 100 + k) for k in range(count)])
+    if complex_step:
+        probes = probes.astype(complex)
+        probes[np.arange(count), np.arange(count) % probes.shape[1]] += 1e-20j
+    return probes
+
+
+@pytest.mark.parametrize("complex_step", [False, True])
+@pytest.mark.parametrize("weighting", ["uniform", "measure"])
+@pytest.mark.parametrize("system", ["etel", "el"])
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_batched_evaluation_rows_are_single_evaluations(
+    bundles, name, system, weighting, complex_step
+):
+    # probes stacked on a leading axis: each row of phi, the residual and
+    # the Jacobian is bitwise the evaluation at that probe alone
+    model = bundles[name].model
+    rows, weights = _rows_and_weights(bundles[name], weighting)
+    count = 5 if weighting == "uniform" else 24
+    probes = _probe_stack(model, rows, count, complex_step)
+    batch = estimators._StackedEval(system, model, rows, probes, weights)
+    jac = batch.jacobian()
+    D, n = model.layout.dim_beta, rows.shape[0]
+    assert batch.phi.shape == (count, n, D)
+    assert batch.residual.shape == (count, D)
+    assert jac.shape == (count, D, D)
+    for k in range(count):
+        one = estimators._StackedEval(system, model, rows, probes[k], weights)
+        np.testing.assert_array_equal(batch.phi[k], one.phi)
+        np.testing.assert_array_equal(batch.residual[k], one.residual)
+        np.testing.assert_array_equal(jac[k], one.jacobian())
+
+
+@pytest.mark.parametrize("system", ["etel", "el"])
+def test_public_evaluations_take_several_leading_axes(skew, system):
+    model = skew.model
+    rows, weights = skew.measure.points, skew.measure.weights
+    probes = _probe_stack(model, rows, 6, False)
+    grid = probes.reshape(2, 3, -1)
+    D = model.layout.dim_beta
+    res = stacked_residual(system, model, rows, grid, weights)
+    jac = stacked_jacobian(system, model, rows, grid, weights)
+    phi = estimators.phi_rows(system, model, rows, grid)
+    assert res.shape == (2, 3, D) and jac.shape == (2, 3, D, D)
+    assert phi.shape == (2, 3, rows.shape[0], D)
+    for k, beta in enumerate(probes):
+        i, j = divmod(k, 3)
+        np.testing.assert_array_equal(
+            res[i, j], stacked_residual(system, model, rows, beta, weights)
+        )
+        np.testing.assert_array_equal(
+            jac[i, j], stacked_jacobian(system, model, rows, beta, weights)
+        )
+        np.testing.assert_array_equal(phi[i, j], estimators.phi_rows(system, model, rows, beta))
+
+
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_one_probe_outside_the_domain_fails_the_batch(bundles, name):
+    # a single probe past the EL domain edge (or the exp cap) raises the
+    # typed error for the whole batch, from the residual and the Jacobian
+    model = bundles[name].model
+    rows, weights = _rows_and_weights(bundles[name], "measure")
+    probes = _probe_stack(model, rows, 8, False)
+    edge = probes.copy()
+    edge[5] = _scaled_multiplier(model, rows, probes[5], "kappa", 1.0, 1.0 + 1e-9)
+    over = probes.copy()
+    over[2] = _scaled_multiplier(model, rows, probes[2], "lambda", estimators.EXP_CAP, 1.001)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (stacked_residual, stacked_jacobian):
+            fn("etel", model, rows, edge, weights)  # no domain in ETEL
+            with pytest.raises(DomainError):
+                fn("el", model, rows, edge, weights)
+            for system in ("etel", "el"):
+                with pytest.raises(OverflowGuardError):
+                    fn(system, model, rows, over, weights)
+
+
 @pytest.mark.parametrize("system", ["etel", "el"])
 @pytest.mark.parametrize("name", gx.MODEL_NAMES)
 def test_newton_evaluates_each_accepted_iterate_once(bundles, name, system, monkeypatch):

@@ -9,8 +9,8 @@ import pytest
 
 import gel_expand as gx
 from gel_expand.derivatives import SampleStats, population_tensors, sample_stats
-from gel_expand.expansion import TOLERANCES, _mc_zscores
-from gel_expand.rng import replication_generator
+from gel_expand.expansion import _MC_CHUNK, TOLERANCES, _mc_zscores
+from gel_expand.rng import replication_generator, replication_streams
 
 
 def _manual_stats(bundle, g_bar):
@@ -30,9 +30,6 @@ def _manual_stats(bundle, g_bar):
         phi0_bar=phi0,
         phi1_bar=np.zeros((D, D)),
         phi2_bar=None,
-        t_bar=None,
-        w_bar=None,
-        k_bar=None,
     )
 
 
@@ -315,6 +312,27 @@ def _loop_orthogonality_xi7_study(model, mt, n, reps, seed):
         "max_abs_corr": float(np.max(np.abs(corr))),
         "corr_z_limit": float(TOLERANCES["mc_sigma"]),
     }
+
+
+@pytest.mark.parametrize("name", ["MeanVarModel", "SkewModel"])
+def test_replication_streams_draw_as_fresh_generators(name):
+    # replications 20..69 cross the chunk boundaries at 32 and 64; each
+    # stream starts from a clean state even after the previous one left
+    # buffered bits (odd normal and 32-bit integer counts)
+    model = gx.build_model(name, df=4) if name == "SkewModel" else gx.build_model(name)
+    assert _MC_CHUNK == 32
+
+    def draws(rng, i):
+        return (
+            model.sampler(rng, 3 + i % 5),
+            rng.integers(0, 2**31, size=i % 3 + 1, dtype=np.uint32),
+            rng.random(),
+        )
+
+    for i, gen in zip(range(20, 70), replication_streams(9, 20, 70)):
+        for got, want in zip(draws(gen, i), draws(replication_generator(9, i), i)):
+            np.testing.assert_array_equal(got, want)
+    assert list(replication_streams(9, 5, 5)) == []
 
 
 # fewer replications than one chunk, a partial last chunk, an exact multiple

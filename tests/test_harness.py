@@ -8,6 +8,7 @@ import math
 import pytest
 
 import gel_expand.cli as cli
+from gel_expand import expansion
 from gel_expand.errors import ConfigError
 from gel_expand.expansion import TOLERANCES
 from gel_expand.harness import _bump, _check, parse_config, run_suite
@@ -168,6 +169,16 @@ def test_run_suite_mc_study_table(tmp_path):
     table = (tmp_path / "mc" / "tables" / "study.csv").read_text().splitlines()
     assert table[0] == "n,reps_ok,median_abs_diff,var_gap_estimate"
     assert len(table) == 3
+
+
+def test_failure_rate_check_reads_the_study_abort_rate():
+    # one policy: the check's tolerance is the rate above which the study aborts
+    config = parse_config(
+        overrides={"seed": "3", "suite": "mc_study", "model": "JustIdentModel",
+                   "n": "30", "reps": "5"}
+    )
+    check = next(c for c in run_suite(config).checks if c.name == "scaling.failure-rate")
+    assert check.tol == expansion._MAX_FAIL_RATE
 
 
 def test_mc_study_slope_band_asserted_for_mean_var_only(tmp_path):

@@ -38,6 +38,38 @@ def test_mean_var_g_component_relation(x, theta):
 
 
 @pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_moment_callables_broadcast_over_leading_theta_axes(name):
+    # theta (..., p) gives one block of rows per leading index, each
+    # bitwise the call with that theta alone; complex theta too
+    model = gx.build_model(name)
+    rows = gx.simulate(model, 7, 5).rows
+    n, m, p = rows.shape[0], model.dim_g, model.dim_theta
+    thetas = np.linspace(-0.5, 0.5, 6 * p).reshape(2, 3, p)
+    for theta in (thetas, thetas + 1e-20j):
+        g = model.g_rows(rows, theta)
+        jac = model.g_jacobian(rows, theta)
+        hess = model.g_hessian(rows, theta)
+        assert g.shape == (2, 3, n, m)
+        assert jac.shape == (2, 3, n, m, p)
+        assert hess.shape == (2, 3, n, m, p, p)
+        for i, j in np.ndindex(2, 3):
+            np.testing.assert_array_equal(g[i, j], model.g_rows(rows, theta[i, j]))
+            np.testing.assert_array_equal(jac[i, j], model.g_jacobian(rows, theta[i, j]))
+            np.testing.assert_array_equal(hess[i, j], model.g_hessian(rows, theta[i, j]))
+
+
+def test_g_rows_checks_the_leading_axes_of_its_result():
+    base = gx.build_model("MeanVarModel")
+    flat = dataclasses.replace(base, g=lambda rows, theta: base.g(rows, theta.reshape(-1)[:1]))
+    rows = np.zeros((4, 1))
+    assert flat.g_rows(rows, np.zeros(1)).shape == (4, 2)
+    with pytest.raises(DimensionError, match="g returned shape"):
+        flat.g_rows(rows, np.zeros((3, 1)))
+    with pytest.raises(DimensionError, match="theta has shape"):
+        base.g_rows(rows, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
 def test_jacobian_matches_finite_differences(name):
     model = gx.build_model(name)
     assert gx.jacobian_fd_error(model) <= 1e-5
