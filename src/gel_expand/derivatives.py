@@ -65,8 +65,10 @@ __all__ = [
 _EPS = np.finfo(float).eps
 _CS_STEP = 1e-200
 _BATCH_ROWS = 2**15
-"""Most rows (probes times support points) one stacked evaluation of an
-oracle holds; larger probe sets are split into calls of this size."""
+"""Most rows one batched evaluation holds: probes times support points in
+an oracle's stacked evaluation, replications times observations in the
+scaling study's batched start. Larger sets are split into batches of
+this size."""
 
 SYSTEMS = ("etel", "el", "diff")
 
@@ -498,7 +500,6 @@ class SampleStats:
     """
 
     system: str
-    n: int
     layout: IndexLayout
     g_bar: np.ndarray
     G_bar: np.ndarray
@@ -555,7 +556,6 @@ def sample_stats(
 
     return SampleStats(
         system=system,
-        n=n,
         layout=layout,
         g_bar=g_bar,
         G_bar=G_bar,

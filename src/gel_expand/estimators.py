@@ -17,16 +17,23 @@ Solver layout:
   stopping rule. A full step that shrinks the gradient norm is taken
   outright, otherwise Armijo decides; EL candidates outside
   1 - kappa'g > 0 are rejected.
-* ``solve_stacked`` initializes by profiling (pilot theta from the
-  just-identified sub-moments, inner duals for the multipliers, tau from
-  the tilt mean), runs a full Newton iteration on all blocks with an
-  analytic Jacobian and, if that start stalls, retries from perturbed
-  pilots. The start at the pilot (pilot theta, g there and the tilt
-  multiplier) does not depend on the system, so the last successful one
-  is reused when the next call solves the same ``Dataset`` object with
-  the same model and ``max_iter``: the ETEL/EL pair on one dataset
-  profiles once. ``Dataset`` is immutable (it owns read-only rows), so
-  the reuse returns exactly what a fresh computation would.
+* The start is batched over datasets. ``pilot_theta``, the two duals
+  and ``_profile_init`` take R datasets of one size (rows (R, n, d)):
+  every dataset iterates, halves its steps and stops on its own, bitwise
+  as it would alone, and one that fails records its own typed error
+  (HullError when a hyperplane separates the origin from its moment
+  rows, ConvergenceError otherwise, SingularMatrixError for a singular
+  pilot or kappa system) without stopping the others. Called on one
+  dataset they raise that error instead. ``_pilot_starts`` builds every
+  system's start from one pilot, one g and one tilt multiplier.
+* ``solve_stacked`` initializes by profiling one dataset (pilot theta
+  from the just-identified sub-moments, inner duals for the multipliers,
+  tau from the tilt mean: the R = 1 case of the batched start), runs a
+  full Newton iteration on all blocks with an analytic Jacobian and, if
+  that start stalls, retries from four perturbed pilots profiled as one
+  batch. Nothing is kept between calls. A caller that solves many
+  datasets profiles them together and passes each start as ``init``;
+  the Newton from it is the one ``solve_stacked`` would run itself.
 * Every iterate is evaluated once. ``_StackedEval`` computes the per-row
   features (g, dg, exp(lambda'g), kappa'g, dg'kappa, dg'lambda and the
   system's coefficient) and from them the phi rows and their weighted
@@ -66,6 +73,7 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
+    GelError,
     HullError,
     OverflowGuardError,
     SingularMatrixError,
@@ -96,6 +104,9 @@ _INNER_TOL = 1e-11
 _INNER_MAX_ITER = 100
 _PILOT_TOL = 1e-12
 _PILOT_MAX_ITER = 50
+_MAX_ITER = 100
+_RETRY_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
+"""Retry pilots, in standard errors of the just-identified sub-moments."""
 
 
 @dataclass(frozen=True)
@@ -381,64 +392,182 @@ def _hull_separated(g: np.ndarray) -> bool:
     return bool(res.status == 0)
 
 
-def _backtrack(x, step, evaluate, accept):
-    """Step halving: the first candidate x + t step, t = 1, 1/2, ... (at most
-    _MAX_HALVINGS tries), whose evaluation is not None and passes
-    accept(t, evaluation). Returns (candidate, evaluation), or None."""
-    t = 1.0
-    for _ in range(_MAX_HALVINGS):
-        cand = x + t * step
-        ev = evaluate(cand)
-        if ev is not None and accept(t, ev):
-            return cand, ev
-        t *= 0.5
-    return None
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (R, k) arrays, each bitwise a[r] @ b[r]."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _dual_newton(g, state, hessian, converged, max_iter, what):
-    """Damped Newton from 0 on a strictly convex inner dual over the moment rows g.
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean norms of an (R, k) array, each bitwise _norm(v[r])."""
+    return np.sqrt(_dots(v, v))
 
-    ``state(x)`` gives (objective, gradient, per-row weight factors), or
-    None outside the domain; ``hessian`` and ``converged`` read a state.
-    A full Newton step that shrinks the gradient norm is accepted outright
-    (near the optimum the objective decrement drops below fp resolution,
-    where Armijo cannot decide); otherwise the step is halved until Armijo
-    holds. Returns (x, state at x). A failure (no acceptable step, a
-    runaway multiplier or the iteration budget spent) raises HullError when
-    a hyperplane separates the origin from the rows of g, ConvergenceError
-    otherwise.
+
+def _any(mask: np.ndarray) -> bool:
+    """mask.any() without its Python-level dispatch (small masks, hot loops)."""
+    return np.count_nonzero(mask) > 0
+
+
+def _all(mask: np.ndarray) -> bool:
+    """mask.all() without its Python-level dispatch (small masks, hot loops)."""
+    return np.count_nonzero(mask) == mask.size
+
+
+def _typed(cls, message: str, cause: BaseException | None = None) -> GelError:
+    """A typed error recorded for one row of a batch instead of raised."""
+    err = cls(message)
+    err.__cause__ = cause
+    return err
+
+
+def _open_rows(errors: list) -> np.ndarray:
+    """Indices of the rows of a batch that have not failed yet."""
+    return np.flatnonzero([e is None for e in errors])
+
+
+def _batched(x: np.ndarray, rank: int, errors: list | None):
+    """(x with a batch axis, whether one was added because x has the
+    unbatched rank, the per-dataset error list to fill)."""
+    single = x.ndim == rank
+    if single:
+        x = x[None]
+    return x, single, [None] * len(x) if errors is None else errors
+
+
+def _unbatch(errors: list, caller_errors: list | None, single: bool, *arrays):
+    """Finish a batched call: without a caller's error list the first failed
+    row raises its error; one dataset loses its batch axis again."""
+    if caller_errors is None:
+        for err in errors:
+            if err is not None:
+                raise err
+    return tuple(a[0] for a in arrays) if single else arrays
+
+
+def _backtrack(x, step, try_step):
+    """Step halving, row by row, over a batch x, step (R, k).
+
+    Row r tries x[r] + t step[r], t = 1, 1/2, ... (at most _MAX_HALVINGS
+    tries) until ``try_step(t, rows, candidates)`` accepts it; try_step
+    gets the rows still searching (``slice(None)`` while all of them are,
+    else their indices) and their candidates, keeps what it accepts and
+    returns the accepted mask (a candidate whose evaluation fails is
+    simply not accepted). Returns the rows that found no step.
     """
-    m = g.shape[1]
-    if m == 1 and (g.min() > 0.0 or g.max() < 0.0):
-        raise HullError(f"{what}: all moment values on one side of the origin")
-    gscale = max(float(np.max(np.abs(g))), 1e-12)
-    x = np.zeros(m)
-    st = state(x)
+    rows, t = slice(None), 1.0
+    for _ in range(_MAX_HALVINGS):
+        every = isinstance(rows, slice)
+        ok = try_step(t, rows, x + t * step if every else x[rows] + t * step[rows])
+        if _any(ok):
+            rows = np.flatnonzero(~ok) if every else rows[~ok]
+            if not rows.size:
+                return rows
+        t *= 0.5
+    return np.arange(len(x)) if isinstance(rows, slice) else rows
+
+
+def _dual_newton(g, state, hessian, converged, max_iter, what, errors):
+    """Damped Newton from 0 on a strictly convex inner dual, for R datasets at once.
+
+    g (R, n, m) holds each dataset's moment rows. ``state(x, gk)`` gives
+    the states at x (k, m) of the k datasets with moment rows gk (k, n, m):
+    objective (k,), gradient (k, m) and per-row weight factors (k, n), NaN
+    outside the domain; ``hessian(state, gk)`` reads one, and
+    ``converged(objective, gradient norm)`` decides. A full Newton step
+    that shrinks the gradient norm is accepted outright (near the optimum
+    the objective decrement drops below fp resolution, where Armijo cannot
+    decide); otherwise the step is halved until Armijo holds. Every
+    dataset iterates, halves and stops on its own, bitwise as it would
+    alone. Datasets whose entry of ``errors`` is set are skipped; one that
+    fails (no acceptable step, a runaway multiplier or the iteration
+    budget spent) gets HullError there when a hyperplane separates the
+    origin from its rows of g, ConvergenceError otherwise, and does not
+    stop the others. Returns x and the state with the gradient norm
+    appended, over all R datasets, NaN where skipped or failed.
+    """
+    R, n, m = g.shape
+    x = np.full((R, m), np.nan)
+    st = tuple(np.full(shape, np.nan) for shape in (R, (R, m), (R, n), R))
+    active = _open_rows(errors)
+    if m == 1:
+        ga = g[active]
+        one_sided = (ga.min(axis=(1, 2)) > 0.0) | (ga.max(axis=(1, 2)) < 0.0)
+        for r in active[one_sided]:
+            errors[r] = HullError(f"{what}: all moment values on one side of the origin")
+        active = active[~one_sided]
+
+    def evaluate(xs, gk):  # the state and its gradient norm
+        new = state(xs, gk)
+        return new + (_norms(new[1]),)
+
+    # the datasets still iterating, packed: their rows of g, its scale, x
+    # and the state at x
+    ga = g[active]
+    gsa = np.maximum(np.abs(ga).max(axis=(1, 2)), 1e-12)
+    xa = np.zeros((len(active), m))
+    cur = evaluate(xa, ga)
+    failed = []
+
+    def pack(keep):
+        nonlocal active, ga, gsa, xa, cur
+        active, ga, gsa, xa = active[keep], ga[keep], gsa[keep], xa[keep]
+        cur = tuple(a[keep] for a in cur)
+
     for _ in range(max_iter):
-        if converged(st):
-            return x, st
-        value, grad, _ = st
-        try:
-            step = _solve(hessian(st), -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        if grad @ step >= 0.0:
-            step = -grad
-        slope = grad @ step
-        local = 0.9 * _norm(grad)
-        found = _backtrack(
-            x, step, state,
-            lambda t, c: (t == 1.0 and _norm(c[1]) <= local)
-            or c[0] <= value + _ARMIJO * t * slope,
-        )
-        if found is None:
+        done = converged(cur[0], cur[3])
+        if _any(done):
+            x[active[done]] = xa[done]
+            for full, part in zip(st, cur):
+                full[active[done]] = part[done]
+            pack(~done)
+        if not active.size:
             break
-        x, st = found
-        if np.abs(x).max() * gscale > 2.0 * EXP_CAP:
-            break
-    if _hull_separated(g):
-        raise HullError(f"{what}: origin outside the convex hull of the moment values")
-    raise ConvergenceError(f"{what}: iteration budget exhausted before tolerance")
+        value, grad = cur[0], cur[1]
+        hess = hessian(cur, ga)
+        step = -grad
+        for i in range(len(active)):
+            try:
+                step[i] = _solve(hess[i], -grad[i])
+            except np.linalg.LinAlgError:
+                pass
+        slope = _dots(grad, step)
+        uphill = slope >= 0.0
+        if _any(uphill):
+            step[uphill] = -grad[uphill]
+            slope = _dots(grad, step)
+        local = 0.9 * cur[3]
+
+        def try_step(t, sub, cand, value=value, slope=slope, local=local):
+            nonlocal cur
+            every = isinstance(sub, slice)
+            new = evaluate(cand, ga[sub])
+            ok = new[0] <= value[sub] + _ARMIJO * t * slope[sub]
+            if t == 1.0:
+                ok |= new[3] <= local[sub]
+            if not _any(ok):
+                return ok
+            if every and _all(ok):
+                xa[...], cur = cand, new
+            else:
+                took = ok if every else sub[ok]
+                xa[took] = cand[ok]
+                for packed, part in zip(cur, new):
+                    packed[took] = part[ok]
+            return ok
+
+        # try_step writes only accepted rows, which _backtrack reads no more
+        stuck = _backtrack(xa, step, try_step)
+        keep = ~(np.abs(xa).max(axis=1) * gsa > 2.0 * EXP_CAP)
+        if stuck.size:
+            keep[stuck] = False
+        if not _all(keep):
+            failed.extend(active[~keep])
+            pack(keep)
+    for r in [*failed, *active]:
+        if _hull_separated(g[r]):
+            errors[r] = HullError(f"{what}: origin outside the convex hull of the moment values")
+        else:
+            errors[r] = ConvergenceError(f"{what}: iteration budget exhausted before tolerance")
+    return x, st
 
 
 def _et_core(
@@ -446,28 +575,40 @@ def _et_core(
     base_weights: np.ndarray,
     tol: float,
     max_iter: int,
+    errors: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on the log tilt normalizer L(lam) = log sum w exp(lam'g).
 
-    Returns (lam, tilted weights). Convergence is declared on the raw
-    gradient norm || sum w exp(lam'g) g || <= tol.
+    g is one dataset's moment rows (n, m) or R datasets' (R, n, m), with
+    base weights (n,) shared by all. Returns (lam, tilted weights), with
+    the leading axis of g. Convergence is declared on the raw gradient
+    norm || sum w exp(lam'g) g || <= tol. Without ``errors`` a failed
+    dataset raises its typed error; with a list (one entry per dataset)
+    failures are recorded there, NaN is returned for them, and datasets
+    whose entry is already set are skipped.
     """
+    g, single, errs = _batched(g, 2, errors)
 
-    def state(lam):
-        s = g @ lam
-        smax = float(np.max(s))
-        e = base_weights * np.exp(s - smax)
-        z = float(e.sum())
-        wt = e / z
-        return smax + np.log(z), wt @ g, wt
+    def state(lam, gr):
+        s = (gr @ lam[:, :, None])[..., 0]
+        smax = s.max(axis=1)
+        e = base_weights * np.exp(s - smax[:, None])
+        z = e.sum(axis=1)
+        wt = e / z[:, None]
+        return smax + np.log(z), (wt[:, None, :] @ gr)[:, 0], wt
 
-    lam, (_, _, wt) = _dual_newton(
-        g, state,
-        lambda st: _gram(st[2], g) - np.outer(st[1], st[1]),
-        lambda st: st[0] < EXP_CAP and np.exp(st[0]) * _norm(st[1]) <= tol,
-        max_iter, "ET inner solve",
+    def hessian(st, gr):
+        grad = st[1]
+        return _gram(st[2], gr) - grad[:, :, None] * grad[:, None, :]
+
+    def converged(value, gnorm):
+        # exp only below the cap: the objective can exceed it far from the root
+        return (value < EXP_CAP) & (np.exp(np.minimum(value, EXP_CAP)) * gnorm <= tol)
+
+    lam, (_, _, wt, _) = _dual_newton(
+        g, state, hessian, converged, max_iter, "ET inner solve", errs
     )
-    return lam, wt
+    return _unbatch(errs, errors, single, lam, wt)
 
 
 def _el_core(
@@ -475,24 +616,32 @@ def _el_core(
     base_weights: np.ndarray,
     tol: float,
     max_iter: int,
+    errors: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton on M(kappa) = -sum w log(1 - kappa'g), restricted to its domain."""
+    """Damped Newton on M(kappa) = -sum w log(1 - kappa'g), restricted to its
+    domain; g, the weights and ``errors`` as for ``_et_core``."""
+    g, single, errs = _batched(g, 2, errors)
 
-    def state(kappa):
-        denom = 1.0 - g @ kappa
-        if denom.min() <= 0.0:
-            return None
-        eps = 1.0 / denom
-        return -float(base_weights @ np.log(denom)), (base_weights * eps) @ g, eps
+    def state(kappa, gr):
+        denom = 1.0 - (gr @ kappa[:, :, None])[..., 0]
+        outside = ~(denom.min(axis=1) > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # outside rows become NaN
+            eps = 1.0 / denom
+            value = -(base_weights @ np.log(denom)[:, :, None])[:, 0]
+            grad = ((base_weights * eps)[:, None, :] @ gr)[:, 0]
+        if _any(outside):
+            for a in (value, grad, eps):
+                a[outside] = np.nan
+        return value, grad, eps
 
-    kappa, (_, _, eps) = _dual_newton(
+    kappa, (_, _, eps, _) = _dual_newton(
         g, state,
-        lambda st: _gram(base_weights * st[2] ** 2, g),
-        lambda st: _norm(st[1]) <= tol,
-        max_iter, "EL inner solve",
+        lambda st, gr: _gram(base_weights * st[2] ** 2, gr),
+        lambda value, gnorm: gnorm <= tol,
+        max_iter, "EL inner solve", errs,
     )
     wt = base_weights * eps
-    return kappa, wt / wt.sum()
+    return _unbatch(errs, errors, single, kappa, wt / wt.sum(axis=1)[:, None])
 
 
 def et_inner_solve(
@@ -526,21 +675,48 @@ def el_inner_solve(
 # ---------------------------------------------------------------------------
 
 
-def pilot_theta(model: MomentModel, data: Dataset) -> np.ndarray:
-    """Just-identified pilot: Newton root of the first p moment components."""
+def _rows_of(data) -> np.ndarray:
+    """The rows of a Dataset, or an array of rows (..., n, d) as given."""
+    return data.rows if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+
+
+def pilot_theta(model: MomentModel, data, errors: list | None = None) -> np.ndarray:
+    """Just-identified pilot: Newton root of the first p moment components.
+
+    ``data`` is a Dataset, giving theta (p,), or the rows (R, n, d) of R
+    datasets of one size, giving (R, p): each dataset iterates and stops
+    on its own, bitwise as it would alone. Without ``errors`` a failed
+    dataset raises (SingularMatrixError for a singular Jacobian,
+    ConvergenceError when the iterations run out); with a list (one entry
+    per dataset) failures are recorded there and their theta is NaN.
+    """
+    rows, single, errs = _batched(_rows_of(data), 2, errors)
     p = model.dim_theta
-    theta = np.zeros(p)
+    theta = np.full((len(rows), p), np.nan)
+    # the datasets still iterating, packed: their rows and theta
+    active = _open_rows(errs)
+    ra, th = rows[active], np.zeros((len(active), p))
     for _ in range(_PILOT_MAX_ITER):
-        g = model.g_rows(data.rows, theta)[:, :p]
-        r = g.mean(axis=0)
-        if _norm(r) <= _PILOT_TOL * (1.0 + _norm(theta)):
-            return theta
-        jac = model.g_jacobian(data.rows, theta)[:, :p, :].mean(axis=0)
-        try:
-            theta = theta - _solve(jac, r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError("pilot Jacobian singular") from exc
-    raise ConvergenceError("pilot theta iteration did not converge")
+        r = model.g_rows(ra, th)[..., :p].mean(axis=1)
+        keep = ~(_norms(r) <= _PILOT_TOL * (1.0 + _norms(th)))
+        if not _all(keep):
+            theta[active[~keep]] = th[~keep]
+            active, ra, th, r = active[keep], ra[keep], th[keep], r[keep]
+        if not active.size:
+            break
+        jac = model.g_jacobian(ra, th)[..., :p, :].mean(axis=1)
+        keep = np.ones(len(active), dtype=bool)
+        for i in range(len(active)):
+            try:
+                th[i] = th[i] - _solve(jac[i], r[i])
+            except np.linalg.LinAlgError as exc:
+                errs[active[i]] = _typed(SingularMatrixError, "pilot Jacobian singular", exc)
+                keep[i] = False
+        if not _all(keep):
+            active, ra, th = active[keep], ra[keep], th[keep]
+    for row in active:
+        errs[row] = ConvergenceError("pilot theta iteration did not converge")
+    return _unbatch(errs, errors, single, theta)[0]
 
 
 @dataclass(frozen=True)
@@ -576,35 +752,76 @@ class SolveReport:
 def _profile_init(
     system: str,
     model: MomentModel,
-    data: Dataset,
+    data,
     theta0: np.ndarray,
     max_iter: int,
     g: np.ndarray | None = None,
     lam: np.ndarray | None = None,
+    errors: list | None = None,
 ) -> np.ndarray:
     """Profile initialization: inner multipliers and tau at a fixed theta.
 
-    ``g`` (the moment rows at theta0) and ``lam`` (the tilt multiplier
-    there) may be passed in when already known; they are computed
-    otherwise.
+    ``data`` (a Dataset or rows (n, d)) and theta0 (p,) give one start
+    (D,); rows (R, n, d), or (n, d) shared, with theta0 (R, p) give R
+    starts (R, D), each bitwise the start alone. ``g`` (R, n, m), the
+    moment rows at theta0, and ``lam`` (R, m), the tilt multiplier there,
+    may be passed in when already known; they are computed otherwise.
+    ``errors`` as for ``pilot_theta``: a failed ET or EL dual, or a
+    singular ETEL kappa system (SingularMatrixError), fails only its
+    dataset.
     """
+    theta0, single, errs = _batched(np.asarray(theta0, dtype=float), 1, errors)
+    rows = _rows_of(data)
+    n = rows.shape[-2]
     if g is None:
-        g = model.g_rows(data.rows, theta0)
-    base = np.full(data.n, 1.0 / data.n)
+        g = model.g_rows(rows, theta0)
+    base = np.full(n, 1.0 / n)
     if lam is None:
-        lam, _ = _et_core(g, base, _INNER_TOL, max_iter)
-    tdot = np.exp(g @ lam)
-    tau = float(tdot.mean())
+        lam, _ = _et_core(g, base, _INNER_TOL, max_iter, errors=errs)
+    tdot = np.exp((g @ lam[:, :, None])[..., 0])
+    tau = tdot.mean(axis=1)
     if system == "etel":
-        lhs = _gram(tdot / data.n, g)
-        rhs = ((tdot - tau) / data.n) @ g
-        try:
-            kappa = _solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError("tilted second-moment matrix singular") from exc
+        lhs = _gram(tdot / n, g)
+        rhs = (((tdot - tau[:, None]) / n)[:, None, :] @ g)[:, 0]
+        kappa = np.full(lam.shape, np.nan)
+        for r in _open_rows(errs):
+            try:
+                kappa[r] = _solve(lhs[r], rhs[r])
+            except np.linalg.LinAlgError as exc:
+                errs[r] = _typed(
+                    SingularMatrixError, "tilted second-moment matrix singular", exc
+                )
     else:
-        kappa, _ = _el_core(g, base, _INNER_TOL, max_iter)
-    return np.concatenate([[tau], kappa, lam, theta0])
+        kappa, _ = _el_core(g, base, _INNER_TOL, max_iter, errors=errs)
+    starts = np.concatenate((tau[:, None], kappa, lam, theta0), axis=1)
+    starts[[e is not None for e in errs]] = np.nan
+    return _unbatch(errs, errors, single, starts)[0]
+
+
+def _pilot_starts(
+    systems: Sequence[str], model: MomentModel, rows: np.ndarray
+) -> list[tuple[np.ndarray, list]]:
+    """``solve_stacked``'s first start for R datasets of one size at once.
+
+    rows (R, n, d). One pilot, one g and one ET multiplier serve every
+    system in ``systems``; each dataset's start is bitwise the one
+    ``solve_stacked`` (at its default ``max_iter``) profiles for it
+    alone. Returns, per system, the
+    starts (R, D) and the per-dataset errors (None, or the typed error
+    of its pilot, ET multiplier or the system's kappa; a failed dataset's
+    start is NaN and the others are not affected).
+    """
+    shared: list = [None] * len(rows)
+    theta0 = pilot_theta(model, rows, errors=shared)
+    g0 = model.g_rows(rows, theta0)
+    n = rows.shape[-2]
+    lam, _ = _et_core(g0, np.full(n, 1.0 / n), _INNER_TOL, _MAX_ITER, errors=shared)
+    out = []
+    for system in systems:
+        errs = list(shared)
+        starts = _profile_init(system, model, rows, theta0, _MAX_ITER, g=g0, lam=lam, errors=errs)
+        out.append((starts, errs))
+    return out
 
 
 def _newton_stacked(
@@ -618,17 +835,21 @@ def _newton_stacked(
     # the accepted candidate's evaluation gives the next Jacobian, so
     # every iterate is evaluated once
     w = np.full(data.n, 1.0 / data.n)
+    accepted = [None]
 
-    def evaluate(cand):
+    def try_step(t, rows, cand):
         # a candidate outside the exp cap or the EL domain, or whose
         # residual norm overflows, is rejected and the step halved
         try:
-            ev = _StackedEval(system, model, data.rows, cand, w)
+            cand_ev = _StackedEval(system, model, data.rows, cand[0], w)
         except (DomainError, OverflowGuardError):
-            return None
+            return np.array([False])
         with np.errstate(over="ignore"):
-            norm = _norm(ev.residual)
-        return (ev, norm) if norm < math.inf else None
+            cand_norm = _norm(cand_ev.residual)
+        ok = cand_norm < math.inf and cand_norm <= (1.0 - _ARMIJO * t) * norm
+        if ok:
+            accepted[0] = cand[0], cand_ev, cand_norm
+        return np.array([ok])
 
     beta = beta0.copy()
     ev = _StackedEval(system, model, data.rows, beta, w)
@@ -642,29 +863,10 @@ def _newton_stacked(
             raise SingularMatrixError(
                 f"stacked Jacobian singular at iteration {it}"
             ) from exc
-        found = _backtrack(
-            beta, step, evaluate, lambda t, c: c[1] <= (1.0 - _ARMIJO * t) * norm
-        )
-        if found is None:
+        if _backtrack(beta[None], step[None], try_step).size:
             return beta, norm, it + 1, norm <= tol
-        beta, (ev, norm) = found
+        beta, ev, norm = accepted[0]
     return beta, norm, max_iter, norm <= tol
-
-
-_start_memo: tuple | None = None
-"""The last successful profile start of ``solve_stacked``:
-(data, model, max_iter, theta0, g(theta0), ET multiplier at theta0).
-
-Callers read it once and ``_remember_start`` replaces it whole, so a
-caller in another thread sees a complete entry, never a mixed one.
-"""
-
-
-def _remember_start(data, model, max_iter, theta0, g0, lam0) -> None:
-    global _start_memo
-    for a in (theta0, g0, lam0):
-        a.setflags(write=False)
-    _start_memo = (data, model, max_iter, theta0, g0, lam0)
 
 
 def solve_stacked(
@@ -673,23 +875,19 @@ def solve_stacked(
     model: MomentModel,
     init: BetaVector | None = None,
     tol: float = 1e-9,
-    max_iter: int = 100,
+    max_iter: int = _MAX_ITER,
 ) -> SolveReport:
     """Solve the full stacked system for beta-hat.
 
     Without an explicit init the solver profiles: pilot theta from the
     just-identified sub-moments, inner dual multipliers, tau from the
     tilt mean, then full Newton. If the first attempt stalls it retries
-    the profile from a small grid of perturbed pilot values. ``max_iter``
-    bounds the Newton iterations and the inner dual solves of the start.
-
-    The pilot theta, g at the pilot and the tilt multiplier there do not
-    depend on the system. The last successful set is kept and reused by
-    the next call without ``init`` on the same ``Dataset`` object (by
-    identity), the same model object and the same ``max_iter``, so
-    solving ETEL and then EL on one dataset computes
-    them once. ``Dataset`` is immutable, so the reports are bitwise those
-    of solves on fresh, equal-valued datasets.
+    the profile from four perturbed pilot values, profiled as one batch.
+    ``max_iter`` bounds the Newton iterations and the inner dual solves
+    of the start. The start is the one-dataset case of the batched start
+    (``_pilot_starts``), so a caller that profiles many datasets at once
+    and passes each start as ``init`` gets the same reports whenever that
+    first attempt converges.
 
     Returns a SolveReport; plain failure to reach tolerance is reported
     via converged=False, while hull / domain / singularity problems
@@ -706,38 +904,27 @@ def solve_stacked(
         result = _newton_stacked(system, model, data, beta0, tol, max_iter)
         return _report(system, model, result, tol, beta0)
 
-    memo = _start_memo
-    if memo is not None and memo[0] is data and memo[1] is model and memo[2] == max_iter:
-        theta0, g0, lam0 = memo[3:]
-    else:
-        theta0 = pilot_theta(model, data)
-        g0 = model.g_rows(data.rows, theta0)
-        lam0 = None
+    theta0 = pilot_theta(model, data)
+    g0 = model.g_rows(data.rows, theta0)
 
-    def start(k):
-        if k:
-            # a retry pilot sits k standard errors of the just-identified
-            # sub-moments away from the pilot
-            spread = g0[:, : model.dim_theta].std(axis=0) / np.sqrt(data.n)
-            return _profile_init(system, model, data, theta0 + k * spread, max_iter)
-        beta0 = _profile_init(system, model, data, theta0, max_iter, g=g0, lam=lam0)
-        if lam0 is None:
-            _remember_start(data, model, max_iter,
-                            theta0, g0, beta0[model.layout.lambda_slice].copy())
-        return beta0
+    def groups():
+        # the pilot itself first; the perturbed pilots only if its start
+        # stalls (or fails), all of them profiled before any is iterated
+        yield theta0[None], g0[None]
+        # a retry pilot sits k standard errors of the just-identified
+        # sub-moments away from the pilot
+        spread = g0[:, : model.dim_theta].std(axis=0) / np.sqrt(data.n)
+        yield theta0 + _RETRY_OFFSETS[:, None] * spread, None
 
     last_failure: Exception | None = None
     init_beta = best = None
-    # the pilot itself first; the perturbed pilots only if its start stalls
-    # (or fails), all of them profiled before any is iterated
-    for offsets in ((0.0,), (-2.0, -1.0, 1.0, 2.0)):
-        starts = []
-        for k in offsets:
-            try:
-                starts.append(start(k))
-            except (HullError, ConvergenceError, DomainError, SingularMatrixError) as exc:
-                last_failure = exc
-        for beta0 in starts:
+    for thetas, g in groups():
+        errors: list = [None] * len(thetas)
+        starts = _profile_init(system, model, data, thetas, max_iter, g=g, errors=errors)
+        last_failure = next((e for e in reversed(errors) if e is not None), last_failure)
+        for beta0, err in zip(starts, errors):
+            if err is not None:
+                continue
             if init_beta is None:
                 init_beta = beta0
             try:

@@ -31,9 +31,9 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, GelError
-from .derivatives import DerivTensors, SampleStats, _neg_inv_contract
-from .estimators import solve_stacked
+from .errors import ConvergenceError, DimensionError, DomainError, GelError, OverflowGuardError
+from .derivatives import _BATCH_ROWS, DerivTensors, SampleStats, _neg_inv_contract
+from .estimators import BetaVector, _pilot_starts, solve_stacked
 from .models import Dataset, MomentModel
 from .population import MomentTensors, population_moments
 from .projections import ProjectionSet, phi_inverse_matrix, projection_set
@@ -140,8 +140,6 @@ def var_psi_bar(ps: ProjectionSet, layout) -> np.ndarray:
 class ExpansionTerms:
     """q_bar via both routes: the closed form and the generic contraction."""
 
-    system: str
-    psi_bar: np.ndarray
     q_bar_closed: np.ndarray
     q_bar_generic: np.ndarray
 
@@ -208,12 +206,7 @@ def q_bar(
     q_closed[layout.lambda_slice] = xi3 + 0.5 * ps.Omega_inv @ a_lambda
     q_closed[layout.theta_slice] = xi4
 
-    return ExpansionTerms(
-        system=system,
-        psi_bar=psi,
-        q_bar_closed=q_closed,
-        q_bar_generic=q_generic,
-    )
+    return ExpansionTerms(q_bar_closed=q_closed, q_bar_generic=q_generic)
 
 
 def q_diff_decomposition(
@@ -264,14 +257,14 @@ class RDiffReport:
 
     term1 must equal its closed form H g_bar (g_bar'P g_bar)/2 and be
     cancelled exactly by term2_cancel, the part of term2 carried by
-    q_bar's tau entry; term2_xi7 is the surviving cubic
-    kernel in P g_bar; term3 and term4_weighted contract to zero.
+    q_bar's tau entry; the rest of term2 is the surviving cubic kernel
+    in P g_bar, and xi7_supported names the closed-form coefficient it
+    matches; term3 and term4_weighted contract to zero.
     """
 
     term1_closed: np.ndarray
     term1_direct: np.ndarray
     term2_cancel: np.ndarray
-    term2_xi7: np.ndarray
     xi7_supported: str | None
     term3: np.ndarray
     term4_weighted: np.ndarray
@@ -340,7 +333,6 @@ def r_diff_terms(
         term1_closed=term1_closed,
         term1_direct=term1_direct,
         term2_cancel=term2_cancel,
-        term2_xi7=term2_xi7,
         xi7_supported=supported,
         term3=term3,
         term4_weighted=term4,
@@ -510,6 +502,21 @@ class StudyResult:
         ]
 
 
+def _solve_from(system: str, data: Dataset, model: MomentModel, start, tol: float):
+    """``solve_stacked`` from a batched start (BetaVector, or None where it
+    failed). When the start failed, the Newton from it leaves the EL domain
+    or the exp cap, or it does not converge, the plain solve runs instead:
+    its own start and perturbed-pilot retries, exactly as without a start."""
+    if start is not None:
+        try:
+            rep = solve_stacked(system, data, model, init=start, tol=tol)
+        except (DomainError, OverflowGuardError):
+            rep = None
+        if rep is not None and rep.converged:
+            return rep
+    return solve_stacked(system, data, model, tol=tol)
+
+
 def expansion_difference_study(
     model: MomentModel,
     n_list: list[int],
@@ -525,31 +532,52 @@ def expansion_difference_study(
     fits the log-log slope of the medians. Replications where either
     solver fails are excluded and counted; a failure rate above 5% at
     any n aborts with diagnostics.
+
+    Replication i draws from its own stream (seed, 1 + i). The
+    replications of one n are profiled together (at most ``_BATCH_ROWS``
+    rows per batch): one pilot, one g and one ET multiplier give both
+    systems' starts, and each solve starts from its own via ``init``.
+    The reports are those of ``solve_stacked`` without a start, which
+    runs instead where the batched start fails or does not converge.
     """
     if not n_list:
         raise DimensionError("n_list must not be empty")
     rows: list[StudyRow] = []
+    layout = model.layout
     for n_idx, n in enumerate(n_list):
         diffs: list[float] = []
         et_thetas: list[np.ndarray] = []
         el_thetas: list[np.ndarray] = []
         failed = 0
-        for rng in replication_streams(seed, n_idx * reps, (n_idx + 1) * reps):
-            data = Dataset(np.asarray(model.sampler(rng, n), dtype=float))
-            try:
-                rep_et = solve_stacked("etel", data, model, tol=tol)
-                rep_el = solve_stacked("el", data, model, tol=tol)
-            except GelError:
-                failed += 1
-                continue
-            if not (rep_et.converged and rep_el.converged):
-                failed += 1
-                continue
-            t_et = rep_et.beta_hat.theta
-            t_el = rep_el.beta_hat.theta
-            diffs.append(float(np.max(np.abs(t_et - t_el))))
-            et_thetas.append(t_et)
-            el_thetas.append(t_el)
+        streams = replication_streams(seed, n_idx * reps, (n_idx + 1) * reps)
+        chunk = max(1, _BATCH_ROWS // n)
+        for first in range(0, reps, chunk):
+            draws = np.stack(
+                [
+                    np.asarray(model.sampler(gen, n), dtype=float)
+                    for gen in islice(streams, min(chunk, reps - first))
+                ]
+            )
+            starts = [
+                [None if err else BetaVector(beta, layout) for beta, err in zip(*pair)]
+                for pair in _pilot_starts(("etel", "el"), model, draws)
+            ]
+            for draw, et_start, el_start in zip(draws, *starts):
+                data = Dataset(draw)
+                try:
+                    rep_et = _solve_from("etel", data, model, et_start, tol)
+                    rep_el = _solve_from("el", data, model, el_start, tol)
+                except GelError:
+                    failed += 1
+                    continue
+                if not (rep_et.converged and rep_el.converged):
+                    failed += 1
+                    continue
+                t_et = rep_et.beta_hat.theta
+                t_el = rep_el.beta_hat.theta
+                diffs.append(float(np.max(np.abs(t_et - t_el))))
+                et_thetas.append(t_et)
+                el_thetas.append(t_el)
         if reps > 0 and failed / reps > _MAX_FAIL_RATE:
             raise ConvergenceError(
                 f"solver failure rate {failed}/{reps} at n={n} exceeds "

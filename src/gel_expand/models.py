@@ -11,12 +11,15 @@ sampler. The three built-ins cover the cases the identity suites need:
 * ``SkewModel``      the same moments driven by a standardized chi-square,
   so third-moment tensors are nonzero and every cubic term is exercised.
 
-All moment callables are vectorized over observations and over theta:
-they take an (n, dim_x) array of rows and theta of shape (..., p), and
+All moment callables are vectorized over observations, over datasets
+and over theta: they take rows of shape (..., n, dim_x) and theta of
+shape (..., p), broadcast their leading axes against each other, and
 return (..., n, m), (..., n, m, p) or (..., n, m, p, p) arrays, one
-(n, ...) block per leading index of theta, each equal bitwise to the
-call with that theta alone. The derivative oracles evaluate all their
-probe points in one such call. The callables must also accept complex
+(n, ...) block per leading index, each equal bitwise to the call with
+that dataset and theta alone. The derivative oracles evaluate all their
+probe points in one such call (rows (n, dim_x), theta (K, p)); the
+batched solver start evaluates R datasets at their own thetas (rows
+(R, n, dim_x), theta (R, p)). The callables must also accept complex
 theta, which the oracles rely on for complex-step differentiation.
 """
 
@@ -102,7 +105,7 @@ class IndexLayout:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable matrix of observations, one row per draw (a read-only copy,
-    compared and hashed by identity as the solver's start memo keys it)."""
+    compared and hashed by identity)."""
 
     rows: np.ndarray
 
@@ -146,9 +149,10 @@ class MomentModel:
     theta_star : ndarray, shape (p,)
         True parameter used by the simulator and all population quantities.
     g : callable
-        ``g(rows, theta) -> (..., n, m)`` for rows (n, dim_x) and theta
-        (..., p): vectorized over rows, and over any leading axes of
-        theta (one block of rows per theta, bitwise the single call).
+        ``g(rows, theta) -> (..., n, m)`` for rows (..., n, dim_x) and
+        theta (..., p): vectorized over rows, and over leading axes of
+        rows and theta, broadcast against each other (one block of rows
+        per leading index, bitwise the single call).
     g_jacobian : callable
         ``(rows, theta) -> (..., n, m, p)`` derivative of g in theta.
     sampler : callable
@@ -191,20 +195,26 @@ class MomentModel:
         return IndexLayout(self.dim_g, self.dim_theta)
 
     def g_rows(self, rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Evaluate g on an (n, dim_x) batch with shape checks; theta of
-        shape (..., p) gives (..., n, m)."""
+        """Evaluate g with shape checks: rows (..., n, dim_x) and theta
+        (..., p) give (..., n, m), their leading axes broadcast."""
         rows = np.atleast_2d(rows)
-        if rows.shape[1] != self.dim_x:
+        if rows.shape[-1] != self.dim_x:
             raise DimensionError(
-                f"{self.name}: observation has dim {rows.shape[1]}, expected {self.dim_x}"
+                f"{self.name}: observation has dim {rows.shape[-1]}, expected {self.dim_x}"
             )
         theta = np.asarray(theta)
         if theta.shape[-1:] != (self.dim_theta,):
             raise DimensionError(
                 f"{self.name}: theta has shape {theta.shape}, expected (..., {self.dim_theta})"
             )
+        try:
+            shape = _row_shape(rows, theta)
+        except ValueError as exc:
+            raise DimensionError(
+                f"{self.name}: rows {rows.shape} and theta {theta.shape} do not broadcast"
+            ) from exc
         out = self.g(rows, theta)
-        if out.shape != theta.shape[:-1] + (rows.shape[0], self.dim_g):
+        if out.shape != shape + (self.dim_g,):
             raise DimensionError(f"{self.name}: g returned shape {out.shape}")
         return out
 
@@ -252,13 +262,20 @@ def dataset_from_csv(path: str | Path) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
+def _row_shape(rows: np.ndarray, theta: np.ndarray) -> tuple[int, ...]:
+    """(..., n): the broadcast leading axes of rows and theta, then n."""
+    if rows.ndim == 2:  # one dataset, the common case: no broadcast to work out
+        return theta.shape[:-1] + rows.shape[:1]
+    return np.broadcast_shapes(rows.shape[:-2], theta.shape[:-1]) + rows.shape[-2:-1]
+
+
 def _mean_var_g(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    z = rows[:, :1] - theta[..., None, :1]
+    z = rows[..., :1] - theta[..., None, :1]
     return np.concatenate((z, z * z - 1.0), axis=-1)
 
 
 def _mean_var_jac(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    z = rows[:, 0] - theta[..., None, 0]
+    z = rows[..., 0] - theta[..., None, 0]
     out = np.empty(z.shape + (2, 1), dtype=np.result_type(rows, theta))
     out[..., 0, 0] = -1.0
     out[..., 1, 0] = -2.0 * z
@@ -266,8 +283,7 @@ def _mean_var_jac(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def _mean_var_hess(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    shape = theta.shape[:-1] + (rows.shape[0], 2, 1, 1)
-    out = np.zeros(shape, dtype=np.result_type(rows, theta))
+    out = np.zeros(_row_shape(rows, theta) + (2, 1, 1), dtype=np.result_type(rows, theta))
     out[..., 1, 0, 0] = 2.0
     return out
 
@@ -325,14 +341,14 @@ def make_just_ident_model(theta_star: float = 0.0) -> MomentModel:
     """x ~ Normal(theta_star, 1) with the single moment g = x - theta."""
 
     def g(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        return rows[:, :1] - theta[..., None, :1]
+        return rows[..., :1] - theta[..., None, :1]
 
     def jac(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        shape = theta.shape[:-1] + (rows.shape[0], 1, 1)
+        shape = _row_shape(rows, theta) + (1, 1)
         return np.full(shape, -1.0, dtype=np.result_type(rows, theta))
 
     def hess(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        shape = theta.shape[:-1] + (rows.shape[0], 1, 1, 1)
+        shape = _row_shape(rows, theta) + (1, 1, 1)
         return np.zeros(shape, dtype=np.result_type(rows, theta))
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from gel_expand import estimators
 from gel_expand.errors import (
     DimensionError,
     DomainError,
+    GelError,
     HullError,
     OverflowGuardError,
     SingularMatrixError,
@@ -549,7 +550,7 @@ def test_solve_stacked_unknown_system(mean_var):
 
 
 # ---------------------------------------------------------------------------
-# Shared profile start, LAPACK-direct solves and norms
+# Batched profile start, LAPACK-direct solves and norms
 # ---------------------------------------------------------------------------
 
 
@@ -569,7 +570,7 @@ def _fresh(data):
 
 @pytest.fixture
 def pilot_calls(monkeypatch):
-    """Counts the pilot computations solve_stacked makes."""
+    """Counts the pilot computations (of one dataset or a batch)."""
     calls = []
     real = estimators.pilot_theta
 
@@ -581,27 +582,43 @@ def pilot_calls(monkeypatch):
     return calls
 
 
+def _shared_starts(model, datasets):
+    """Both systems' batched starts of the datasets, as BetaVectors by system."""
+    rows = np.stack([d.rows for d in datasets])
+    out = {}
+    for system, (starts, errors) in zip(
+        ("etel", "el"), estimators._pilot_starts(("etel", "el"), model, rows)
+    ):
+        assert errors == [None] * len(datasets)
+        out[system] = [BetaVector(b, model.layout) for b in starts]
+    return out
+
+
 @pytest.mark.parametrize("name", gx.MODEL_NAMES)
 def test_shared_start_reports_match_fresh_datasets(bundles, name, pilot_calls):
+    # one pilot serves the ETEL and the EL start; solving from them gives
+    # the reports of plain solves
     model = bundles[name].model
     data = gx.simulate(model, 120, 29)
-    shared = [gx.solve_stacked(system, data, model) for system in ("etel", "el")]
-    assert len(pilot_calls) == 1  # the EL solve reused the ETEL solve's start
+    starts = _shared_starts(model, [data])
+    assert len(pilot_calls) == 1
+    shared = [gx.solve_stacked(s, data, model, init=starts[s][0]) for s in ("etel", "el")]
+    assert len(pilot_calls) == 1  # an init solve does not profile
     fresh = [gx.solve_stacked(system, _fresh(data), model) for system in ("etel", "el")]
-    assert len(pilot_calls) == 3
+    assert len(pilot_calls) == 3  # a plain solve profiles its own start
     assert [_fingerprint(r) for r in shared] == [_fingerprint(r) for r in fresh]
 
 
 def test_shared_start_interleaved_datasets(mean_var, pilot_calls):
+    # one batch start for two datasets, solved in interleaved order
     model = mean_var.model
     a, b = gx.simulate(model, 90, 41), gx.simulate(model, 90, 43)
+    starts = _shared_starts(model, [a, b])
     got = [
-        gx.solve_stacked("etel", a, model),
-        gx.solve_stacked("etel", b, model),
-        gx.solve_stacked("el", a, model),
-        gx.solve_stacked("el", b, model),
+        gx.solve_stacked(system, d, model, init=starts[system][i])
+        for system, i, d in (("etel", 0, a), ("etel", 1, b), ("el", 0, a), ("el", 1, b))
     ]
-    assert len(pilot_calls) == 4  # one slot: every switch of dataset recomputes
+    assert len(pilot_calls) == 1
     want = [
         gx.solve_stacked(system, _fresh(d), model)
         for system, d in (("etel", a), ("etel", b), ("el", a), ("el", b))
@@ -611,42 +628,34 @@ def test_shared_start_interleaved_datasets(mean_var, pilot_calls):
 
 @pytest.mark.parametrize("changed", [{"max_iter": 80}], ids=["max_iter"])
 def test_shared_start_keyed_by_inner_settings(mean_var, pilot_calls, changed):
+    # the start's inner duals run under the solve's max_iter
     model = mean_var.model
     data = gx.simulate(model, 100, 47)
-    gx.solve_stacked("etel", data, model)
-    rep = gx.solve_stacked("el", data, model, **changed)
-    assert len(pilot_calls) == 2
-    assert _fingerprint(rep) == _fingerprint(
-        gx.solve_stacked("el", _fresh(data), model, **changed)
-    )
+    theta0 = estimators.pilot_theta(model, data)
+    for system in ("etel", "el"):
+        start = estimators._profile_init(system, model, data, theta0, changed["max_iter"])
+        rep = gx.solve_stacked(system, data, model, init=BetaVector(start, model.layout), **changed)
+        assert _fingerprint(rep) == _fingerprint(
+            gx.solve_stacked(system, _fresh(data), model, **changed)
+        )
+    assert len(pilot_calls) == 3
 
 
 def test_explicit_init_bypasses_shared_start(mean_var, pilot_calls):
     model = mean_var.model
     data = gx.simulate(model, 100, 59)
-    gx.solve_stacked("etel", data, model)
-    memo = estimators._start_memo
     star = BetaVector.star(model)
     rep = gx.solve_stacked("el", data, model, init=star)
-    assert len(pilot_calls) == 1
+    assert not pilot_calls
     assert rep.converged
     assert rep.init_distance == np.linalg.norm(rep.beta_hat.values - star.values)
     gx.solve_stacked("el", gx.simulate(model, 100, 61), model, init=star)
-    assert len(pilot_calls) == 1
-    assert estimators._start_memo is memo  # an init solve stores nothing
-
-
-def test_shared_start_arrays_are_read_only(mean_var):
-    data = gx.simulate(mean_var.model, 100, 67)
-    gx.solve_stacked("etel", data, mean_var.model)
-    memo = estimators._start_memo
-    assert memo[0] is data and memo[1] is mean_var.model
-    assert not any(a.flags.writeable for a in memo[4:])
+    assert not pilot_calls
 
 
 def test_shared_start_under_threads(mean_var):
-    # one slot shared by every caller: each thread solves its own datasets
-    # while the others keep replacing the slot
+    # no state is kept between solves: threads solving their own datasets
+    # at the same time get the reports of solves made one by one
     model = mean_var.model
     sets = [[gx.simulate(model, 80, 100 + 10 * t + k) for k in range(4)] for t in range(4)]
     want = [
@@ -672,6 +681,113 @@ def test_shared_start_under_threads(mean_var):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert got == want
+
+
+def _single_start(system, model, data):
+    """The start solve_stacked profiles for one dataset, or its typed error."""
+    try:
+        theta0 = estimators.pilot_theta(model, data)
+        return estimators._profile_init(system, model, data, theta0, 100)
+    except GelError as exc:
+        return exc
+
+
+def _assert_rows_are_single_starts(model, rows, pairs):
+    for system, (starts, errors) in zip(("etel", "el"), pairs):
+        assert starts.shape == (len(rows), model.layout.dim_beta)
+        for r, (start, err) in enumerate(zip(starts, errors)):
+            alone = _single_start(system, model, gx.Dataset(rows[r]))
+            if isinstance(alone, GelError):
+                assert type(err) is type(alone) and str(err) == str(alone)
+                assert np.isnan(start).all()
+            else:
+                assert err is None
+                np.testing.assert_array_equal(start, alone)
+            ((one,), (one_err,)) = estimators._pilot_starts((system,), model, rows[r : r + 1])[0]
+            np.testing.assert_array_equal(one, start)
+            assert type(one_err) is type(err) and str(one_err) == str(err)
+
+
+def _draws(model, n, seed, count):
+    gen = replication_generator(seed, 0)
+    return np.stack([np.asarray(model.sampler(gen, n), dtype=float) for _ in range(count)])
+
+
+@pytest.mark.parametrize("name, n", [("MeanVarModel", 60), ("JustIdentModel", 40),
+                                     ("SkewModel", 12), ("SkewModel", 6)])
+def test_batched_start_rows_are_single_starts(bundles, name, n):
+    # every row's start (or typed error) is bitwise the one-dataset start;
+    # at n = 6 and 12 some SkewModel rows fail while the others go on
+    model = bundles[name].model
+    rows = _draws(model, n, 17, 24)
+    pairs = estimators._pilot_starts(("etel", "el"), model, rows)
+    _assert_rows_are_single_starts(model, rows, pairs)
+    if name == "SkewModel" and n == 6:
+        assert any(e is not None for e in pairs[0][1] + pairs[1][1])
+
+
+def test_hull_separated_row_leaves_the_others_unchanged(mean_var):
+    # a dataset spread less than one unit has (x - theta)^2 - 1 < 0 on every
+    # row at its pilot: the ET dual fails with HullError on that row alone
+    model = mean_var.model
+    good = _draws(model, 50, 23, 5)
+    tight = 0.1 * philox_generator(5).standard_normal((1, 50, 1))
+    rows = np.concatenate((good[:2], tight, good[2:]))
+    pairs = estimators._pilot_starts(("etel", "el"), model, rows)
+    alone = estimators._pilot_starts(("etel", "el"), model, good)
+    for (starts, errors), (want, want_errors) in zip(pairs, alone):
+        assert isinstance(errors[2], HullError)
+        assert errors[:2] + errors[3:] == want_errors == [None] * 5
+        np.testing.assert_array_equal(np.delete(starts, 2, axis=0), want)
+    _assert_rows_are_single_starts(model, rows, pairs)
+
+
+def test_singular_pilot_fails_only_its_row(mean_var):
+    # a Jacobian that vanishes on datasets whose first draw is positive
+    def jac(rows, theta):
+        live = rows[..., :1, :1, None] <= 0.0
+        return np.where(live, mean_var.model.g_jacobian(rows, theta), 0.0)
+
+    model = dataclasses.replace(mean_var.model, g_jacobian=jac)
+    rows = _draws(mean_var.model, 40, 29, 8)
+    dead = rows[:, 0, 0] > 0.0
+    assert dead.any() and not dead.all()
+    errors = [None] * len(rows)
+    theta = estimators.pilot_theta(model, rows, errors=errors)
+    for r in range(len(rows)):
+        if dead[r]:
+            assert isinstance(errors[r], SingularMatrixError) and np.isnan(theta[r]).all()
+        else:
+            assert errors[r] is None
+            np.testing.assert_array_equal(
+                theta[r], estimators.pilot_theta(mean_var.model, gx.Dataset(rows[r]))
+            )
+    with pytest.raises(SingularMatrixError, match="pilot"):
+        estimators.pilot_theta(model, rows)  # without a list the first failure raises
+
+
+def test_inner_dual_failures_are_per_row():
+    # one-sided rows (m = 1) and a hull-separated row (m = 2) fail with
+    # HullError; the other rows' multipliers are those of single solves
+    rng = philox_generator(31)
+    g1 = rng.standard_normal((4, 30, 1))
+    g1[1] = np.abs(g1[1]) + 0.1
+    g2 = rng.standard_normal((3, 30, 2))
+    g2[2, :, 1] = -np.abs(g2[2, :, 1]) - 0.1
+    base = np.full(30, 1.0 / 30)
+    for g, bad in ((g1, 1), (g2, 2)):
+        for core in (estimators._et_core, estimators._el_core):
+            errors = [None] * len(g)
+            mult, wt = core(g, base, 1e-11, 100, errors=errors)
+            assert isinstance(errors[bad], HullError)
+            assert np.isnan(mult[bad]).all() and np.isnan(wt[bad]).all()
+            for r in range(len(g)):
+                if r != bad:
+                    assert errors[r] is None
+                    for got, want in zip((mult[r], wt[r]), core(g[r], base, 1e-11, 100)):
+                        np.testing.assert_array_equal(got, want)
+            with pytest.raises(HullError):
+                core(g[bad], base, 1e-11, 100)
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
@@ -702,7 +818,9 @@ def test_norm_helper_is_bitwise_numpy():
 def test_singular_pilot_jacobian_raises(mean_var):
     model = dataclasses.replace(
         mean_var.model,
-        g_jacobian=lambda rows, theta: np.zeros((rows.shape[0], 2, 1)),
+        g_jacobian=lambda rows, theta: np.zeros(
+            np.broadcast_shapes(rows.shape[:-2], theta.shape[:-1]) + (rows.shape[-2], 2, 1)
+        ),
     )
     data = gx.simulate(mean_var.model, 50, 3)
     with pytest.raises(SingularMatrixError, match="pilot"):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import gel_expand as gx
+from gel_expand import estimators, expansion
 from gel_expand.derivatives import SampleStats, population_tensors, sample_stats
+from gel_expand.errors import GelError
 from gel_expand.expansion import _MC_CHUNK, TOLERANCES, _mc_zscores
 from gel_expand.rng import replication_generator, replication_streams
 
@@ -22,7 +24,6 @@ def _manual_stats(bundle, g_bar):
     phi0[layout.kappa_slice] = g_bar
     return SampleStats(
         system="etel",
-        n=1,
         layout=layout,
         g_bar=g_bar,
         G_bar=np.zeros((m, p)),
@@ -385,6 +386,105 @@ def test_study_slope_band(mean_var):
     assert -2.0 <= res.slope <= -1.0
     for row in res.rows:
         assert row.reps_failed <= 0.05 * 150
+
+
+class _Solves:
+    """Records every solve_stacked call the study makes (expansion's name,
+    as a benchmark recorder would wrap it)."""
+
+    def __init__(self, monkeypatch):
+        self.records = []
+        self.real = expansion.solve_stacked
+        monkeypatch.setattr(expansion, "solve_stacked", self.solve)
+
+    def solve(self, system, data, model, **kwargs):
+        record = [system, data, model, "init" in kwargs, None, None]
+        self.records.append(record)
+        try:
+            report = self.real(system, data, model, **kwargs)
+        except GelError as exc:
+            record[4] = type(exc).__name__
+            raise
+        record[4:] = ["ok" if report.converged else "not_converged", report]
+        return report
+
+    def final(self):
+        """The last solve of each (dataset, system): the one the study kept."""
+        out = {}
+        for rec in self.records:
+            out[(id(rec[1]), rec[0])] = rec
+        return list(out.values())
+
+
+def _outcome(system, data, model, tol):
+    try:
+        report = gx.solve_stacked(system, gx.Dataset(data.rows.copy()), model, tol=tol)
+    except GelError as exc:
+        return type(exc).__name__, None
+    return ("ok" if report.converged else "not_converged"), report.iterations
+
+
+def _check_against_fresh_solves(solves, tol):
+    for system, data, model, _, outcome, report in solves.final():
+        if outcome == "ok":
+            assert report.residual_norm <= tol
+        got = (outcome, None if report is None else report.iterations)
+        assert got == _outcome(system, data, model, tol)
+
+
+@pytest.mark.parametrize("seed", [31, 977])
+def test_study_solves_pass_the_benchmark_checks(bundles, monkeypatch, seed):
+    # criterion 8's shape: every solve starts from the batched start, a
+    # converged one is within tol, JustIdentModel's two systems agree
+    # exactly, and each outcome and iteration count is a plain solve's
+    tol = 1e-9
+    for name in ("MeanVarModel", "JustIdentModel"):
+        solves = _Solves(monkeypatch)
+        model = bundles[name].model
+        gx.expansion_difference_study(model, [50, 100, 200, 400], reps=25, seed=seed, tol=tol)
+        assert len(solves.records) == 2 * 4 * 25
+        assert all(rec[3] for rec in solves.records)
+        _check_against_fresh_solves(solves, tol)
+        if name == "JustIdentModel":
+            theta = {}
+            for system, data, _, _, outcome, report in solves.records:
+                assert outcome == "ok"
+                theta.setdefault(id(data), {})[system] = report.beta_hat.theta
+            for pair in theta.values():
+                np.testing.assert_array_equal(pair["etel"], pair["el"])
+
+
+def test_study_falls_back_to_the_plain_solve(monkeypatch):
+    # at n = 10 and 20 some SkewModel starts fail or do not converge; those
+    # replications are solved again without a start, as a plain solve is
+    model = gx.build_model("SkewModel")
+    solves = _Solves(monkeypatch)
+    res = gx.expansion_difference_study(model, [10, 20], reps=20, seed=4)
+    assert [row.reps_failed for row in res.rows] == [1, 0]
+    plain = [rec for rec in solves.records if not rec[3]]
+    assert plain and len(solves.final()) == 2 * 2 * 20
+    _check_against_fresh_solves(solves, 1e-9)
+
+
+def test_study_profiles_each_row_once(mean_var, monkeypatch):
+    # one pilot and one ET dual per n, over all its replications, shared by
+    # both systems; every solve starts from its replication's start
+    calls = {name: [] for name in ("pilot_theta", "_et_core", "_el_core")}
+    for name, batches in calls.items():
+        real = getattr(estimators, name)
+        # the batch is pilot_theta's second argument, the cores' first
+        which = 1 if name == "pilot_theta" else 0
+
+        def counted(*args, real=real, batches=batches, which=which, **kwargs):
+            batches.append(np.shape(args[which]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, name, counted)
+    solves = _Solves(monkeypatch)
+    gx.expansion_difference_study(mean_var.model, [50, 100], reps=7, seed=3)
+    assert calls["pilot_theta"] == [(7, 50, 1), (7, 100, 1)]
+    assert calls["_et_core"] == calls["_el_core"] == [(7, 50, 2), (7, 100, 2)]
+    assert len(solves.records) == 2 * 2 * 7 and all(rec[3] for rec in solves.records)
 
 
 def test_study_rejects_empty_n_list(mean_var):

@@ -58,6 +58,23 @@ def test_moment_callables_broadcast_over_leading_theta_axes(name):
             np.testing.assert_array_equal(hess[i, j], model.g_hessian(rows, theta[i, j]))
 
 
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_moment_callables_take_stacked_datasets(name):
+    # rows (R, n, d) with theta (R, p), or one theta (p,) for all: each
+    # dataset's block is bitwise the call on that dataset alone
+    model = gx.build_model(name)
+    rows = np.stack([gx.simulate(model, 9, seed).rows for seed in range(4)])
+    thetas = np.linspace(-0.3, 0.3, 4 * model.dim_theta).reshape(4, model.dim_theta)
+    for fn in (model.g_rows, model.g, model.g_jacobian, model.g_hessian):
+        for theta, pick in ((thetas, lambda r: thetas[r]), (thetas[1], lambda r: thetas[1])):
+            out = fn(rows, theta)
+            assert out.shape[:2] == rows.shape[:2]
+            for r in range(len(rows)):
+                np.testing.assert_array_equal(out[r], fn(rows[r], pick(r)))
+    with pytest.raises(DimensionError, match="do not broadcast"):
+        model.g_rows(rows, np.zeros((3, model.dim_theta)))
+
+
 def test_g_rows_checks_the_leading_axes_of_its_result():
     base = gx.build_model("MeanVarModel")
     flat = dataclasses.replace(base, g=lambda rows, theta: base.g(rows, theta.reshape(-1)[:1]))
