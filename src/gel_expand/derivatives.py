@@ -23,7 +23,8 @@ parameter layout (tau, kappa, lambda, theta):
   per-observation derivatives. Because the per-observation derivative
   arrays have exactly the same block structure as the population
   displays, the bars reuse the closed-form assemblers with centered
-  moment inputs.
+  moment inputs. The bars of S samples of one size come from one
+  stacked call (rows (S, n, d)), each slice bitwise the one-sample bars.
 
 ``population_tensors`` returns the population tensors by one of three
 methods: ``closed_form``, ``jacobian_seeded`` (the seeded oracle) or
@@ -67,8 +68,9 @@ _CS_STEP = 1e-200
 _BATCH_ROWS = 2**15
 """Most rows one batched evaluation holds: probes times support points in
 an oracle's stacked evaluation, replications times observations in the
-scaling study's batched start. Larger sets are split into batches of
-this size."""
+scaling study's batched start, samples times observations in the q and r
+check ladders' stacked sample bars. Larger sets are split into batches
+of this size."""
 
 SYSTEMS = ("etel", "el", "diff")
 
@@ -90,7 +92,9 @@ def phi1_bar_matrix(
     g_jac_bar: np.ndarray,
     layout: IndexLayout,
 ) -> np.ndarray:
-    """Centered sample first-derivative matrix.
+    """Centered sample first-derivative matrix, (..., D, D) for bars with
+    leading axes (g_bar (..., m), omega_bar (..., m, m), g_jac_bar
+    (..., m, p)).
 
     Constant entries center away; the only system difference is the
     (lambda, tau) block, which is g_bar for ETEL and zero for EL.
@@ -98,16 +102,16 @@ def phi1_bar_matrix(
     _check_system(system)
     D = layout.dim_beta
     ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
-    out = np.zeros((D, D))
+    out = np.zeros(g_bar.shape[:-1] + (D, D))
     if system != "diff":
-        out[0, ls] = g_bar
-        out[ks, ls] = omega_bar
-        out[ks, ts] = g_jac_bar
-        out[ls, ks] = omega_bar
-        out[ls, ls] = -omega_bar
-        out[ts, ks] = g_jac_bar.T
+        out[..., 0, ls] = g_bar
+        out[..., ks, ls] = omega_bar
+        out[..., ks, ts] = g_jac_bar
+        out[..., ls, ks] = omega_bar
+        out[..., ls, ls] = -omega_bar
+        out[..., ts, ks] = g_jac_bar.swapaxes(-1, -2)
     if system in ("etel", "diff"):
-        out[ls, 0] = g_bar
+        out[..., ls, 0] = g_bar
     return out
 
 
@@ -123,32 +127,32 @@ def _phi2_el_blocks(
     m, p = layout.dim_g, layout.dim_theta
     lk, ll, lt = layout.l_kappa, layout.l_lambda, layout.l_theta
     ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
-    out = np.zeros((D, D, D))
+    out = np.zeros(G.shape[:-2] + (D, D, D))
     # tau row: second derivatives of exp(lambda'g) - tau
-    out[0][np.ix_(range(ll, ll + m), range(ll, ll + m))] = omega
-    out[0][np.ix_(range(ll, ll + m), range(lt, lt + p))] = G
-    out[0][np.ix_(range(lt, lt + p), range(ll, ll + m))] = G.T
+    out[..., 0, ls, ls] = omega
+    out[..., 0, ls, ts] = G
+    out[..., 0, ts, ls] = G.swapaxes(-1, -2)
     for h in range(m):
         # kappa row h: second derivatives of exp(lambda'g) g_h
-        row = out[lk + h]
-        row[ls, ls] = T[h]
-        row[ls, ts] = W[h]
-        row[ts, ls] = W[h].T
-        row[ts, ts] = K[h]
+        row = out[..., lk + h, :, :]
+        row[..., ls, ls] = T[..., h, :, :]
+        row[..., ls, ts] = W[..., h, :, :]
+        row[..., ts, ls] = W[..., h, :, :].swapaxes(-1, -2)
+        row[..., ts, ts] = K[..., h, :, :]
         # lambda row h: second derivatives of g_h / (1 - kappa'g) - exp(lambda'g) g_h
-        row = out[ll + h]
-        row[ks, ks] = 2.0 * T[h]
-        row[ks, ts] = W[h]
-        row[ts, ks] = W[h].T
-        row[ls, ls] = -T[h]
-        row[ls, ts] = -W[h]
-        row[ts, ls] = -W[h].T
+        row = out[..., ll + h, :, :]
+        row[..., ks, ks] = 2.0 * T[..., h, :, :]
+        row[..., ks, ts] = W[..., h, :, :]
+        row[..., ts, ks] = W[..., h, :, :].swapaxes(-1, -2)
+        row[..., ls, ls] = -T[..., h, :, :]
+        row[..., ls, ts] = -W[..., h, :, :]
+        row[..., ts, ls] = -W[..., h, :, :].swapaxes(-1, -2)
     for h in range(p):
         # theta row h: second derivatives of the EL score component
-        row = out[lt + h]
-        row[ks, ks] = W[:, :, h]
-        row[ks, ts] = K[:, h, :]
-        row[ts, ks] = K[:, :, h].T
+        row = out[..., lt + h, :, :]
+        row[..., ks, ks] = W[..., :, :, h]
+        row[..., ks, ts] = K[..., :, h, :]
+        row[..., ts, ks] = K[..., :, :, h].swapaxes(-1, -2)
     return out
 
 
@@ -162,28 +166,29 @@ def _phi2_diff_blocks(
     m, p = layout.dim_g, layout.dim_theta
     ll, lt = layout.l_lambda, layout.l_theta
     ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
-    out = np.zeros((D, D, D))
+    out = np.zeros(G.shape[:-2] + (D, D, D))
     for h in range(m):
-        row = out[ll + h]
-        row[0, ts] = G[h, :]
-        row[ts, 0] = G[h, :]
-        row[ks, ks] = -2.0 * T[h]
-        row[ks, ls] = T[h]
-        row[ls, ks] = T[h]
+        row = out[..., ll + h, :, :]
+        row[..., 0, ts] = G[..., h, :]
+        row[..., ts, 0] = G[..., h, :]
+        row[..., ks, ks] = -2.0 * T[..., h, :, :]
+        row[..., ks, ls] = T[..., h, :, :]
+        row[..., ls, ks] = T[..., h, :, :]
     for h in range(p):
-        row = out[lt + h]
-        row[0, ls] = G[:, h]
-        row[ls, 0] = G[:, h]
-        row[ks, ks] = -W[:, :, h]
-        row[ks, ls] = W[:, :, h]
-        row[ls, ks] = W[:, :, h]
-        row[ls, ls] = -W[:, :, h]
+        row = out[..., lt + h, :, :]
+        row[..., 0, ls] = G[..., :, h]
+        row[..., ls, 0] = G[..., :, h]
+        row[..., ks, ks] = -W[..., :, :, h]
+        row[..., ks, ls] = W[..., :, :, h]
+        row[..., ls, ks] = W[..., :, :, h]
+        row[..., ls, ls] = -W[..., :, :, h]
     return out
 
 
 def _phi2_blocks(system, layout, omega, G, T, W, K) -> np.ndarray:
     """Second-derivative blocks of a system from (Omega, G, T, W, K)-shaped
-    inputs: population moments, or their centered sample bars."""
+    inputs: population moments, or their centered sample bars (which may
+    carry leading axes, giving (..., D, D, D))."""
     if system == "el":
         return _phi2_el_blocks(layout, omega, G, T, W, K)
     if system == "diff":
@@ -496,7 +501,8 @@ class SampleStats:
 
     g_bar is uncentered (its expectation vanishes); every other bar is
     the scaled sum of the per-observation value minus its population
-    counterpart under the supplied moments.
+    counterpart under the supplied moments. Bars of stacked samples carry
+    the samples' leading axes.
     """
 
     system: str
@@ -512,24 +518,30 @@ class SampleStats:
 def sample_stats(
     system: str,
     model: MomentModel,
-    data: Dataset,
+    data: Dataset | np.ndarray,
     pm: PopulationMoments,
     mt: MomentTensors | None = None,
 ) -> SampleStats:
     """Compute the sample bars of a dataset at the model's theta_star
-    (verification mode)."""
+    (verification mode).
+
+    ``data`` is a Dataset or the rows (S, n, d) of S samples of one size.
+    Stacked rows give bars with a leading S axis (g_bar (S, m), ...,
+    phi2_bar (S, D, D, D)), each slice bitwise the bars of that sample
+    alone: every moment is one stacked call over all S samples.
+    """
     _check_system(system)
     layout = model.layout
     theta = model.theta_star
-    rows = data.rows
-    n = data.n
+    rows = data.rows if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    n = rows.shape[-2]
     root_n = float(np.sqrt(n))
 
     g = model.g_rows(rows, theta)
     gjac = model.g_jacobian(rows, theta)
-    g_bar = root_n * g.mean(axis=0)
-    G_bar = root_n * (gjac.mean(axis=0) - pm.G)
-    omega_bar = root_n * (np.einsum("na,nb->ab", g, g) / n - pm.Omega)
+    g_bar = root_n * g.mean(axis=-2)
+    G_bar = root_n * (gjac.mean(axis=-3) - pm.G)
+    omega_bar = root_n * (np.einsum("...na,...nb->...ab", g, g) / n - pm.Omega)
 
     beta_star = BetaVector.star_values(model)
     if system == "diff":
@@ -538,7 +550,7 @@ def sample_stats(
         )
     else:
         rows_star = phi_rows(system, model, rows, beta_star)
-    phi0_bar = root_n * rows_star.mean(axis=0)
+    phi0_bar = root_n * rows_star.mean(axis=-2)
     phi1_bar = phi1_bar_matrix(system, g_bar, omega_bar, G_bar, layout)
 
     phi2_bar = None
@@ -546,12 +558,13 @@ def sample_stats(
         if model.g_hessian is None:
             raise DimensionError(f"{model.name}: g_hessian required for phi2 bars")
         ghess = model.g_hessian(rows, theta)
-        t_bar = root_n * (np.einsum("na,nb,nc->abc", g, g, g) / n - mt.T)
+        t_bar = root_n * (np.einsum("...na,...nb,...nc->...abc", g, g, g) / n - mt.T)
         w_mean = (
-            np.einsum("naq,nb->abq", gjac, g) + np.einsum("na,nbq->abq", g, gjac)
+            np.einsum("...naq,...nb->...abq", gjac, g)
+            + np.einsum("...na,...nbq->...abq", g, gjac)
         ) / n
         w_bar = root_n * (w_mean - mt.W)
-        k_bar = root_n * (ghess.mean(axis=0) - mt.K)
+        k_bar = root_n * (ghess.mean(axis=-4) - mt.K)
         phi2_bar = _phi2_blocks(system, layout, omega_bar, G_bar, t_bar, w_bar, k_bar)
 
     return SampleStats(

@@ -45,10 +45,13 @@ Solver layout:
   line search rejects a candidate outside the exp cap or the EL domain,
   or whose residual norm overflows (without a warning).
 * The evaluation is batched: beta (..., D) stacks probe points on
-  leading axes, each bitwise the evaluation at that beta alone. The
-  derivative oracles pass all their probes at once; the solver passes
-  one beta, the same code with no leading axes. A probe outside the exp
-  cap or the EL domain fails the whole batch.
+  leading axes, and rows (R, n, d) stack R datasets of one size at one
+  beta (D,) or one each (R, D); each leading index is bitwise the
+  evaluation of its dataset at its beta alone. The derivative oracles
+  pass all their probes at once, the sample bars all their samples; the
+  solver passes one dataset and one beta, the same code with no leading
+  axes. A probe outside the exp cap or the EL domain fails the whole
+  batch.
 * The small dense systems (of size at most D = 1 + 2m + p) go straight
   to LAPACK ``dgesv`` (the LU solve behind ``np.linalg.solve``, without
   its per-call dispatch, which dominates at these sizes) and vector
@@ -200,10 +203,14 @@ def _gram(w: np.ndarray, f: np.ndarray) -> np.ndarray:
 class _StackedEval:
     """One evaluation of a stacked system at beta over weighted rows.
 
-    beta may carry leading axes, shape (..., D): every array below then
-    carries them too, and each leading index is bitwise the evaluation at
-    that beta alone (the row GEMMs run slice by slice with the same
-    operand layouts). The per-row features g, dg (..., n, m, p),
+    beta may carry leading axes, shape (..., D), and so may the rows,
+    shape (..., n, d): R datasets of one size as rows (R, n, d), at one
+    beta (D,) or at their own betas (R, D). The leading axes broadcast,
+    every array below carries them, and each leading index is bitwise the
+    evaluation of its rows at its beta alone (the row GEMMs run slice by
+    slice with the same operand layouts). The weights (n,) are shared.
+    One dataset at one beta is the same code with no leading axes. The
+    per-row features g, dg (..., n, m, p),
     t = exp(lambda'g), u = kappa'g, dg'kappa, dg'lambda and
     c = tau - t (1 - u) (ETEL) or eps = 1 / (1 - u) (EL) are computed
     once; ``phi`` (the stacked moment rows, (..., n, D)) and ``residual``
@@ -221,14 +228,13 @@ class _StackedEval:
         self.rows = rows = np.atleast_2d(rows)
         beta = np.asarray(beta)
         m, p = layout.dim_g, layout.dim_theta
-        lead = beta.shape[:-1]
         tau = beta[..., 0, None]
         # rows kappa', lambda'
-        self.kl = kl = beta[..., 1 : 1 + 2 * m].reshape(lead + (2, m))
+        self.kl = kl = beta[..., 1 : 1 + 2 * m].reshape(beta.shape[:-1] + (2, m))
         self.theta = beta[..., layout.theta_slice]
         self.g = g = model.g_rows(rows, self.theta)
         self.gj = gj = model.g_jacobian(rows, self.theta)
-        n = rows.shape[0]
+        lead, n = g.shape[:-2], g.shape[-2]  # the broadcast leading axes
         self.w = w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights)
 
         us = g @ kl.swapaxes(-1, -2)
@@ -291,7 +297,7 @@ class _StackedEval:
         Mw, Ma, Mv = M[..., 0, :], M[..., 1, :], M[..., 2, :]
         Ja, Jv = Ma[..., f:h].reshape(lead + (m, p)), Mv[..., f:h].reshape(lead + (m, p))
         if etel:  # sum_n (a_n kappa + v_n lambda)' d2g_n
-            kl, d2 = self.kl.reshape(lead + (1, 2 * m)), M[..., 1:, h:]
+            kl, d2 = self.kl.reshape(self.kl.shape[:-2] + (1, 2 * m)), M[..., 1:, h:]
         else:  # sum_n v_n kappa' d2g_n
             kl, d2 = self.kl[..., :1, :], Mv[..., h:]
         hess = (kl @ d2.reshape(lead + (kl.shape[-1], p * p))).reshape(lead + (p, p))
@@ -324,7 +330,11 @@ class _StackedEval:
 
 def phi_rows(system: str, model: MomentModel, rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Per-observation stacked moment rows, shape (..., n, dim_beta) for
-    beta (..., dim_beta), in ``model.layout``.
+    rows (..., n, d) and beta (..., dim_beta), in ``model.layout``.
+
+    The leading axes broadcast: rows (R, n, d) of R datasets take one beta
+    (D,) or one per dataset (R, D), each slice bitwise the call on that
+    dataset alone.
 
     Guards (exp cap, EL domain) act on real parts, so complex-step
     probes pass through untouched.
@@ -393,8 +403,9 @@ def _hull_separated(g: np.ndarray) -> bool:
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (R, k) arrays, each bitwise a[r] @ b[r]."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Row-wise dot products of (..., k) arrays, each bitwise a[r] @ b[r]
+    (for two vectors, a @ b)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

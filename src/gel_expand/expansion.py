@@ -33,10 +33,10 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, DomainError, GelError, OverflowGuardError
 from .derivatives import _BATCH_ROWS, DerivTensors, SampleStats, _neg_inv_contract
-from .estimators import BetaVector, _pilot_starts, solve_stacked
+from .estimators import BetaVector, _dots, _pilot_starts, solve_stacked
 from .models import Dataset, MomentModel
 from .population import MomentTensors, population_moments
-from .projections import ProjectionSet, phi_inverse_matrix, projection_set
+from .projections import ProjectionSet, _sup, phi_inverse_matrix, projection_set
 from .rng import replication_streams
 
 __all__ = [
@@ -115,7 +115,7 @@ def psi_bar(ss: SampleStats, ps: ProjectionSet) -> np.ndarray:
 
 def psi_bar_generic(ss: SampleStats, ps: ProjectionSet) -> np.ndarray:
     """The same term computed as -Phi^-1 phi0_bar."""
-    return -phi_inverse_matrix(ps, ss.layout) @ ss.phi0_bar
+    return _matvec(-phi_inverse_matrix(ps, ss.layout), ss.phi0_bar)
 
 
 def var_psi_bar(ps: ProjectionSet, layout) -> np.ndarray:
@@ -144,12 +144,26 @@ class ExpansionTerms:
     q_bar_generic: np.ndarray
 
     @property
-    def max_route_gap(self) -> float:
-        return float(np.max(np.abs(self.q_bar_closed - self.q_bar_generic)))
+    def max_route_gap(self) -> np.ndarray:
+        """max |closed - generic|, one value per sample of a stack."""
+        return _sup(self.q_bar_closed - self.q_bar_generic, axis=-1)
+
+
+def _contract(spec: str, tensor: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.einsum(spec, tensor, x, y) for vectors x and y, or for each row of
+    stacked x and y (..., k), giving (..., out).
+
+    Rows are contracted one einsum call each: einsum groups its partial
+    sums by the operands' memory layout, so one call over the stack would
+    round differently from the one-sample contraction."""
+    if x.ndim == 1:
+        return np.einsum(spec, tensor, x, y)
+    rows = zip(x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1]))
+    out = np.stack([np.einsum(spec, tensor, a, b) for a, b in rows])
+    return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 def q_bar(
-    system: str,
     ss: SampleStats,
     ps: ProjectionSet,
     dt: DerivTensors,
@@ -161,7 +175,8 @@ def q_bar(
     population second-derivative tensor (from ``dt``, closed-form or
     finite-difference) with psi_bar. The closed form assembles the same
     vector from the moment tensors via xi1..xi4; the two must agree to
-    the tolerance of whichever tensor route was supplied.
+    the tolerance of whichever tensor route was supplied. Bars of stacked
+    samples give one q_bar per sample, each bitwise that sample's alone.
     """
     if dt.phi2 is None:
         raise DimensionError("q_bar needs second-order tensors in dt")
@@ -171,40 +186,43 @@ def q_bar(
 
     psi1_bar = -phi_inv @ ss.phi1_bar
     psi2 = _neg_inv_contract(phi_inv, dt.phi2)
-    q_generic = psi1_bar @ psi + 0.5 * np.einsum("ljk,j,k->l", psi2, psi, psi)
+    q_generic = _matvec(psi1_bar, psi) + 0.5 * _contract("ljk,j,k->l", psi2, psi, psi)
 
     # closed form
     gbar = ss.g_bar
-    u1 = ps.P @ gbar
-    u2 = ps.H @ gbar
+    u1 = _matvec(ps.P, gbar)
+    u2 = _matvec(ps.H, gbar)
     T, W, K = mt.T, mt.W, mt.K
-    t_vec = np.einsum("ajb,j,b->a", T, u1, u1)
-    c1 = np.einsum("ajq,j,q->a", W, u1, u2)
-    c2 = np.einsum("abj,j,b->a", W, u2, u1)
-    k1 = np.einsum("ajq,j,q->a", K, u2, u2)
+    t_vec = _contract("ajb,j,b->a", T, u1, u1)
+    c1 = _contract("ajq,j,q->a", W, u1, u2)
+    c2 = _contract("abj,j,b->a", W, u2, u1)
+    k1 = _contract("ajq,j,q->a", K, u2, u2)
     a_kappa = t_vec + c1 + c2 + k1
     a_lambda = t_vec
-    w1 = np.einsum("jbh,j,b->h", W, u1, u1)
-    k2 = np.einsum("jhq,j,q->h", K, u1, u2)
-    k3 = np.einsum("bhj,j,b->h", K, u2, u1)
+    w1 = _contract("jbh,j,b->h", W, u1, u1)
+    k2 = _contract("jhq,j,q->h", K, u1, u2)
+    k3 = _contract("bhj,j,b->h", K, u2, u1)
     a_theta = w1 + k2 + k3
-    a_tau = float(gbar @ u1)
+    a_tau = _dots(gbar, u1)
 
-    xi1 = -ps.P @ (a_kappa + a_lambda) - ps.H.T @ a_theta
-    xi2 = -ps.H @ (a_kappa + a_lambda) + ps.Sigma @ a_theta
+    xi1 = _matvec(-ps.P, a_kappa + a_lambda) - _matvec(ps.H.T, a_theta)
+    xi2 = _matvec(-ps.H, a_kappa + a_lambda) + _matvec(ps.Sigma, a_theta)
 
-    gtp = ss.G_bar.T @ u1
-    f_kappa = ps.P @ (ss.Omega_bar @ u1) + ps.H.T @ gtp + ps.P @ (ss.G_bar @ u2)
-    f_theta = ps.H @ (ss.Omega_bar @ u1) - ps.Sigma @ gtp + ps.H @ (ss.G_bar @ u2)
+    G_bar_t = ss.G_bar.swapaxes(-1, -2)
+    gtp = _matvec(G_bar_t, u1)
+    omega_u1 = _matvec(ss.Omega_bar, u1)
+    g_u2 = _matvec(ss.G_bar, u2)
+    f_kappa = _matvec(ps.P, omega_u1) + _matvec(ps.H.T, gtp) + _matvec(ps.P, g_u2)
+    f_theta = _matvec(ps.H, omega_u1) - _matvec(ps.Sigma, gtp) + _matvec(ps.H, g_u2)
 
     xi3 = 0.5 * xi1 + f_kappa
     xi4 = 0.5 * xi2 + f_theta
 
-    q_closed = np.zeros(layout.dim_beta)
-    q_closed[0] = -0.5 * a_tau
-    q_closed[layout.kappa_slice] = xi3
-    q_closed[layout.lambda_slice] = xi3 + 0.5 * ps.Omega_inv @ a_lambda
-    q_closed[layout.theta_slice] = xi4
+    q_closed = np.zeros(gbar.shape[:-1] + (layout.dim_beta,))
+    q_closed[..., 0] = -0.5 * a_tau
+    q_closed[..., layout.kappa_slice] = xi3
+    q_closed[..., layout.lambda_slice] = xi3 + _matvec(0.5 * ps.Omega_inv, a_lambda)
+    q_closed[..., layout.theta_slice] = xi4
 
     return ExpansionTerms(q_bar_closed=q_closed, q_bar_generic=q_generic)
 
@@ -219,16 +237,16 @@ def q_diff_decomposition(
     zero tau entry. Piece two is the half quadratic form of the
     second-derivative difference tensor in psi_bar, whose kappa/lambda
     block pattern cancels because psi_bar carries the same vector -P
-    g_bar in both multiplier blocks.
+    g_bar in both multiplier blocks. Stacked bars give one pair per sample.
     """
     if dt_diff.phi2 is None:
         raise DimensionError("q_diff_decomposition needs second-order diff tensors")
     layout = ss_diff.layout
     phi_inv = phi_inverse_matrix(ps, layout)
     psi = psi_bar(ss_diff, ps)
-    piece1 = (-phi_inv @ ss_diff.phi1_bar) @ psi
+    piece1 = _matvec(-phi_inv @ ss_diff.phi1_bar, psi)
     psi2_diff = _neg_inv_contract(phi_inv, dt_diff.phi2)
-    piece2 = 0.5 * np.einsum("ljk,j,k->l", psi2_diff, psi, psi)
+    piece2 = 0.5 * _contract("ljk,j,k->l", psi2_diff, psi, psi)
     return piece1, piece2
 
 

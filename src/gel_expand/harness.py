@@ -25,12 +25,12 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .derivatives import population_tensors, sample_stats
+from .derivatives import _BATCH_ROWS, population_tensors, sample_stats
 from .errors import ConfigError
 from .expansion import (
     _MAX_FAIL_RATE,
@@ -45,8 +45,14 @@ from .expansion import (
     var_psi_bar_study,
 )
 from .models import MODEL_NAMES, build_model, simulate
-from .population import moment_tensors, population_moments, reference_measure
+from .population import (
+    PopulationMoments,
+    moment_tensors,
+    population_moments,
+    reference_measure,
+)
 from .projections import (
+    _sup,
     identity_residuals,
     phi_system,
     projection_set,
@@ -330,35 +336,46 @@ def _measure_bundle(config: ExperimentConfig, model):
 IDENTITY_KEYS = ("PG=0", "P'=P", "POP=P", "POH'=0", "HOH'=S")
 
 
-def _sup(a) -> float:
-    return float(np.max(np.abs(a)))
-
-
 def _worst(*vals: float) -> float:
     """The largest value, or NaN if any value is NaN (Python's max keeps a
     NaN only in first place, so a NaN check value would be dropped)."""
     return math.nan if any(math.isnan(v) for v in vals) else max(vals)
 
 
-def _bump(worst: dict, key: str, *vals: float) -> None:
-    worst[key] = _worst(worst[key], *vals)
+def _bump(worst: dict, key: str, *vals) -> None:
+    """Raise worst[key] to the largest of vals, each a value or an array of
+    per-instance values; a NaN anywhere makes it NaN."""
+    worst[key] = _worst(worst[key], *(float(np.max(v)) for v in vals))
 
 
-def _inverse_gap(phi) -> float:
-    """Relative gap between the closed-form and the LU inverse of Phi."""
+def _inverse_gap(phi) -> np.ndarray:
+    """Relative gap between the closed-form and the LU inverse of Phi, one
+    per instance."""
     num_inv = np.linalg.inv(phi.phi)
-    return float(np.max(np.abs(phi.phi_inv - num_inv)) / np.max(np.abs(num_inv)))
+    return _sup(phi.phi_inv - num_inv, axis=(-2, -1)) / _sup(num_inv, axis=(-2, -1))
+
+
+_SHAPES = [(m, p) for m in range(2, 6) for p in range(1, m)]
+"""(m, p) of the random identity instances, in drawing order."""
 
 
 def random_identity_ladder(seed: int, count: int) -> dict[str, float]:
     """Worst projection-identity residuals and Phi-inverse gap over `count`
-    random (G, Omega) instances drawn from one Philox stream keyed by seed."""
+    random (G, Omega) instances drawn from one Philox stream keyed by seed.
+
+    Instance i has shape ``_SHAPES[i % 10]``; the instances are drawn in
+    order and checked as one stack per shape.
+    """
     rng = philox_generator(seed)
-    worst = dict.fromkeys(IDENTITY_KEYS + ("phi-inverse",), 0.0)
-    combos = [(m, p) for m in range(2, 6) for p in range(1, m)]
+    drawn: dict[tuple[int, int], list] = {}
     for i in range(count):
-        m, p = combos[i % len(combos)]
-        pm = random_population_moments(rng, m, p)
+        m, p = _SHAPES[i % len(_SHAPES)]
+        drawn.setdefault((m, p), []).append(random_population_moments(rng, m, p))
+    worst = dict.fromkeys(IDENTITY_KEYS + ("phi-inverse",), 0.0)
+    for group in drawn.values():
+        pm = PopulationMoments(
+            G=np.stack([pm.G for pm in group]), Omega=np.stack([pm.Omega for pm in group])
+        )
         phi = phi_system(pm)
         for key, val in identity_residuals(pm, phi.ps).items():
             _bump(worst, key, val)
@@ -366,12 +383,32 @@ def random_identity_ladder(seed: int, count: int) -> dict[str, float]:
     return worst
 
 
+def _batches(model, n: int, seeds):
+    """The seeds' samples of size n (each ``simulate(model, n, seed)``), as
+    rows (S, n, d) of consecutive seeds, at most _BATCH_ROWS rows per batch."""
+    seeds = list(seeds)
+    chunk = max(1, _BATCH_ROWS // n)
+    for first in range(0, len(seeds), chunk):
+        yield np.stack([simulate(model, n, seed).rows for seed in seeds[first : first + chunk]])
+
+
+def _at(stack, k: int):
+    """Sample k of stacked sample bars or q-terms."""
+    arrays = (f.name for f in fields(stack))
+    return replace(
+        stack,
+        **{a: getattr(stack, a)[k] for a in arrays if isinstance(getattr(stack, a), np.ndarray)},
+    )
+
+
 def q_ladder(model, measure, pm, ps, mt, n: int, seeds) -> dict[str, float]:
     """Worst psi/q identity gaps over one simulated sample of size n per seed.
 
     Covers the closed vs generic influence term (ETEL), the q-term routes
     and system equality with closed-form and with jacobian-seeded tensors
-    (ETEL and EL), and the two pieces of the q-term difference.
+    (ETEL and EL), and the two pieces of the q-term difference. The
+    samples' bars are stacked: one ``sample_stats`` call per system and
+    batch of samples.
     """
     dt = {
         s: population_tensors(s, model, pm, order=2, method="closed_form", mt=mt)
@@ -387,14 +424,13 @@ def q_ladder(model, measure, pm, ps, mt, n: int, seeds) -> dict[str, float]:
          "qdiff.quadratic-piece"),
         0.0,
     )
-    for seed in seeds:
-        data = simulate(model, n, seed)
-        ss = {s: sample_stats(s, model, data, pm, mt) for s in ("etel", "el", "diff")}
+    for rows in _batches(model, n, seeds):
+        ss = {s: sample_stats(s, model, rows, pm, mt) for s in ("etel", "el", "diff")}
         _bump(worst, "psi.closed-vs-generic",
               _sup(psi_bar(ss["etel"], ps) - psi_bar_generic(ss["etel"], ps)))
         for suffix, tensors in (("", dt), ("-fd", dts)):
-            q_et = q_bar("etel", ss["etel"], ps, tensors["etel"], mt)
-            q_el = q_bar("el", ss["el"], ps, tensors["el"], mt)
+            q_et = q_bar(ss["etel"], ps, tensors["etel"], mt)
+            q_el = q_bar(ss["el"], ps, tensors["el"], mt)
             _bump(worst, "q.closed-vs-generic" + suffix, q_et.max_route_gap, q_el.max_route_gap)
             _bump(worst, "q.system-equality" + suffix, _sup(q_et.q_bar_generic - q_el.q_bar_generic))
         piece1, piece2 = q_diff_decomposition(ss["diff"], ps, dt["diff"])
@@ -409,7 +445,8 @@ def r_ladder(model, measure, pm, ps, mt, n: int, seeds, fd_samples: int) -> dict
     The weighted cubic remainder is also contracted with the
     jacobian-seeded third-order tensors on the first `fd_samples` samples.
     ``"xi7-supported"`` holds the set of kernel coefficients the samples
-    supported.
+    supported. The bars and q-terms are stacked per batch of samples;
+    ``r_diff_terms`` runs on each sample's slice.
     """
     dt_et = population_tensors("etel", model, pm, order=2, method="closed_form", mt=mt)
     dt_diff = population_tensors("diff", model, pm, order=3, method="closed_form", mt=mt)
@@ -418,20 +455,22 @@ def r_ladder(model, measure, pm, ps, mt, n: int, seeds, fd_samples: int) -> dict
     ) if fd_samples > 0 else None
     worst = dict.fromkeys(("term1", "cancel", "term3", "term4", "term4-fd"), 0.0)
     supported: set[str | None] = set()
-    for k, seed in enumerate(seeds):
-        data = simulate(model, n, seed)
-        ss_et = sample_stats("etel", model, data, pm, mt)
-        ss_d = sample_stats("diff", model, data, pm, mt)
-        q = q_bar("etel", ss_et, ps, dt_et, mt)
-        rd = r_diff_terms(ss_d, ps, dt_diff, q, mt)
-        _bump(worst, "term1", _sup(rd.term1_closed - rd.term1_direct))
-        _bump(worst, "cancel", _sup(rd.term1_direct + rd.term2_cancel))
-        _bump(worst, "term3", _sup(rd.term3))
-        _bump(worst, "term4", _sup(rd.term4_weighted))
-        supported.add(rd.xi7_supported)
-        if k < fd_samples:
-            rd_fd = r_diff_terms(ss_d, ps, dt_diff_fd, q, mt)
-            _bump(worst, "term4-fd", _sup(rd_fd.term4_weighted))
+    done = 0
+    for rows in _batches(model, n, seeds):
+        ss_d = sample_stats("diff", model, rows, pm, mt)
+        q = q_bar(sample_stats("etel", model, rows, pm, mt), ps, dt_et, mt)
+        for k in range(rows.shape[0]):
+            ss_k, q_k = _at(ss_d, k), _at(q, k)
+            rd = r_diff_terms(ss_k, ps, dt_diff, q_k, mt)
+            _bump(worst, "term1", _sup(rd.term1_closed - rd.term1_direct))
+            _bump(worst, "cancel", _sup(rd.term1_direct + rd.term2_cancel))
+            _bump(worst, "term3", _sup(rd.term3))
+            _bump(worst, "term4", _sup(rd.term4_weighted))
+            supported.add(rd.xi7_supported)
+            if done + k < fd_samples:
+                rd_fd = r_diff_terms(ss_k, ps, dt_diff_fd, q_k, mt)
+                _bump(worst, "term4-fd", _sup(rd_fd.term4_weighted))
+        done += rows.shape[0]
     worst["xi7-supported"] = supported
     return worst
 
@@ -454,8 +493,8 @@ def _suite_identities(config: ExperimentConfig, model) -> tuple[list[CheckResult
         _check(checks, f"model.{key}", "projection.identities", val, tol_id)
     _check(checks, "model.phi-inverse", "phi.partitioned-inverse", _inverse_gap(phi), tol_id)
     _check(checks, "model.phi-product", "phi.partitioned-inverse",
-           float(np.max(np.abs(phi.phi @ phi.phi_inv - np.eye(phi.layout.dim_beta)))),
-           tol_id * max(1.0, float(np.max(np.abs(phi.phi)))))
+           _sup(phi.phi @ phi.phi_inv - np.eye(phi.layout.dim_beta)),
+           tol_id * max(1.0, float(_sup(phi.phi))))
     return checks, {}
 
 
@@ -480,7 +519,7 @@ def _suite_tensors(config: ExperimentConfig, model) -> tuple[list[CheckResult], 
                gap(dtc.phi1, dtf.phi1), tol_fd)
         _check(checks, f"{system}.phi2.closed-vs-fd", "tensors.second-order",
                gap(dtc.phi2, dtf.phi2), tol_fd)
-        asym = float(np.max(np.abs(dtf.phi2 - np.transpose(dtf.phi2, (0, 2, 1)))))
+        asym = _sup(dtf.phi2 - np.transpose(dtf.phi2, (0, 2, 1)))
         _check(checks, f"{system}.phi2.fd-symmetry", "tensors.symmetry", asym, tol_fd)
         _check(checks, f"{system}.phi2.closed-vs-seeded", "tensors.second-order",
                gap(dtc.phi2, dts.phi2), config.tolerance("identity"))

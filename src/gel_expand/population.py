@@ -54,7 +54,9 @@ class PluginMeasure:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        # a private copy of the points (the weights are copied when
+        # normalized): writes through the caller's arrays cannot reach them
+        pts = np.atleast_2d(np.array(self.points, dtype=float))
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (pts.shape[0],):
             raise DimensionError("measure weights must match the point count")
@@ -106,16 +108,21 @@ def reference_measure(
 
 @dataclass(frozen=True)
 class PopulationMoments:
-    """G = E[dg/dtheta'] and Omega = E[g g'], evaluated at theta_star."""
+    """G = E[dg/dtheta'] and Omega = E[g g'], evaluated at theta_star.
+
+    G (..., m, p) and Omega (..., m, m) may stack instances on equal
+    leading axes; both are read-only private copies.
+    """
 
     G: np.ndarray
     Omega: np.ndarray
 
     def __post_init__(self) -> None:
-        G = np.asarray(self.G, dtype=float)
-        Om = np.asarray(self.Omega, dtype=float)
-        if G.ndim != 2 or Om.shape != (G.shape[0], G.shape[0]):
-            raise DimensionError("G must be (m, p) and Omega (m, m)")
+        # private copies: writes through the caller's arrays cannot reach them
+        G = np.array(self.G, dtype=float)
+        Om = np.array(self.Omega, dtype=float)
+        if G.ndim < 2 or Om.shape != G.shape[:-1] + G.shape[-2:-1]:
+            raise DimensionError("G must be (..., m, p) and Omega (..., m, m)")
         G.setflags(write=False)
         Om.setflags(write=False)
         object.__setattr__(self, "G", G)
@@ -123,11 +130,11 @@ class PopulationMoments:
 
     @property
     def dim_g(self) -> int:
-        return self.G.shape[0]
+        return self.G.shape[-2]
 
     @property
     def dim_theta(self) -> int:
-        return self.G.shape[1]
+        return self.G.shape[-1]
 
 
 def population_moments(

@@ -22,6 +22,17 @@ Omega is factorized by Cholesky and G'Omega^-1 G inverted through a QR
 factorization; explicit inverses are still formed because the identity
 checks need the matrices themselves. Omega with condition number above
 1e12 is rejected outright rather than regularized.
+
+Every function here takes stacked instances: G (..., m, p) and Omega
+(..., m, m) give P, H, Sigma, Phi and the residuals with the same
+leading axes, each slice bitwise the one-instance result. The
+factorizations call LAPACK (``dpotrf``/``dpotrs``, ``dgeqrf``/``dorgqr``,
+``dtrtrs``) directly through ``scipy.linalg.lapack``, slice by slice, as
+scipy's ``cho_factor``, ``cho_solve``, ``qr`` and ``solve_triangular``
+would call them but without those wrappers' per-call overhead; the rest
+is stacked numpy. The condition, positive-definiteness, rank and
+inverse-product checks run per slice, and the first failing instance
+raises its own typed error for the whole call.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import SingularMatrixError
 from .models import IndexLayout
@@ -60,39 +71,70 @@ class ProjectionSet:
     Omega_inv: np.ndarray
 
 
-def _inf_norm(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+def _sup(a: np.ndarray, axis=None):
+    """max |a| over ``axis`` (every axis by default; 0 for an empty array).
+
+    A NaN entry gives NaN. For a stack of instances pass the instance axes,
+    e.g. ``axis=(-2, -1)``, for one value per instance."""
+    return np.max(np.abs(a), axis=axis, initial=0.0)
+
+
+def _factor(omega: np.ndarray, G: np.ndarray, cond: float):
+    """Omega^-1, Omega^-1 G and (G'Omega^-1 G)^-1 (the last unsymmetrized)
+    of one instance with Omega's condition number ``cond``, by the LAPACK
+    calls behind scipy's ``cho_factor``, ``cho_solve``, ``qr`` and
+    ``solve_triangular``. The QR takes LAPACK's default workspace, not
+    scipy's queried one: below LAPACK's block size (p < 32) both run the
+    unblocked factorization."""
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularMatrixError(f"Omega condition number {cond:.3e} exceeds 1e12")
+    chol, info = lapack.dpotrf(omega, lower=1, clean=0)
+    if info > 0:
+        raise SingularMatrixError("Omega is not positive definite")
+    omega_inv, _ = lapack.dpotrs(chol, np.eye(omega.shape[0]), lower=1)
+    M, _ = lapack.dpotrs(chol, G, lower=1)  # Omega^-1 G
+    A = G.T @ M  # G'Omega^-1 G, SPD when G has full column rank
+    qr, tau, _, _ = lapack.dgeqrf(A)
+    diag = np.abs(np.diagonal(qr))
+    if diag.size == 0 or diag.min() <= 1e-13 * max(diag.max(), 1.0):
+        raise SingularMatrixError("G'Omega^-1 G rank-deficient: G lacks full column rank")
+    q, _, _ = lapack.dorgqr(qr, tau)
+    # R' is the lower triangle of qr': the transposed solve that
+    # solve_triangular makes for a C-ordered R
+    sigma, _ = lapack.dtrtrs(qr.T, q.T, lower=1, trans=1)
+    return omega_inv, M, sigma
 
 
 def projection_set(pm: PopulationMoments) -> ProjectionSet:
-    """Build P, H, Sigma from population moments."""
-    omega = np.asarray(pm.Omega, dtype=float)
-    G = np.asarray(pm.G, dtype=float)
-    cond = float(np.linalg.cond(omega))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(f"Omega condition number {cond:.3e} exceeds 1e12")
-    try:
-        chol = cho_factor(omega, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("Omega is not positive definite") from exc
-    omega_inv = cho_solve(chol, np.eye(omega.shape[0]))
-    omega_inv = 0.5 * (omega_inv + omega_inv.T)
-    M = cho_solve(chol, G)  # Omega^-1 G
-    A = G.T @ M  # G'Omega^-1 G, SPD when G has full column rank
-    q, r = qr(A)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag.min() <= 1e-13 * max(diag.max(), 1.0):
-        raise SingularMatrixError("G'Omega^-1 G rank-deficient: G lacks full column rank")
-    sigma = solve_triangular(r, q.T)
-    sigma = 0.5 * (sigma + sigma.T)
-    H = sigma @ M.T
-    P = omega_inv - M @ sigma @ M.T
-    P = 0.5 * (P + P.T)
+    """Build P, H, Sigma from population moments, with pm's leading axes.
+
+    Raises SingularMatrixError for the first instance whose Omega has
+    condition number above 1e12 or is not positive definite, or whose G
+    lacks full column rank, with the message that instance gives alone.
+    """
+    omega, G = pm.Omega, pm.G
+    lead, (m, p) = G.shape[:-2], G.shape[-2:]
+    cond = np.linalg.cond(omega)
+    omega_inv = np.empty(lead + (m, m))
+    sigma = np.empty(lead + (p, p))
+    # M slice by slice in the Fortran order LAPACK returns it in, so the
+    # products below see the operand layout of a one-instance call
+    M_t = np.empty(lead + (p, m))
+    for k in np.ndindex(lead):
+        omega_inv[k], M, sigma[k] = _factor(omega[k], G[k], float(cond[k]))
+        M_t[k] = M.T
+    M = M_t.swapaxes(-1, -2)
+    omega_inv = 0.5 * (omega_inv + omega_inv.swapaxes(-1, -2))
+    sigma = 0.5 * (sigma + sigma.swapaxes(-1, -2))
+    H = sigma @ M_t
+    P = omega_inv - M @ sigma @ M_t
+    P = 0.5 * (P + P.swapaxes(-1, -2))
     return ProjectionSet(P=P, H=H, Sigma=sigma, Omega_inv=omega_inv)
 
 
-def identity_residuals(pm: PopulationMoments, ps: ProjectionSet) -> dict[str, float]:
-    """Scaled residuals of the five projection identities.
+def identity_residuals(pm: PopulationMoments, ps: ProjectionSet) -> dict[str, np.ndarray]:
+    """Scaled residuals of the five projection identities, one per
+    instance (shape: pm's leading axes; a scalar for one instance).
 
     Each entry is ||lhs - rhs||_inf divided by the scale of the factors
     on the left, so a value below 1e-10 means the identity holds to
@@ -103,14 +145,22 @@ def identity_residuals(pm: PopulationMoments, ps: ProjectionSet) -> dict[str, fl
     """
     P, H, S = ps.P, ps.H, ps.Sigma
     G, Om = pm.G, pm.Omega
-    sp = max(_inf_norm(P), _inf_norm(ps.Omega_inv))
-    sh, sg, so = _inf_norm(H), _inf_norm(G), _inf_norm(Om)
+    Ht = H.swapaxes(-1, -2)
+
+    def sup(a):
+        return _sup(a, axis=(-2, -1))
+
+    def floor(scale):
+        return np.maximum(scale, 1e-300)
+
+    sp = np.maximum(sup(P), sup(ps.Omega_inv))
+    sh, sg, so = sup(H), sup(G), sup(Om)
     return {
-        "PG=0": _inf_norm(P @ G) / max(sp * sg, 1e-300),
-        "P'=P": _inf_norm(P.T - P) / max(sp, 1e-300),
-        "POP=P": _inf_norm(P @ Om @ P - P) / max(sp * so * sp, sp, 1e-300),
-        "POH'=0": _inf_norm(P @ Om @ H.T) / max(sp * so * sh, 1e-300),
-        "HOH'=S": _inf_norm(H @ Om @ H.T - S) / max(sh * so * sh, 1e-300),
+        "PG=0": sup(P @ G) / floor(sp * sg),
+        "P'=P": sup(P.swapaxes(-1, -2) - P) / floor(sp),
+        "POP=P": sup(P @ Om @ P - P) / floor(np.maximum(sp * so * sp, sp)),
+        "POH'=0": sup(P @ Om @ Ht) / floor(sp * so * sh),
+        "HOH'=S": sup(H @ Om @ Ht - S) / floor(sh * so * sh),
     }
 
 
@@ -129,13 +179,13 @@ def phi1_population(pm: PopulationMoments, layout: IndexLayout) -> np.ndarray:
     """Population first-derivative matrix Phi; identical for ETEL and EL."""
     D = layout.dim_beta
     ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
-    out = np.zeros((D, D))
-    out[0, 0] = -1.0
-    out[ks, ls] = pm.Omega
-    out[ks, ts] = pm.G
-    out[ls, ks] = pm.Omega
-    out[ls, ls] = -pm.Omega
-    out[ts, ks] = pm.G.T
+    out = np.zeros(pm.G.shape[:-2] + (D, D))
+    out[..., 0, 0] = -1.0
+    out[..., ks, ls] = pm.Omega
+    out[..., ks, ts] = pm.G
+    out[..., ls, ks] = pm.Omega
+    out[..., ls, ls] = -pm.Omega
+    out[..., ts, ks] = pm.G.swapaxes(-1, -2)
     return out
 
 
@@ -143,17 +193,18 @@ def phi_inverse_matrix(ps: ProjectionSet, layout: IndexLayout) -> np.ndarray:
     """Assemble the closed-form inverse of Phi from a projection set."""
     D = layout.dim_beta
     ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
-    inv = np.zeros((D, D))
-    inv[0, 0] = -1.0
-    inv[ks, ks] = ps.P
-    inv[ks, ls] = ps.P
-    inv[ks, ts] = ps.H.T
-    inv[ls, ks] = ps.P
-    inv[ls, ls] = ps.P - ps.Omega_inv
-    inv[ls, ts] = ps.H.T
-    inv[ts, ks] = ps.H
-    inv[ts, ls] = ps.H
-    inv[ts, ts] = -ps.Sigma
+    Ht = ps.H.swapaxes(-1, -2)
+    inv = np.zeros(ps.P.shape[:-2] + (D, D))
+    inv[..., 0, 0] = -1.0
+    inv[..., ks, ks] = ps.P
+    inv[..., ks, ls] = ps.P
+    inv[..., ks, ts] = Ht
+    inv[..., ls, ks] = ps.P
+    inv[..., ls, ls] = ps.P - ps.Omega_inv
+    inv[..., ls, ts] = Ht
+    inv[..., ts, ks] = ps.H
+    inv[..., ts, ls] = ps.H
+    inv[..., ts, ts] = -ps.Sigma
     return inv
 
 
@@ -161,17 +212,20 @@ def phi_system(pm: PopulationMoments) -> PhiSystem:
     """Assemble Phi and its closed-form inverse; verify their product.
 
     Phi is identical for the ETEL and EL stackings. The constructor
-    fails if ||Phi Phi^-1 - I||_inf exceeds 1e-10 * max(||Phi||_inf, 1).
+    fails if ||Phi Phi^-1 - I||_inf exceeds 1e-10 * max(||Phi||_inf, 1),
+    for the first such instance of a stack.
     """
     ps = projection_set(pm)
     layout = IndexLayout(pm.dim_g, pm.dim_theta)
     D = layout.dim_beta
     phi = phi1_population(pm, layout)
     inv = phi_inverse_matrix(ps, layout)
-    resid = _inf_norm(phi @ inv - np.eye(D))
-    if resid > _INVERSE_CHECK_TOL * max(_inf_norm(phi), 1.0):
+    resid = _sup(phi @ inv - np.eye(D), axis=(-2, -1))
+    bad = resid > _INVERSE_CHECK_TOL * np.maximum(_sup(phi, axis=(-2, -1)), 1.0)
+    if np.any(bad):
         raise SingularMatrixError(
-            f"closed-form Phi inverse failed its product check (residual {resid:.3e})"
+            f"closed-form Phi inverse failed its product check "
+            f"(residual {np.asarray(resid)[bad][0]:.3e})"
         )
     return PhiSystem(phi=phi, phi_inv=inv, layout=layout, ps=ps)
 

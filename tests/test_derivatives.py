@@ -494,3 +494,28 @@ def test_dump_tensor_csv(tmp_path, mean_var):
     lines = path.read_text().splitlines()
     assert lines[0] == "i0,i1,i2,phi2"
     assert len(lines) == 1 + t.size
+
+
+@pytest.mark.parametrize("with_mt", [False, True], ids=["no-mt", "mt"])
+@pytest.mark.parametrize("system", ["etel", "el", "diff"])
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_stacked_sample_stats_are_single_sample_bars(bundles, name, system, with_mt):
+    # rows (S, n, d) of S samples: every bar gains a leading S axis and each
+    # slice is bitwise the bars of that sample alone
+    b = bundles[name]
+    mt = b.mt if with_mt else None
+    S, n = 7, 30
+    datasets = [gx.simulate(b.model, n, 600 + k) for k in range(S)]
+    stacked = sample_stats(system, b.model, np.stack([d.rows for d in datasets]), b.pm, mt)
+    D, m, p = b.layout.dim_beta, b.layout.dim_g, b.layout.dim_theta
+    assert stacked.g_bar.shape == (S, m) and stacked.G_bar.shape == (S, m, p)
+    assert stacked.phi1_bar.shape == (S, D, D)
+    assert (stacked.phi2_bar is None) == (mt is None)
+    for k, data in enumerate(datasets):
+        one = sample_stats(system, b.model, data, b.pm, mt)
+        for field in ("g_bar", "G_bar", "Omega_bar", "phi0_bar", "phi1_bar", "phi2_bar"):
+            value = getattr(one, field)
+            if value is None:
+                continue
+            part = getattr(stacked, field)[k]
+            assert part.shape == value.shape and part.tobytes() == value.tobytes(), field

@@ -274,6 +274,37 @@ def test_batched_evaluation_rows_are_single_evaluations(
         np.testing.assert_array_equal(jac[k], one.jacobian())
 
 
+@pytest.mark.parametrize("beta_shape", ["shared", "per-dataset"])
+@pytest.mark.parametrize("system", ["etel", "el"])
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_rows_path_slices_are_single_evaluations(bundles, name, system, beta_shape):
+    # R datasets of one size as rows (R, n, d), at one beta (D,) or at one
+    # beta per dataset (R, D): each slice of phi, the residual and the
+    # Jacobian is bitwise the evaluation of that dataset alone
+    model = bundles[name].model
+    R, n = 6, 25
+    rows = np.stack([gx.simulate(model, n, 400 + r).rows for r in range(R)])
+    g = model.g_rows(rows.reshape(R * n, -1), model.theta_star)
+    if beta_shape == "shared":
+        betas = np.broadcast_to(_probe_beta(model, g, 31), (R, model.layout.dim_beta))
+        beta = betas[0]
+    else:
+        beta = betas = np.stack([_probe_beta(model, g, 40 + r) for r in range(R)])
+    batch = estimators._StackedEval(system, model, rows, beta)
+    jac = batch.jacobian()
+    phi = estimators.phi_rows(system, model, rows, beta)
+    D = model.layout.dim_beta
+    assert batch.phi.shape == (R, n, D) and batch.residual.shape == (R, D)
+    assert jac.shape == (R, D, D)
+    for r in range(R):
+        one = estimators._StackedEval(system, model, rows[r], betas[r])
+        assert batch.phi[r].tobytes() == one.phi.tobytes()
+        assert phi[r].tobytes() == one.phi.tobytes()
+        assert batch.residual[r].tobytes() == one.residual.tobytes()
+        assert jac[r].tobytes() == one.jacobian().tobytes()
+        assert stacked_residual(system, model, rows, beta)[r].tobytes() == one.residual.tobytes()
+
+
 @pytest.mark.parametrize("system", ["etel", "el"])
 def test_public_evaluations_take_several_leading_axes(skew, system):
     model = skew.model

@@ -99,7 +99,7 @@ def skew_sample(skew):
 
 def test_q_bar_tau_block(skew, skew_sample):
     dt = population_tensors("etel", skew.model, skew.pm, order=2, method="closed_form", mt=skew.mt)
-    q = gx.q_bar("etel", skew_sample["etel"], skew.ps, dt, skew.mt)
+    q = gx.q_bar(skew_sample["etel"], skew.ps, dt, skew.mt)
     gbar = skew_sample["etel"].g_bar
     expected = -0.5 * float(gbar @ skew.ps.P @ gbar)
     assert q.q_bar_generic[0] == pytest.approx(expected, abs=1e-12)
@@ -108,7 +108,7 @@ def test_q_bar_tau_block(skew, skew_sample):
 
 def test_q_bar_lambda_minus_kappa_block(skew, skew_sample):
     dt = population_tensors("etel", skew.model, skew.pm, order=2, method="closed_form", mt=skew.mt)
-    q = gx.q_bar("etel", skew_sample["etel"], skew.ps, dt, skew.mt)
+    q = gx.q_bar(skew_sample["etel"], skew.ps, dt, skew.mt)
     layout = skew.layout
     diff = q.q_bar_closed[layout.lambda_slice] - q.q_bar_closed[layout.kappa_slice]
     u1 = skew.ps.P @ skew_sample["etel"].g_bar
@@ -133,14 +133,14 @@ def test_q_bar_routes_and_system_equality(bundles, name):
     for k in range(5):
         data = gx.simulate(b.model, 140, 7000 + k)
         ss = {s: sample_stats(s, b.model, data, b.pm, b.mt) for s in ("etel", "el")}
-        q_et = gx.q_bar("etel", ss["etel"], b.ps, dt["etel"], b.mt)
-        q_el = gx.q_bar("el", ss["el"], b.ps, dt["el"], b.mt)
+        q_et = gx.q_bar(ss["etel"], b.ps, dt["etel"], b.mt)
+        q_el = gx.q_bar(ss["el"], b.ps, dt["el"], b.mt)
         assert q_et.max_route_gap <= TOLERANCES["closed_form"]
         assert q_el.max_route_gap <= TOLERANCES["closed_form"]
         gap = np.abs(q_et.q_bar_generic - q_el.q_bar_generic).max()
         assert gap <= TOLERANCES["closed_form"]
-        qf_et = gx.q_bar("etel", ss["etel"], b.ps, dt_fd["etel"], b.mt)
-        qf_el = gx.q_bar("el", ss["el"], b.ps, dt_fd["el"], b.mt)
+        qf_et = gx.q_bar(ss["etel"], b.ps, dt_fd["etel"], b.mt)
+        qf_el = gx.q_bar(ss["el"], b.ps, dt_fd["el"], b.mt)
         assert qf_et.max_route_gap <= TOLERANCES["fd_backed"]
         assert np.abs(qf_et.q_bar_generic - qf_el.q_bar_generic).max() <= TOLERANCES["fd_backed"]
 
@@ -176,7 +176,7 @@ def test_r_diff_terms_closed(bundles, name):
         data = gx.simulate(b.model, 130, 4200 + k)
         ss_et = sample_stats("etel", b.model, data, b.pm, b.mt)
         ss_d = sample_stats("diff", b.model, data, b.pm, b.mt)
-        q = gx.q_bar("etel", ss_et, b.ps, dt_et, b.mt)
+        q = gx.q_bar(ss_et, b.ps, dt_et, b.mt)
         rd = gx.r_diff_terms(ss_d, b.ps, dt_diff, q, b.mt)
         assert np.abs(rd.term1_closed - rd.term1_direct).max() <= TOLERANCES["closed_form"]
         assert np.abs(rd.term1_direct + rd.term2_cancel).max() <= TOLERANCES["closed_form"]
@@ -193,7 +193,7 @@ def test_r_diff_cancel_reads_q_bar_tau(skew):
     dt_diff = population_tensors("diff", b.model, b.pm, order=3, method="closed_form", mt=b.mt)
     data = gx.simulate(b.model, 130, 4250)
     ss_d = sample_stats("diff", b.model, data, b.pm, b.mt)
-    q = gx.q_bar("etel", sample_stats("etel", b.model, data, b.pm, b.mt), b.ps, dt_et, b.mt)
+    q = gx.q_bar(sample_stats("etel", b.model, data, b.pm, b.mt), b.ps, dt_et, b.mt)
     q_vec = q.q_bar_generic.copy()
     q_vec[0] += 0.75
     rd = gx.r_diff_terms(ss_d, b.ps, dt_diff, dataclasses.replace(q, q_bar_generic=q_vec), b.mt)
@@ -210,7 +210,7 @@ def test_r_diff_term4_fd_route(mean_var):
     data = gx.simulate(b.model, 130, 4300)
     ss_et = sample_stats("etel", b.model, data, b.pm, b.mt)
     ss_d = sample_stats("diff", b.model, data, b.pm, b.mt)
-    q = gx.q_bar("etel", ss_et, b.ps, dt_et, b.mt)
+    q = gx.q_bar(ss_et, b.ps, dt_et, b.mt)
     rd = gx.r_diff_terms(ss_d, b.ps, dt_diff_fd, q, b.mt)
     assert np.abs(rd.term4_weighted).max() <= TOLERANCES["fd_backed"]
 
@@ -226,7 +226,7 @@ def test_r_diff_term4_fd_route_skew_scaled(skew):
     data = gx.simulate(b.model, 130, 4301)
     ss_et = sample_stats("etel", b.model, data, b.pm, b.mt)
     ss_d = sample_stats("diff", b.model, data, b.pm, b.mt)
-    q = gx.q_bar("etel", ss_et, b.ps, dt_et, b.mt)
+    q = gx.q_bar(ss_et, b.ps, dt_et, b.mt)
     rd = gx.r_diff_terms(ss_d, b.ps, dt_diff_fd, q, b.mt)
     psi = gx.psi_bar(ss_d, b.ps)
     scale = float(np.abs(dt_diff_fd.phi3_theta).max() * np.abs(psi).max() ** 3)
@@ -236,7 +236,7 @@ def test_r_diff_term4_fd_route_skew_scaled(skew):
 def test_xi7_requires_diff_inputs(skew, skew_sample):
     dt_et = population_tensors("etel", skew.model, skew.pm, order=2, method="closed_form", mt=skew.mt)
     dt_diff = population_tensors("diff", skew.model, skew.pm, order=3, method="closed_form", mt=skew.mt)
-    q = gx.q_bar("etel", skew_sample["etel"], skew.ps, dt_et, skew.mt)
+    q = gx.q_bar(skew_sample["etel"], skew.ps, dt_et, skew.mt)
     with pytest.raises(Exception):
         gx.r_diff_terms(skew_sample["etel"], skew.ps, dt_diff, q, skew.mt)
 
@@ -490,3 +490,41 @@ def test_study_profiles_each_row_once(mean_var, monkeypatch):
 def test_study_rejects_empty_n_list(mean_var):
     with pytest.raises(Exception):
         gx.expansion_difference_study(mean_var.model, [], reps=5, seed=1)
+
+
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_stacked_q_routes_are_single_sample_terms(bundles, name):
+    # psi_bar by both routes, q_bar by both routes (closed-form and seeded
+    # tensors) and the q difference pieces on stacked bars: each slice is
+    # bitwise the one-sample term
+    b = bundles[name]
+    S, n = 16, 200
+    datasets = [gx.simulate(b.model, n, 9_000 + k) for k in range(S)]
+    rows = np.stack([d.rows for d in datasets])
+    tensors = {
+        (s, method): population_tensors(s, b.model, b.pm, order=2, method=method,
+                                        mt=b.mt, measure=b.measure)
+        for s in ("etel", "el")
+        for method in ("closed_form", "jacobian_seeded")
+    }
+    dt_diff = population_tensors("diff", b.model, b.pm, order=2, method="closed_form", mt=b.mt)
+    ss = {s: sample_stats(s, b.model, rows, b.pm, b.mt) for s in ("etel", "el", "diff")}
+    psi = gx.psi_bar(ss["etel"], b.ps)
+    psi_generic = gx.psi_bar_generic(ss["etel"], b.ps)
+    q = {key: gx.q_bar(ss[key[0]], b.ps, dt, b.mt) for key, dt in tensors.items()}
+    pieces = gx.q_diff_decomposition(ss["diff"], b.ps, dt_diff)
+
+    def same(part, value):
+        assert part.shape == value.shape and part.tobytes() == value.tobytes()
+
+    for k, data in enumerate(datasets):
+        one = {s: sample_stats(s, b.model, data, b.pm, b.mt) for s in ("etel", "el", "diff")}
+        same(psi[k], gx.psi_bar(one["etel"], b.ps))
+        same(psi_generic[k], gx.psi_bar_generic(one["etel"], b.ps))
+        for key, dt in tensors.items():
+            q_one = gx.q_bar(one[key[0]], b.ps, dt, b.mt)
+            same(q[key].q_bar_closed[k], q_one.q_bar_closed)
+            same(q[key].q_bar_generic[k], q_one.q_bar_generic)
+            assert q[key].max_route_gap[k] == q_one.max_route_gap
+        for piece, piece_one in zip(pieces, gx.q_diff_decomposition(one["diff"], b.ps, dt_diff)):
+            same(piece[k], piece_one)

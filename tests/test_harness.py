@@ -2,16 +2,39 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 import gel_expand.cli as cli
-from gel_expand import expansion
+from gel_expand import derivatives, expansion, harness
+from gel_expand.derivatives import population_tensors, sample_stats
 from gel_expand.errors import ConfigError
-from gel_expand.expansion import TOLERANCES
-from gel_expand.harness import _bump, _check, parse_config, run_suite
+from gel_expand.expansion import (
+    TOLERANCES,
+    psi_bar,
+    psi_bar_generic,
+    q_bar,
+    q_diff_decomposition,
+    r_diff_terms,
+)
+from gel_expand.harness import (
+    IDENTITY_KEYS,
+    _bump,
+    _check,
+    _worst,
+    parse_config,
+    q_ladder,
+    r_ladder,
+    random_identity_ladder,
+    run_suite,
+)
+from gel_expand.models import simulate
+from gel_expand.projections import identity_residuals, phi_system, random_population_moments
+from gel_expand.rng import philox_generator
 
 
 def test_parse_config_requires_seed():
@@ -264,3 +287,175 @@ def test_bump_keeps_the_largest_finite_value():
     _bump(worst, "gap", 3e-16, 1e-15)
     _bump(worst, "gap", 2e-16)
     assert worst["gap"] == 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Ladders against one-at-a-time reference loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_identity_ladder(seed, count):
+    rng = philox_generator(seed)
+    shapes = [(m, p) for m in range(2, 6) for p in range(1, m)]
+    worst = dict.fromkeys(IDENTITY_KEYS + ("phi-inverse",), 0.0)
+    for i in range(count):
+        pm = random_population_moments(rng, *shapes[i % len(shapes)])
+        phi = phi_system(pm)
+        for key, val in identity_residuals(pm, phi.ps).items():
+            worst[key] = _worst(worst[key], float(val))
+        num = np.linalg.inv(phi.phi)
+        gap = float(np.max(np.abs(phi.phi_inv - num)) / np.max(np.abs(num)))
+        worst["phi-inverse"] = _worst(worst["phi-inverse"], gap)
+    return worst
+
+
+def _reference_q_ladder(b, n, seeds):
+    dt = {s: population_tensors(s, b.model, b.pm, order=2, method="closed_form", mt=b.mt)
+          for s in ("etel", "el", "diff")}
+    dts = {s: population_tensors(s, b.model, b.pm, order=2, method="jacobian_seeded",
+                                 measure=b.measure) for s in ("etel", "el")}
+    worst = {}
+
+    def bump(key, *vals):
+        worst[key] = _worst(worst.get(key, 0.0), *(float(v) for v in vals))
+
+    for seed in seeds:
+        data = simulate(b.model, n, seed)
+        ss = {s: sample_stats(s, b.model, data, b.pm, b.mt) for s in ("etel", "el", "diff")}
+        bump("psi.closed-vs-generic",
+             np.max(np.abs(psi_bar(ss["etel"], b.ps) - psi_bar_generic(ss["etel"], b.ps))))
+        for suffix, tensors in (("", dt), ("-fd", dts)):
+            q_et = q_bar(ss["etel"], b.ps, tensors["etel"], b.mt)
+            q_el = q_bar(ss["el"], b.ps, tensors["el"], b.mt)
+            bump("q.closed-vs-generic" + suffix,
+                 np.max(np.abs(q_et.q_bar_closed - q_et.q_bar_generic)),
+                 np.max(np.abs(q_el.q_bar_closed - q_el.q_bar_generic)))
+            bump("q.system-equality" + suffix,
+                 np.max(np.abs(q_et.q_bar_generic - q_el.q_bar_generic)))
+        piece1, piece2 = q_diff_decomposition(ss["diff"], b.ps, dt["diff"])
+        bump("qdiff.linear-piece", np.max(np.abs(piece1)))
+        bump("qdiff.quadratic-piece", np.max(np.abs(piece2)))
+    return worst
+
+
+def _reference_r_ladder(b, n, seeds, fd_samples):
+    dt_et = population_tensors("etel", b.model, b.pm, order=2, method="closed_form", mt=b.mt)
+    dt_diff = population_tensors("diff", b.model, b.pm, order=3, method="closed_form", mt=b.mt)
+    dt_fd = population_tensors("diff", b.model, b.pm, order=3, method="jacobian_seeded",
+                               measure=b.measure)
+    worst = dict.fromkeys(("term1", "cancel", "term3", "term4", "term4-fd"), 0.0)
+    supported = set()
+
+    def bump(key, val):
+        worst[key] = _worst(worst[key], float(np.max(np.abs(val))))
+
+    for k, seed in enumerate(seeds):
+        data = simulate(b.model, n, seed)
+        ss_d = sample_stats("diff", b.model, data, b.pm, b.mt)
+        q = q_bar(sample_stats("etel", b.model, data, b.pm, b.mt), b.ps, dt_et, b.mt)
+        rd = r_diff_terms(ss_d, b.ps, dt_diff, q, b.mt)
+        bump("term1", rd.term1_closed - rd.term1_direct)
+        bump("cancel", rd.term1_direct + rd.term2_cancel)
+        bump("term3", rd.term3)
+        bump("term4", rd.term4_weighted)
+        supported.add(rd.xi7_supported)
+        if k < fd_samples:
+            bump("term4-fd", r_diff_terms(ss_d, b.ps, dt_fd, q, b.mt).term4_weighted)
+    worst["xi7-supported"] = supported
+    return worst
+
+
+def _ladder(ladder, b, n, seeds, **kwargs):
+    return ladder(b.model, b.measure, b.pm, b.ps, b.mt, n, seeds, **kwargs)
+
+
+_COUNTS = [1, 7, 23, 100]
+
+
+@pytest.mark.parametrize("count", _COUNTS)
+def test_identity_ladder_equals_reference_loop(count):
+    assert random_identity_ladder(977, count) == _reference_identity_ladder(977, count)
+
+
+@pytest.mark.parametrize("count", _COUNTS)
+def test_q_ladder_equals_reference_loop(skew, count):
+    seeds = range(5_000, 5_000 + count)
+    assert _ladder(q_ladder, skew, 40, seeds) == _reference_q_ladder(skew, 40, seeds)
+
+
+@pytest.mark.parametrize("count", _COUNTS)
+def test_r_ladder_equals_reference_loop(skew, count):
+    seeds = range(6_000, 6_000 + count)
+    got = _ladder(r_ladder, skew, 40, seeds, fd_samples=3)
+    assert got == _reference_r_ladder(skew, 40, seeds, fd_samples=3)
+
+
+def test_identity_ladder_propagates_an_injected_nan(monkeypatch):
+    calls = []
+
+    def residuals(pm, ps):
+        out = identity_residuals(pm, ps)
+        calls.append(out["POP=P"].shape)
+        if len(calls) == 3:  # the third (m, p) group, its middle instance
+            out["POP=P"] = out["POP=P"].copy()
+            out["POP=P"][1] = math.nan
+        return out
+
+    monkeypatch.setattr(harness, "identity_residuals", residuals)
+    worst = random_identity_ladder(31, 30)
+    assert calls == [(3,)] * 10
+    assert math.isnan(worst["POP=P"])
+    assert all(not math.isnan(v) for k, v in worst.items() if k != "POP=P")
+
+
+def test_q_ladder_propagates_an_injected_nan(monkeypatch, skew):
+    def generic(ss, ps):
+        out = psi_bar_generic(ss, ps).copy()
+        out[2, -1] = math.nan
+        return out
+
+    monkeypatch.setattr(harness, "psi_bar_generic", generic)
+    worst = _ladder(q_ladder, skew, 40, range(7))
+    assert math.isnan(worst["psi.closed-vs-generic"])
+    assert not math.isnan(worst["q.system-equality"])
+
+
+def test_r_ladder_propagates_an_injected_nan(monkeypatch, skew):
+    calls = []
+
+    def terms(*args):
+        rd = r_diff_terms(*args)
+        calls.append(1)
+        return dataclasses.replace(rd, term3=rd.term3 * math.nan) if len(calls) == 4 else rd
+
+    monkeypatch.setattr(harness, "r_diff_terms", terms)
+    worst = _ladder(r_ladder, skew, 40, range(7), fd_samples=0)
+    assert len(calls) == 7
+    assert math.isnan(worst["term3"]) and not math.isnan(worst["term1"])
+
+
+@pytest.mark.parametrize("ladder", ["q", "r"])
+def test_ladder_batches_are_capped_in_rows(monkeypatch, skew, ladder):
+    # a cap of 3 samples' rows splits 7 samples into batches of 3, 3 and 1,
+    # one sample_stats call per system and batch, with unchanged results
+    n, seeds = 40, range(8_000, 8_007)
+    run = (lambda: _ladder(q_ladder, skew, n, seeds)) if ladder == "q" else (
+        lambda: _ladder(r_ladder, skew, n, seeds, fd_samples=4))
+    uncapped = run()
+    sizes = []
+
+    def stats(system, model, rows, pm, mt=None):
+        sizes.append(rows.shape[0])
+        return sample_stats(system, model, rows, pm, mt)
+
+    monkeypatch.setattr(harness, "sample_stats", stats)
+    monkeypatch.setattr(harness, "_BATCH_ROWS", 3 * n + 1)
+    assert run() == uncapped
+    systems = 3 if ladder == "q" else 2
+    assert sorted(sizes) == sorted([3] * systems + [3] * systems + [1] * systems)
+    assert max(sizes) * n <= harness._BATCH_ROWS
+
+    sizes.clear()
+    monkeypatch.setattr(harness, "_BATCH_ROWS", derivatives._BATCH_ROWS)
+    assert run() == uncapped
+    assert sizes == [7] * systems

@@ -153,6 +153,30 @@ def test_dataset_leaves_callers_array_writeable():
     assert ds.rows[0, 0] == 1.0 and not ds.rows.flags.writeable
 
 
+def test_population_moments_are_not_changed_through_their_base_arrays():
+    base = np.arange(8.0).reshape(4, 2)
+    G = base[:2, :1]
+    omega = np.eye(2)
+    pm = gx.PopulationMoments(G=G, Omega=omega)
+    base[0, 0] = 99.0
+    omega[0, 1] = 5.0
+    assert pm.G[0, 0] == 0.0 and pm.Omega[0, 1] == 0.0
+    assert base.flags.writeable and G.flags.writeable and omega.flags.writeable
+    assert not pm.G.flags.writeable and not pm.Omega.flags.writeable
+
+
+def test_plugin_measure_leaves_callers_arrays_writeable():
+    base = np.arange(6.0).reshape(3, 2)
+    points = base[:, :1]
+    weights = np.full(3, 1.0 / 3.0)
+    measure = gx.PluginMeasure(points=points, weights=weights)
+    base[0, 0] = 99.0
+    weights[0] = 5.0
+    assert measure.points[0, 0] == 0.0 and measure.weights[0] == 1.0 / 3.0
+    assert base.flags.writeable and points.flags.writeable and weights.flags.writeable
+    assert not measure.points.flags.writeable and not measure.weights.flags.writeable
+
+
 def test_model_layout_built_once_and_model_stays_frozen():
     model = gx.build_model("SkewModel")
     assert model.layout is model.layout

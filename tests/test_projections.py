@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gel_expand as gx
+from gel_expand import projections
 from gel_expand.errors import DimensionError, SingularMatrixError
 from gel_expand.population import PopulationMoments
+from gel_expand.harness import _inverse_gap
 from gel_expand.projections import random_population_moments
 from gel_expand.rng import philox_generator
 
@@ -145,3 +147,104 @@ def test_population_moments_singular_omega_names_model():
 def test_population_moments_unknown_method(mean_var):
     with pytest.raises(DimensionError, match="method"):
         gx.population_moments(mean_var.model, "guesswork")
+
+
+# ---------------------------------------------------------------------------
+# Stacked instances
+# ---------------------------------------------------------------------------
+
+_SHAPES = [(m, p) for m in range(2, 6) for p in range(1, m)]
+
+
+def _stack(pms):
+    return PopulationMoments(
+        G=np.stack([pm.G for pm in pms]), Omega=np.stack([pm.Omega for pm in pms])
+    )
+
+
+def _same_bytes(stacked, single):
+    assert stacked.shape == single.shape
+    assert np.ascontiguousarray(stacked).tobytes() == np.ascontiguousarray(single).tobytes()
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=[f"m{m}-p{p}" for m, p in _SHAPES])
+def test_stacked_projections_are_bitwise_single_calls(shape):
+    rng = philox_generator(7_000 + 10 * shape[0] + shape[1])
+    pms = [random_population_moments(rng, *shape) for _ in range(9)]
+    stacked = _stack(pms)
+    phi = gx.phi_system(stacked)
+    ps = gx.projection_set(stacked)
+    resid = gx.identity_residuals(stacked, ps)
+    gap = _inverse_gap(phi)
+    assert phi.phi.shape[:1] == (9,) and gap.shape == (9,)
+    for k, pm in enumerate(pms):
+        one = gx.phi_system(pm)
+        for f in dataclasses.fields(ps):
+            _same_bytes(getattr(ps, f.name)[k], getattr(one.ps, f.name))
+            _same_bytes(getattr(phi.ps, f.name)[k], getattr(one.ps, f.name))
+        _same_bytes(phi.phi[k], one.phi)
+        _same_bytes(phi.phi_inv[k], one.phi_inv)
+        _same_bytes(gx.phi1_population(stacked, phi.layout)[k], one.phi)
+        for key, val in gx.identity_residuals(pm, one.ps).items():
+            assert resid[key][k] == val, key
+        assert gap[k] == _inverse_gap(one)
+
+
+def _bad_instance(kind: str) -> PopulationMoments:
+    if kind == "cond":
+        return PopulationMoments(G=np.array([[1.0], [0.5]]), Omega=np.diag([1.0, 1e-13]))
+    if kind == "not-pd":
+        return PopulationMoments(G=np.array([[1.0], [0.5]]), Omega=np.diag([1.0, -1.0]))
+    return PopulationMoments(G=np.zeros((2, 1)), Omega=np.eye(2))
+
+
+@pytest.mark.parametrize("kind", ["cond", "not-pd", "rank"])
+def test_bad_instance_in_a_stack_raises_its_own_error(kind):
+    rng = philox_generator(8_100)
+    good = [random_population_moments(rng, 2, 1) for _ in range(4)]
+    bad = _bad_instance(kind)
+    with pytest.raises(SingularMatrixError) as alone:
+        gx.projection_set(bad)
+    stacked = _stack(good[:2] + [bad] + good[2:])
+    for build in (gx.projection_set, gx.phi_system):
+        with pytest.raises(SingularMatrixError) as err:
+            build(stacked)
+        assert type(err.value) is type(alone.value)
+        assert str(err.value) == str(alone.value)
+
+
+def test_first_failing_instance_raises_for_the_stack():
+    # slot 1 fails the rank check, slot 3 the condition check: slot 1 raises
+    rng = philox_generator(8_200)
+    good = random_population_moments(rng, 2, 1)
+    stacked = _stack([good, _bad_instance("rank"), good, _bad_instance("cond")])
+    with pytest.raises(SingularMatrixError, match="rank-deficient"):
+        gx.projection_set(stacked)
+
+
+def test_inverse_product_check_names_the_first_failing_instance(monkeypatch):
+    rng = philox_generator(8_300)
+    pms = [random_population_moments(rng, 3, 1) for _ in range(4)]
+    inverse = projections.phi_inverse_matrix
+
+    def corrupted(ps, layout):
+        inv = inverse(ps, layout)
+        if inv.ndim == 3:
+            inv[2, 1, 1] += 1e-3
+        else:
+            inv[1, 1] += 1e-3
+        return inv
+
+    monkeypatch.setattr(projections, "phi_inverse_matrix", corrupted)
+    with pytest.raises(SingularMatrixError) as alone:
+        gx.phi_system(pms[2])
+    with pytest.raises(SingularMatrixError) as err:
+        gx.phi_system(_stack(pms))
+    assert "product check" in str(alone.value) and str(err.value) == str(alone.value)
+
+
+def test_population_moments_shape_check_allows_stacks():
+    pm = PopulationMoments(G=np.zeros((3, 2, 1)), Omega=np.broadcast_to(np.eye(2), (3, 2, 2)))
+    assert (pm.dim_g, pm.dim_theta) == (2, 1)
+    with pytest.raises(DimensionError):
+        PopulationMoments(G=np.zeros((3, 2, 1)), Omega=np.eye(2))
