@@ -3,7 +3,7 @@ mechanically verified higher-order expansion identities.
 
 Public surface, by layer:
 
-* models: moment-condition models, built-ins, simulation, CSV I/O
+* models: moment-condition models, built-ins, simulation
 * population: plug-in population measures and moment tensors
 * projections: P/H/Sigma, the stacked system matrix and its closed inverse
 * estimators: inner dual solvers and the full stacked Newton solver
@@ -29,8 +29,6 @@ from .models import (
     MODEL_NAMES,
     MomentModel,
     build_model,
-    dataset_from_csv,
-    dataset_to_csv,
     eval_g,
     jacobian_fd_error,
     make_just_ident_model,
@@ -70,7 +68,6 @@ from .estimators import (
 from .derivatives import (
     DerivTensors,
     SampleStats,
-    dump_tensor_csv,
     phi1_population,
     phi2_jacobian_seeded,
     phi3_diff_theta_jacobian_seeded,

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
-from pathlib import Path
 
 import numpy as np
 
@@ -60,7 +59,6 @@ __all__ = [
     "phi3_diff_theta_jacobian_seeded",
     "sample_stats",
     "psi_tensors",
-    "dump_tensor_csv",
 ]
 
 _EPS = np.finfo(float).eps
@@ -577,13 +575,3 @@ def sample_stats(
         phi1_bar=phi1_bar,
         phi2_bar=phi2_bar,
     )
-
-
-def dump_tensor_csv(path: str | Path, tensor: np.ndarray, name: str = "tensor") -> None:
-    """Flat debugging dump: one line per entry, indices then value."""
-    tensor = np.asarray(tensor)
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(",".join([f"i{d}" for d in range(tensor.ndim)] + [name]) + "\n")
-        for idx in np.ndindex(tensor.shape):
-            fh.write(",".join(str(i) for i in idx) + f",{tensor[idx]!r}\n")

@@ -21,10 +21,13 @@ Solver layout:
   and ``_profile_init`` take R datasets of one size (rows (R, n, d)):
   every dataset iterates, halves its steps and stops on its own, bitwise
   as it would alone, and one that fails records its own typed error
-  (HullError when a hyperplane separates the origin from its moment
-  rows, ConvergenceError otherwise, SingularMatrixError for a singular
-  pilot or kappa system) without stopping the others. Called on one
-  dataset they raise that error instead. ``_pilot_starts`` builds every
+  (DomainError for moment rows that are not all finite, HullError when a
+  hyperplane separates the origin from its moment rows, ConvergenceError
+  otherwise, SingularMatrixError for a singular pilot or kappa system)
+  without stopping the others. Called on one dataset they raise that
+  error instead. The hull check is a HiGHS linear program for m > 1;
+  scipy.optimize is imported at the first such check, which pays about
+  0.2 s once per process. ``_pilot_starts`` builds every
   system's start from one pilot, one g and one tilt multiplier.
 * ``solve_stacked`` initializes by profiling one dataset (pilot theta
   from the just-identified sub-moments, inner duals for the multipliers,
@@ -70,7 +73,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import linprog
 
 from .errors import (
     ConvergenceError,
@@ -392,6 +394,9 @@ def _hull_separated(g: np.ndarray) -> bool:
     m = g.shape[1]
     if m == 1:
         return bool(g.min() > 0.0 or g.max() < 0.0)
+    # imported here: HiGHS costs ~0.2 s and ~17 MB, only to classify a failed dual
+    from scipy.optimize import linprog
+
     res = linprog(
         c=np.zeros(m),
         A_ub=-g,
@@ -488,17 +493,23 @@ def _dual_newton(g, state, hessian, converged, max_iter, what, errors):
     the objective decrement drops below fp resolution, where Armijo cannot
     decide); otherwise the step is halved until Armijo holds. Every
     dataset iterates, halves and stops on its own, bitwise as it would
-    alone. Datasets whose entry of ``errors`` is set are skipped; one that
-    fails (no acceptable step, a runaway multiplier or the iteration
-    budget spent) gets HullError there when a hyperplane separates the
-    origin from its rows of g, ConvergenceError otherwise, and does not
-    stop the others. Returns x and the state with the gradient norm
-    appended, over all R datasets, NaN where skipped or failed.
+    alone. Datasets whose entry of ``errors`` is set are skipped; one whose
+    rows of g are not all finite gets DomainError there and does not
+    iterate; one that fails (no acceptable step, a runaway multiplier or
+    the iteration budget spent) gets HullError there when a hyperplane
+    separates the origin from its rows of g, ConvergenceError otherwise.
+    No failure stops the others. Returns x and the state with the gradient
+    norm appended, over all R datasets, NaN where skipped or failed.
     """
     R, n, m = g.shape
     x = np.full((R, m), np.nan)
     st = tuple(np.full(shape, np.nan) for shape in (R, (R, m), (R, n), R))
     active = _open_rows(errors)
+    finite = np.isfinite(g[active]).all(axis=(1, 2))
+    if not _all(finite):
+        for r in active[~finite]:
+            errors[r] = DomainError(f"{what}: moment values not all finite")
+        active = active[finite]
     if m == 1:
         ga = g[active]
         one_sided = (ga.min(axis=(1, 2)) > 0.0) | (ga.max(axis=(1, 2)) < 0.0)

@@ -382,8 +382,12 @@ def _scaled_g_bars(model: MomentModel, n: int, reps: int, seed: int) -> np.ndarr
     """sqrt(n) g_bar(theta*) of every replication, shape (reps, m).
 
     Replication i draws from its own stream (seed, 1 + i), so the result
-    does not depend on how replications are grouped into chunks.
+    does not depend on how replications are grouped into chunks. The
+    studies built on it take a z-score over replications, which needs a
+    spread: fewer than two replications raise DimensionError.
     """
+    if reps < 2:
+        raise DimensionError(f"a Monte Carlo z-score needs reps >= 2, got {reps}")
     out = np.empty((reps, model.dim_g))
     streams = replication_streams(seed, 0, reps)
     for start in range(0, reps, _MC_CHUNK):

@@ -177,8 +177,9 @@ def parse_config(
 
     Flag overrides win over file values. Raises ConfigError naming the
     offending key for anything malformed, unknown, missing or out of
-    range (a negative seed; a count, sample size, node count or df below 1;
-    a ``tol.<name>`` whose name is not in TOLERANCES).
+    range (a negative seed; fewer than two reps; a sample count, sample
+    size, node count or df below 1; a theta_star that is not finite; a
+    ``tol.<name>`` whose name is not in TOLERANCES).
     """
     raw: dict[str, str] = {}
     if path is not None:
@@ -244,12 +245,16 @@ def parse_config(
         tol_overrides=tol_overrides,
     )
     for key, value, least in (
-        ("seed", config.seed, 0), ("reps", config.reps, 1), ("samples", config.samples, 1),
+        ("seed", config.seed, 0), ("reps", config.reps, 2), ("samples", config.samples, 1),
         ("n_nodes", config.n_nodes, 1), ("skew_df", config.skew_df, 1),
         *(("n", v, 1) for v in config.n_list),
     ):
         if value < least:
             raise ConfigError(f"config key {key!r}: expected an integer >= {least}, got {value}")
+    if not math.isfinite(config.theta_star):
+        raise ConfigError(
+            f"config key 'theta_star': expected a finite number, got {config.theta_star}"
+        )
     return config
 
 

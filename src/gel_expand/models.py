@@ -25,11 +25,9 @@ theta, which the oracles rely on for complex-step differentiation.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -45,8 +43,6 @@ __all__ = [
     "MomentModel",
     "eval_g",
     "simulate",
-    "dataset_to_csv",
-    "dataset_from_csv",
     "make_mean_var_model",
     "make_just_ident_model",
     "make_skew_model",
@@ -186,6 +182,8 @@ class MomentModel:
         theta = np.asarray(self.theta_star, dtype=float).reshape(-1)
         if theta.shape[0] != self.dim_theta:
             raise DimensionError(f"{self.name}: theta_star has wrong length")
+        if not np.isfinite(theta).all():
+            raise DimensionError(f"{self.name}: theta_star must be finite, got {theta}")
         theta.setflags(write=False)
         object.__setattr__(self, "theta_star", theta)
 
@@ -232,29 +230,6 @@ def simulate(model: MomentModel, n: int, seed: int) -> Dataset:
     rng = philox_generator(seed)
     rows = model.sampler(rng, n)
     return Dataset(np.asarray(rows, dtype=float).reshape(n, model.dim_x))
-
-
-def dataset_to_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write one observation per row with header x1,...,xd."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(dataset.dim_x)])
-        for row in dataset.rows:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def dataset_from_csv(path: str | Path) -> Dataset:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header != [f"x{j + 1}" for j in range(len(header))]:
-            raise DimensionError(f"{path}: expected header x1,...,xd, got {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise DimensionError(f"{path}: no observations")
-    return Dataset(np.asarray(rows, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -487,15 +487,6 @@ def test_fd_phi1_oracle_against_closed(mean_var):
     assert (np.abs(fd - closed) / (1.0 + np.abs(closed))).max() <= 1e-4
 
 
-def test_dump_tensor_csv(tmp_path, mean_var):
-    t = phi2_population("el", mean_var.pm, mean_var.mt, mean_var.layout)
-    path = tmp_path / "phi2.csv"
-    gx.dump_tensor_csv(path, t, name="phi2")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i0,i1,i2,phi2"
-    assert len(lines) == 1 + t.size
-
-
 @pytest.mark.parametrize("with_mt", [False, True], ids=["no-mt", "mt"])
 @pytest.mark.parametrize("system", ["etel", "el", "diff"])
 @pytest.mark.parametrize("name", gx.MODEL_NAMES)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -442,6 +444,28 @@ def test_hull_error_multivariate(mean_var):
         gx.et_inner_solve(mean_var.model, data, [-10.0])
 
 
+def test_highs_is_imported_at_the_first_hull_check():
+    # the package and its CLI load without scipy.optimize (HiGHS), which is
+    # imported only when a failed dual needs a hull verdict
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import gel_expand, gel_expand.cli\n"
+        "from gel_expand.estimators import _hull_separated\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "print(_hull_separated(np.array([[1.0, 2.0], [2.0, 1.0], [0.5, 3.0]])))\n"
+        "print(_hull_separated(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(gx.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["False", "True", "False", "True"]
+
+
 # ---------------------------------------------------------------------------
 # stacked solver
 # ---------------------------------------------------------------------------
@@ -819,6 +843,28 @@ def test_inner_dual_failures_are_per_row():
                         np.testing.assert_array_equal(got, want)
             with pytest.raises(HullError):
                 core(g[bad], base, 1e-11, 100)
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+@pytest.mark.parametrize("m", [1, 2])
+def test_non_finite_moment_rows_fail_only_their_dataset(m, bad_value):
+    # a dataset with a non-finite moment value gets DomainError before any
+    # hull check; the other datasets' multipliers are those of single solves
+    rng = philox_generator(37)
+    g = rng.standard_normal((4, 30, m))
+    g[2, 11, m - 1] = bad_value
+    base = np.full(30, 1.0 / 30)
+    for core in (estimators._et_core, estimators._el_core):
+        errors = [None] * len(g)
+        mult, wt = core(g, base, 1e-11, 100, errors=errors)
+        assert isinstance(errors[2], DomainError)
+        assert np.isnan(mult[2]).all() and np.isnan(wt[2]).all()
+        for r in (0, 1, 3):
+            assert errors[r] is None
+            for got, want in zip((mult[r], wt[r]), core(g[r], base, 1e-11, 100)):
+                np.testing.assert_array_equal(got, want)
+        with pytest.raises(DomainError, match="not all finite"):
+            core(g[2], base, 1e-11, 100)
 
 
 @pytest.mark.parametrize("dim", range(1, 7))

@@ -10,7 +10,7 @@ import pytest
 import gel_expand as gx
 from gel_expand import estimators, expansion
 from gel_expand.derivatives import SampleStats, population_tensors, sample_stats
-from gel_expand.errors import GelError
+from gel_expand.errors import DimensionError, GelError
 from gel_expand.expansion import _MC_CHUNK, TOLERANCES, _mc_zscores
 from gel_expand.rng import replication_generator, replication_streams
 
@@ -348,6 +348,14 @@ def test_g_bar_studies_match_per_replication_loop(bundles, name, reps):
     assert gx.orthogonality_xi7_study(
         b.model, b.mt, n=60, reps=reps, seed=17
     ) == _loop_orthogonality_xi7_study(b.model, b.mt, 60, reps, 17)
+
+
+def test_g_bar_studies_need_two_replications(mean_var):
+    # one replication has no spread, so its z-score is no evidence
+    with pytest.raises(DimensionError, match="reps >= 2"):
+        gx.var_psi_bar_study(mean_var.model, n=60, reps=1, seed=17)
+    with pytest.raises(DimensionError, match="reps >= 2"):
+        gx.orthogonality_xi7_study(mean_var.model, mean_var.mt, n=60, reps=1, seed=17)
 
 
 @pytest.mark.parametrize("name", ["MeanVarModel", "SkewModel"])

@@ -85,7 +85,8 @@ def test_flag_overrides_file(tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [("seed", "-4"), ("reps", "-1"), ("samples", "0"), ("n", "50,0"), ("n_nodes", "0"),
-     ("skew_df", "0")],
+     ("skew_df", "0"), ("reps", "1"), ("theta_star", "nan"), ("theta_star", "inf"),
+     ("theta_star", "-inf")],
 )
 def test_out_of_range_config_value_is_a_config_error(key, value):
     with pytest.raises(ConfigError, match=f"'{key}'"):

@@ -203,21 +203,11 @@ def test_index_layout_offsets():
         gx.IndexLayout(dim_g=1, dim_theta=2)
 
 
-def test_csv_round_trip(tmp_path):
-    model = gx.build_model("MeanVarModel")
-    data = gx.simulate(model, 17, 3)
-    path = tmp_path / "data.csv"
-    gx.dataset_to_csv(data, path)
-    assert path.read_text().splitlines()[0] == "x1"
-    back = gx.dataset_from_csv(path)
-    np.testing.assert_array_equal(back.rows, data.rows)
-
-
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(DimensionError):
-        gx.dataset_from_csv(path)
+@pytest.mark.parametrize("theta_star", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_non_finite_theta_star_rejected(name, theta_star):
+    with pytest.raises(DimensionError, match="theta_star must be finite"):
+        gx.build_model(name, theta_star=theta_star)
 
 
 def test_unknown_model_rejected():
