@@ -6,7 +6,7 @@ Public surface, by layer:
 * models: moment-condition models, built-ins, simulation
 * population: plug-in population measures and moment tensors
 * projections: P/H/Sigma, the stacked system matrix and its closed inverse
-* estimators: inner dual solvers and the full stacked Newton solver
+* estimators: the stacked moment rows, their Jacobian and the stacked Newton solver
 * derivatives: closed-form and finite-difference derivative tensors, sample bars
 * expansion: the expansion terms and every cancellation / orthogonality check
 * harness: experiment configs, verification suites, reports
@@ -29,11 +29,6 @@ from .models import (
     MODEL_NAMES,
     MomentModel,
     build_model,
-    eval_g,
-    jacobian_fd_error,
-    make_just_ident_model,
-    make_mean_var_model,
-    make_skew_model,
     simulate,
 )
 from .population import (
@@ -56,10 +51,6 @@ from .projections import (
 from .estimators import (
     BetaVector,
     SolveReport,
-    el_inner_solve,
-    et_inner_solve,
-    phi_el,
-    phi_etel,
     pilot_theta,
     solve_stacked,
     stacked_jacobian,
@@ -72,7 +63,6 @@ from .derivatives import (
     phi2_jacobian_seeded,
     phi3_diff_theta_jacobian_seeded,
     population_tensors,
-    psi_tensors,
     sample_stats,
 )
 from .expansion import (
@@ -87,10 +77,7 @@ from .expansion import (
     q_bar,
     q_diff_decomposition,
     r_diff_terms,
-    var_psi_bar,
     var_psi_bar_study,
-    xi7_kernel,
-    xi_weight_matrix,
 )
 
 __version__ = "0.1.0"

@@ -23,8 +23,16 @@ parameter layout (tau, kappa, lambda, theta):
   per-observation derivatives. Because the per-observation derivative
   arrays have exactly the same block structure as the population
   displays, the bars reuse the closed-form assemblers with centered
-  moment inputs. The bars of S samples of one size come from one
-  stacked call (rows (S, n, d)), each slice bitwise the one-sample bars.
+  moment inputs. They are built in two steps. A feature pass over a
+  batch of rows (``_sample_features``) evaluates g, dg and d2g at
+  theta* once, forms the system-free bars (g, G, Omega and the T, W, K
+  bars) and keeps the stacked moment rows at beta* of ETEL and EL. An
+  assembly (``_assemble``) then builds one system's phi0, phi1 and phi2
+  bars from them; the difference system reuses the two systems' rows.
+  ``sample_stats`` is the two steps for one system; the check ladders
+  make one feature pass per batch and assemble every system from it.
+  The bars of S samples of one size come from one stacked pass (rows
+  (S, n, d)), each slice bitwise the one-sample bars.
 
 ``population_tensors`` returns the population tensors by one of three
 methods: ``closed_form``, ``jacobian_seeded`` (the seeded oracle) or
@@ -51,14 +59,10 @@ __all__ = [
     "DerivTensors",
     "SampleStats",
     "phi1_population",
-    "phi1_bar_matrix",
-    "phi2_population",
-    "phi3_diff_theta_population",
     "population_tensors",
     "phi2_jacobian_seeded",
     "phi3_diff_theta_jacobian_seeded",
     "sample_stats",
-    "psi_tensors",
 ]
 
 _EPS = np.finfo(float).eps
@@ -83,7 +87,7 @@ def _check_system(system: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def phi1_bar_matrix(
+def _phi1_bar_matrix(
     system: str,
     g_bar: np.ndarray,
     omega_bar: np.ndarray,
@@ -97,7 +101,6 @@ def phi1_bar_matrix(
     Constant entries center away; the only system difference is the
     (lambda, tau) block, which is g_bar for ETEL and zero for EL.
     """
-    _check_system(system)
     D = layout.dim_beta
     ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
     out = np.zeros(g_bar.shape[:-1] + (D, D))
@@ -194,18 +197,17 @@ def _phi2_blocks(system, layout, omega, G, T, W, K) -> np.ndarray:
     return _phi2_el_blocks(layout, omega, G, T, W, K) + _phi2_diff_blocks(layout, G, T, W)
 
 
-def phi2_population(
+def _phi2_population(
     system: str,
     pm: PopulationMoments,
     mt: MomentTensors,
     layout: IndexLayout,
 ) -> np.ndarray:
     """Closed-form population second-derivative tensor for a system."""
-    _check_system(system)
     return _phi2_blocks(system, layout, pm.Omega, pm.G, mt.T, mt.W, mt.K)
 
 
-def phi3_diff_theta_population(
+def _phi3_diff_theta_population(
     mt: MomentTensors, layout: IndexLayout
 ) -> np.ndarray:
     """Theta-slices of the third-derivative ETEL-EL difference.
@@ -457,9 +459,9 @@ def population_tensors(
         phi1 = np.zeros((D, D)) if system == "diff" else phi1_population(pm, layout)
         if method == "closed_form":
             if order >= 2:
-                phi2 = phi2_population(system, pm, mt, layout)
+                phi2 = _phi2_population(system, pm, mt, layout)
             if order == 3:
-                phi3_theta = phi3_diff_theta_population(mt, layout)
+                phi3_theta = _phi3_diff_theta_population(mt, layout)
         else:
             if order >= 2:
                 phi2 = phi2_jacobian_seeded(system, model, measure, beta0)
@@ -473,19 +475,6 @@ def population_tensors(
 def _neg_inv_contract(phi_inv: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """-Phi^-1 contracted with the first index of a derivative tensor."""
     return -np.einsum("lh,h...->l...", phi_inv, tensor)
-
-
-def psi_tensors(dt: DerivTensors, phi_inv: np.ndarray) -> DerivTensors:
-    """Contract every tensor with -Phi^-1 on its first index."""
-    return DerivTensors(
-        system=dt.system,
-        method=dt.method,
-        phi1=_neg_inv_contract(phi_inv, dt.phi1),
-        phi2=None if dt.phi2 is None else _neg_inv_contract(phi_inv, dt.phi2),
-        phi3_theta=None
-        if dt.phi3_theta is None
-        else _neg_inv_contract(phi_inv, dt.phi3_theta),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +502,96 @@ class SampleStats:
     phi2_bar: np.ndarray | None
 
 
+@dataclass(frozen=True)
+class _SampleFeatures:
+    """The system-free part of the sample bars of a batch of rows.
+
+    root_n is sqrt(n); g_bar, G_bar and Omega_bar are the bars every
+    system shares; star_rows holds the stacked moment rows at beta* of
+    ETEL and EL ((..., n, D) each); cubic holds the T, W and K bars, or
+    None when no moment tensors were given.
+    """
+
+    layout: IndexLayout
+    root_n: float
+    g_bar: np.ndarray
+    G_bar: np.ndarray
+    Omega_bar: np.ndarray
+    star_rows: dict[str, np.ndarray]
+    cubic: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def _sample_features(
+    model: MomentModel,
+    rows: np.ndarray,
+    pm: PopulationMoments,
+    mt: MomentTensors | None,
+) -> _SampleFeatures:
+    """One pass over rows (..., n, d) at the model's theta_star: g, dg and
+    (with ``mt``) d2g evaluated once, the system-free bars, and the ETEL
+    and EL moment rows at beta*."""
+    theta = model.theta_star
+    n = rows.shape[-2]
+    root_n = float(np.sqrt(n))
+
+    g = model.g_rows(rows, theta)
+    gjac = model.g_jacobian(rows, theta)
+    g_bar = root_n * g.mean(axis=-2)
+    G_bar = root_n * (gjac.mean(axis=-3) - pm.G)
+    omega_bar = root_n * (np.einsum("...na,...nb->...ab", g, g) / n - pm.Omega)
+
+    beta_star = BetaVector.star_values(model)
+    star_rows = {s: phi_rows(s, model, rows, beta_star) for s in ("etel", "el")}
+
+    cubic = None
+    if mt is not None:
+        if model.g_hessian is None:
+            raise DimensionError(f"{model.name}: g_hessian required for phi2 bars")
+        ghess = model.g_hessian(rows, theta)
+        t_bar = root_n * (np.einsum("...na,...nb,...nc->...abc", g, g, g) / n - mt.T)
+        w_mean = (
+            np.einsum("...naq,...nb->...abq", gjac, g)
+            + np.einsum("...na,...nbq->...abq", g, gjac)
+        ) / n
+        w_bar = root_n * (w_mean - mt.W)
+        k_bar = root_n * (ghess.mean(axis=-4) - mt.K)
+        cubic = (t_bar, w_bar, k_bar)
+
+    return _SampleFeatures(
+        layout=model.layout,
+        root_n=root_n,
+        g_bar=g_bar,
+        G_bar=G_bar,
+        Omega_bar=omega_bar,
+        star_rows=star_rows,
+        cubic=cubic,
+    )
+
+
+def _assemble(system: str, f: _SampleFeatures) -> SampleStats:
+    """One system's sample bars from a batch's features: phi0 from the
+    moment rows at beta* (their ETEL-EL difference for 'diff'), phi1 and,
+    when the features carry the cubic bars, phi2 from the closed-form
+    assemblers."""
+    if system == "diff":
+        rows_star = f.star_rows["etel"] - f.star_rows["el"]
+    else:
+        rows_star = f.star_rows[system]
+    phi2_bar = None
+    if f.cubic is not None:
+        phi2_bar = _phi2_blocks(system, f.layout, f.Omega_bar, f.G_bar, *f.cubic)
+    return SampleStats(
+        system=system,
+        layout=f.layout,
+        g_bar=f.g_bar,
+        G_bar=f.G_bar,
+        Omega_bar=f.Omega_bar,
+        phi0_bar=f.root_n * rows_star.mean(axis=-2),
+        phi1_bar=_phi1_bar_matrix(system, f.g_bar, f.Omega_bar, f.G_bar, f.layout),
+        phi2_bar=phi2_bar,
+    )
+
+
 def sample_stats(
     system: str,
     model: MomentModel,
@@ -526,52 +605,9 @@ def sample_stats(
     ``data`` is a Dataset or the rows (S, n, d) of S samples of one size.
     Stacked rows give bars with a leading S axis (g_bar (S, m), ...,
     phi2_bar (S, D, D, D)), each slice bitwise the bars of that sample
-    alone: every moment is one stacked call over all S samples.
+    alone: every moment is one stacked call over all S samples. The bars
+    are the feature pass over the rows followed by the system's assembly.
     """
     _check_system(system)
-    layout = model.layout
-    theta = model.theta_star
     rows = data.rows if isinstance(data, Dataset) else np.asarray(data, dtype=float)
-    n = rows.shape[-2]
-    root_n = float(np.sqrt(n))
-
-    g = model.g_rows(rows, theta)
-    gjac = model.g_jacobian(rows, theta)
-    g_bar = root_n * g.mean(axis=-2)
-    G_bar = root_n * (gjac.mean(axis=-3) - pm.G)
-    omega_bar = root_n * (np.einsum("...na,...nb->...ab", g, g) / n - pm.Omega)
-
-    beta_star = BetaVector.star_values(model)
-    if system == "diff":
-        rows_star = phi_rows("etel", model, rows, beta_star) - phi_rows(
-            "el", model, rows, beta_star
-        )
-    else:
-        rows_star = phi_rows(system, model, rows, beta_star)
-    phi0_bar = root_n * rows_star.mean(axis=-2)
-    phi1_bar = phi1_bar_matrix(system, g_bar, omega_bar, G_bar, layout)
-
-    phi2_bar = None
-    if mt is not None:
-        if model.g_hessian is None:
-            raise DimensionError(f"{model.name}: g_hessian required for phi2 bars")
-        ghess = model.g_hessian(rows, theta)
-        t_bar = root_n * (np.einsum("...na,...nb,...nc->...abc", g, g, g) / n - mt.T)
-        w_mean = (
-            np.einsum("...naq,...nb->...abq", gjac, g)
-            + np.einsum("...na,...nbq->...abq", g, gjac)
-        ) / n
-        w_bar = root_n * (w_mean - mt.W)
-        k_bar = root_n * (ghess.mean(axis=-4) - mt.K)
-        phi2_bar = _phi2_blocks(system, layout, omega_bar, G_bar, t_bar, w_bar, k_bar)
-
-    return SampleStats(
-        system=system,
-        layout=layout,
-        g_bar=g_bar,
-        G_bar=G_bar,
-        Omega_bar=omega_bar,
-        phi0_bar=phi0_bar,
-        phi1_bar=phi1_bar,
-        phi2_bar=phi2_bar,
-    )
+    return _assemble(system, _sample_features(model, rows, pm, mt))

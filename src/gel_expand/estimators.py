@@ -12,11 +12,10 @@ Solver layout:
 * One line search, ``_backtrack``, halves steps (t = 1, 1/2, ...) for
   every Newton in the module, and one damped Newton, ``_dual_newton``,
   solves both strictly convex inner duals (log of the tilt normalizer,
-  negative log empirical likelihood; ``et_inner_solve`` /
-  ``el_inner_solve``), each dual giving only its state, Hessian and
-  stopping rule. A full step that shrinks the gradient norm is taken
-  outright, otherwise Armijo decides; EL candidates outside
-  1 - kappa'g > 0 are rejected.
+  negative log empirical likelihood; ``_et_core`` / ``_el_core``), each
+  dual giving only its state, Hessian and stopping rule. A full step
+  that shrinks the gradient norm is taken outright, otherwise Armijo
+  decides; EL candidates outside 1 - kappa'g > 0 are rejected.
 * The start is batched over datasets. ``pilot_theta``, the two duals
   and ``_profile_init`` take R datasets of one size (rows (R, n, d)):
   every dataset iterates, halves its steps and stops on its own, bitwise
@@ -46,7 +45,7 @@ Solver layout:
   (g, dg'lambda, dg, d2g). ``phi_rows``, ``stacked_residual`` and
   ``stacked_jacobian`` are thin wrappers over the same evaluation. The
   line search rejects a candidate outside the exp cap or the EL domain,
-  or whose residual norm overflows (without a warning).
+  or whose rows or residual norm overflow (without a warning).
 * The evaluation is batched: beta (..., D) stacks probe points on
   leading axes, and rows (R, n, d) stack R datasets of one size at one
   beta (D,) or one each (R, D); each leading index is bitwise the
@@ -89,13 +88,9 @@ __all__ = [
     "EXP_CAP",
     "BetaVector",
     "SolveReport",
-    "phi_etel",
-    "phi_el",
     "phi_rows",
     "stacked_residual",
     "stacked_jacobian",
-    "et_inner_solve",
-    "el_inner_solve",
     "pilot_theta",
     "solve_stacked",
 ]
@@ -106,7 +101,6 @@ EXP_CAP = 700.0
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _INNER_TOL = 1e-11
-_INNER_MAX_ITER = 100
 _PILOT_TOL = 1e-12
 _PILOT_MAX_ITER = 50
 _MAX_ITER = 100
@@ -342,18 +336,6 @@ def phi_rows(system: str, model: MomentModel, rows: np.ndarray, beta: np.ndarray
     probes pass through untouched.
     """
     return _StackedEval(system, model, rows, beta).phi
-
-
-def phi_etel(x: np.ndarray, beta: BetaVector, model: MomentModel) -> np.ndarray:
-    """Evaluate the ETEL stacked moment vector at one observation."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return phi_rows("etel", model, x, beta.values)[0]
-
-
-def phi_el(x: np.ndarray, beta: BetaVector, model: MomentModel) -> np.ndarray:
-    """Evaluate the EL stacked moment vector at one observation."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return phi_rows("el", model, x, beta.values)[0]
 
 
 def stacked_residual(
@@ -666,32 +648,6 @@ def _el_core(
     return _unbatch(errs, errors, single, kappa, wt / wt.sum(axis=1)[:, None])
 
 
-def et_inner_solve(
-    model: MomentModel, data: Dataset, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential-tilting multiplier and weights at a fixed theta.
-
-    Solves n^-1 sum exp(lam'g_i) g_i = 0; returns (lam, weights) with
-    weights proportional to exp(lam'g_i) and summing to one.
-    """
-    g = model.g_rows(data.rows, np.asarray(theta, dtype=float))
-    base = np.full(data.n, 1.0 / data.n)
-    return _et_core(g, base, _INNER_TOL, _INNER_MAX_ITER)
-
-
-def el_inner_solve(
-    model: MomentModel, data: Dataset, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """EL multiplier and weights at a fixed theta.
-
-    Solves n^-1 sum g_i / (1 - kappa'g_i) = 0 with every factor
-    1 - kappa'g_i positive; weights are proportional to those inverses.
-    """
-    g = model.g_rows(data.rows, np.asarray(theta, dtype=float))
-    base = np.full(data.n, 1.0 / data.n)
-    return _el_core(g, base, _INNER_TOL, _INNER_MAX_ITER)
-
-
 # ---------------------------------------------------------------------------
 # Stacked solver
 # ---------------------------------------------------------------------------
@@ -753,22 +709,6 @@ class SolveReport:
     tol: float
     init_distance: float
     reason: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "beta_hat": [float(v) for v in self.beta_hat.values],
-            "tau": float(self.beta_hat.tau),
-            "kappa": [float(v) for v in self.beta_hat.kappa],
-            "lambda": [float(v) for v in self.beta_hat.lam],
-            "theta": [float(v) for v in self.beta_hat.theta],
-            "residual_norm": float(self.residual_norm),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "tol": float(self.tol),
-            "init_distance": float(self.init_distance),
-            "reason": self.reason,
-        }
 
 
 def _profile_init(
@@ -861,12 +801,13 @@ def _newton_stacked(
 
     def try_step(t, rows, cand):
         # a candidate outside the exp cap or the EL domain, or whose
-        # residual norm overflows, is rejected and the step halved
-        try:
-            cand_ev = _StackedEval(system, model, data.rows, cand[0], w)
-        except (DomainError, OverflowGuardError):
-            return np.array([False])
-        with np.errstate(over="ignore"):
+        # residual norm overflows, is rejected and the step halved; its
+        # rows may overflow on the way (inf or NaN), without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                cand_ev = _StackedEval(system, model, data.rows, cand[0], w)
+            except (DomainError, OverflowGuardError):
+                return np.array([False])
             cand_norm = _norm(cand_ev.residual)
         ok = cand_norm < math.inf and cand_norm <= (1.0 - _ARMIJO * t) * norm
         if ok:

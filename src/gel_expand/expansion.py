@@ -45,12 +45,9 @@ __all__ = [
     "RDiffReport",
     "psi_bar",
     "psi_bar_generic",
-    "var_psi_bar",
     "q_bar",
     "q_diff_decomposition",
-    "xi_weight_matrix",
     "r_diff_terms",
-    "xi7_kernel",
     "orthogonality_xi7_study",
     "var_psi_bar_study",
     "StudyRow",
@@ -118,7 +115,7 @@ def psi_bar_generic(ss: SampleStats, ps: ProjectionSet) -> np.ndarray:
     return _matvec(-phi_inverse_matrix(ps, ss.layout), ss.phi0_bar)
 
 
-def var_psi_bar(ps: ProjectionSet, layout) -> np.ndarray:
+def _var_psi_bar(ps: ProjectionSet, layout) -> np.ndarray:
     """Exact covariance of psi_bar: blocks P on the multiplier rows, Sigma on theta."""
     D = layout.dim_beta
     out = np.zeros((D, D))
@@ -255,7 +252,7 @@ def q_diff_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def xi_weight_matrix(layout) -> np.ndarray:
+def _xi_weight_matrix(layout) -> np.ndarray:
     """Multiplicity weights: 1 if both indices sit in the theta block,
     3/2 if exactly one does, 3 if neither does."""
     D = layout.dim_beta
@@ -330,7 +327,7 @@ def r_diff_terms(
     term2_cancel = (psi2_diff[:, 0, :] @ psi)[ts] * q_vec[0]
     term2_xi7 = term2_direct - term2_cancel
 
-    core = ps.H @ xi7_kernel(u1, ps, mt)
+    core = ps.H @ _xi7_kernel(u1, ps, mt)
     candidates = {"+1/2": 0.5 * core, "-1": -core}
     supported = None
     scale = 1.0 + float(np.max(np.abs(term2_xi7)))
@@ -342,7 +339,7 @@ def r_diff_terms(
     psi2_diff_bar = _neg_inv_contract(phi_inv, ss_diff.phi2_bar)
     term3 = np.einsum("ljk,j,k->l", psi2_diff_bar, psi, psi)[ts]
 
-    xi = xi_weight_matrix(layout)
+    xi = _xi_weight_matrix(layout)
     inner = np.einsum("hjkq,jk,j,k->hq", dt_diff.phi3_theta, xi, psi, psi)
     term4_full = -phi_inv @ (inner @ psi[ts])
     term4 = term4_full[ts]
@@ -357,10 +354,10 @@ def r_diff_terms(
     )
 
 
-def xi7_kernel(u1: np.ndarray, ps: ProjectionSet, mt: MomentTensors) -> np.ndarray:
+def _xi7_kernel(u1: np.ndarray, ps: ProjectionSet, mt: MomentTensors) -> np.ndarray:
     """Unprojected cubic kernel B Omega^-1 B u1 with B = T u1, u1 = P g_bar.
 
-    The surviving third-order term is xi7 = 1/2 H xi7_kernel(P g_bar).
+    The surviving third-order term is xi7 = 1/2 H _xi7_kernel(P g_bar).
     u1 may carry leading axes (one row per replication); for a single
     vector the result equals the unbatched products bitwise.
     """
@@ -403,19 +400,20 @@ def _scaled_g_bars(model: MomentModel, n: int, reps: int, seed: int) -> np.ndarr
     return out
 
 
-def _mc_zscores(products: np.ndarray) -> np.ndarray:
+def _mc_zscores(products: np.ndarray, roundoff: float = 0.0) -> np.ndarray:
     """Componentwise z-score of mean(products) against zero.
 
-    products has shape (reps, ...). Components whose spread is exactly
-    zero are reported as z = 0 (degenerate exact-zero statistics).
+    products has shape (reps, ...). A component whose standard error and
+    mean both lie within ``roundoff`` of zero is degenerate (an exact-zero
+    statistic up to rounding) and gets z = 0; any other component with a
+    zero spread gets an infinite z, so a constant nonzero mean fails.
     """
     reps = products.shape[0]
     mean = products.mean(axis=0)
-    sd = products.std(axis=0, ddof=1)
-    se = sd / math.sqrt(reps)
+    se = products.std(axis=0, ddof=1) / math.sqrt(reps)
+    degenerate = (se <= roundoff) & (np.abs(mean) <= roundoff)
     with np.errstate(invalid="ignore", divide="ignore"):
-        z = np.where(se > 0.0, mean / np.where(se > 0.0, se, 1.0), 0.0)
-    return z
+        return np.where(degenerate, 0.0, mean / se)
 
 
 def orthogonality_xi7_study(
@@ -438,7 +436,7 @@ def orthogonality_xi7_study(
     p = model.dim_theta
 
     gbars = _scaled_g_bars(model, n, reps, seed)
-    kernel = xi7_kernel(_matvec(ps.P, gbars), ps, mt)
+    kernel = _xi7_kernel(_matvec(ps.P, gbars), ps, mt)
     xi7 = _matvec(0.5 * ps.H, kernel)
     htheta = _matvec(-ps.H, gbars)
 
@@ -473,15 +471,23 @@ def var_psi_bar_study(
     seed: int = 0,
 ) -> dict:
     """Empirical covariance of psi_bar against its exact block display
-    (built from the model's analytic moments)."""
+    (built from the model's analytic moments).
+
+    A display entry that is zero in exact arithmetic can come out of the
+    projections as roundoff (P[0, 0] ~ 4e-16 for SkewModel at df = 1), and
+    its draws spread by roundoff too. An entry counts as degenerate (z = 0)
+    only when both its standard error and its mean deviation lie within
+    64 eps max(1, max |display|), float64 roundoff at the display's scale.
+    """
     ps = projection_set(population_moments(model, "analytic"))
     layout = model.layout
-    target = var_psi_bar(ps, layout)
+    target = _var_psi_bar(ps, layout)
 
     draws = _psi_from_g_bar(_scaled_g_bars(model, n, reps, seed), ps, layout)
 
     products = np.einsum("rj,rk->rjk", draws, draws) - target[None, :, :]
-    z = _mc_zscores(products)
+    roundoff = 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(target))))
+    z = _mc_zscores(products, roundoff)
     emp = np.einsum("rj,rk->jk", draws, draws) / reps
     return {
         "reps": reps,
@@ -630,7 +636,7 @@ def expansion_difference_study(
         flag = "degenerate: fewer than two replications, slope undefined"
     elif any(r.median_abs_diff == 0.0 for r in rows if r.reps_ok > 0):
         flag = "degenerate: zero median difference (systems coincide)"
-    elif len(usable) < 2:
+    elif len({u[0] for u in usable}) < 2:
         flag = "degenerate: not enough scale points for a slope"
     else:
         logs_n = np.log([u[0] for u in usable])

@@ -30,7 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .derivatives import _BATCH_ROWS, population_tensors, sample_stats
+from .derivatives import (
+    SYSTEMS,
+    _BATCH_ROWS,
+    _assemble,
+    _sample_features,
+    population_tensors,
+)
 from .errors import ConfigError
 from .expansion import (
     _MAX_FAIL_RATE,
@@ -178,8 +184,9 @@ def parse_config(
     Flag overrides win over file values. Raises ConfigError naming the
     offending key for anything malformed, unknown, missing or out of
     range (a negative seed; fewer than two reps; a sample count, sample
-    size, node count or df below 1; a theta_star that is not finite; a
-    ``tol.<name>`` whose name is not in TOLERANCES).
+    size, node count or df below 1; fewer than two distinct sizes for
+    ``mc_study``; a theta_star that is not finite; a ``tol.<name>``
+    whose name is not in TOLERANCES).
     """
     raw: dict[str, str] = {}
     if path is not None:
@@ -220,8 +227,11 @@ def parse_config(
     n_list = values["n"]
     if isinstance(n_list, str):
         n_list = _parse_n_list("n", n_list)
-    if suite == "mc_study" and not n_list:
-        raise ConfigError("config key 'n' must be a non-empty list for mc_study")
+    if suite == "mc_study" and len(set(n_list)) < 2:
+        raise ConfigError(
+            "config key 'n': mc_study fits a slope across sizes and needs at least "
+            f"two distinct sizes, got {','.join(str(v) for v in n_list)}"
+        )
 
     def as_int(key: str) -> int:
         v = values[key]
@@ -412,8 +422,8 @@ def q_ladder(model, measure, pm, ps, mt, n: int, seeds) -> dict[str, float]:
     Covers the closed vs generic influence term (ETEL), the q-term routes
     and system equality with closed-form and with jacobian-seeded tensors
     (ETEL and EL), and the two pieces of the q-term difference. The
-    samples' bars are stacked: one ``sample_stats`` call per system and
-    batch of samples.
+    samples' bars are stacked: one feature pass per batch of samples,
+    assembled for each system.
     """
     dt = {
         s: population_tensors(s, model, pm, order=2, method="closed_form", mt=mt)
@@ -430,7 +440,8 @@ def q_ladder(model, measure, pm, ps, mt, n: int, seeds) -> dict[str, float]:
         0.0,
     )
     for rows in _batches(model, n, seeds):
-        ss = {s: sample_stats(s, model, rows, pm, mt) for s in ("etel", "el", "diff")}
+        features = _sample_features(model, rows, pm, None)
+        ss = {s: _assemble(s, features) for s in SYSTEMS}
         _bump(worst, "psi.closed-vs-generic",
               _sup(psi_bar(ss["etel"], ps) - psi_bar_generic(ss["etel"], ps)))
         for suffix, tensors in (("", dt), ("-fd", dts)):
@@ -450,8 +461,9 @@ def r_ladder(model, measure, pm, ps, mt, n: int, seeds, fd_samples: int) -> dict
     The weighted cubic remainder is also contracted with the
     jacobian-seeded third-order tensors on the first `fd_samples` samples.
     ``"xi7-supported"`` holds the set of kernel coefficients the samples
-    supported. The bars and q-terms are stacked per batch of samples;
-    ``r_diff_terms`` runs on each sample's slice.
+    supported. The bars (one feature pass per batch of samples) and
+    q-terms are stacked per batch; ``r_diff_terms`` runs on each sample's
+    slice.
     """
     dt_et = population_tensors("etel", model, pm, order=2, method="closed_form", mt=mt)
     dt_diff = population_tensors("diff", model, pm, order=3, method="closed_form", mt=mt)
@@ -462,8 +474,9 @@ def r_ladder(model, measure, pm, ps, mt, n: int, seeds, fd_samples: int) -> dict
     supported: set[str | None] = set()
     done = 0
     for rows in _batches(model, n, seeds):
-        ss_d = sample_stats("diff", model, rows, pm, mt)
-        q = q_bar(sample_stats("etel", model, rows, pm, mt), ps, dt_et, mt)
+        features = _sample_features(model, rows, pm, mt)
+        ss_d = _assemble("diff", features)
+        q = q_bar(_assemble("etel", features), ps, dt_et, mt)
         for k in range(rows.shape[0]):
             ss_k, q_k = _at(ss_d, k), _at(q, k)
             rd = r_diff_terms(ss_k, ps, dt_diff, q_k, mt)

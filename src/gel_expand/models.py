@@ -41,14 +41,9 @@ __all__ = [
     "Dataset",
     "AnalyticMoments",
     "MomentModel",
-    "eval_g",
     "simulate",
-    "make_mean_var_model",
-    "make_just_ident_model",
-    "make_skew_model",
     "build_model",
     "MODEL_NAMES",
-    "jacobian_fd_error",
 ]
 
 
@@ -217,12 +212,6 @@ class MomentModel:
         return out
 
 
-def eval_g(model: MomentModel, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Evaluate g(x, theta) for a single observation."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return model.g_rows(x[None, :], theta)[0]
-
-
 def simulate(model: MomentModel, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. observations; deterministic in (model, n, seed)."""
     if n < 1:
@@ -288,7 +277,7 @@ def _chi2_rule(theta_star: float, df: int):
     return rule
 
 
-def make_mean_var_model(theta_star: float = 0.0) -> MomentModel:
+def _make_mean_var_model(theta_star: float = 0.0) -> MomentModel:
     """x ~ Normal(theta_star, 1) with g = (x - theta, (x - theta)^2 - 1)."""
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -312,7 +301,7 @@ def make_mean_var_model(theta_star: float = 0.0) -> MomentModel:
     )
 
 
-def make_just_ident_model(theta_star: float = 0.0) -> MomentModel:
+def _make_just_ident_model(theta_star: float = 0.0) -> MomentModel:
     """x ~ Normal(theta_star, 1) with the single moment g = x - theta."""
 
     def g(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -351,7 +340,7 @@ def _chi2_std_moments(df: int) -> tuple[float, float]:
     return m3, m4
 
 
-def make_skew_model(theta_star: float = 0.0, df: int = 4) -> MomentModel:
+def _make_skew_model(theta_star: float = 0.0, df: int = 4) -> MomentModel:
     """Centered, unit-variance chi-square data with the mean/variance moments.
 
     The standardized chi-square has skewness sqrt(8/df), so all
@@ -386,9 +375,9 @@ def make_skew_model(theta_star: float = 0.0, df: int = 4) -> MomentModel:
 
 
 _MODEL_FACTORIES: dict[str, Callable[..., MomentModel]] = {
-    "MeanVarModel": make_mean_var_model,
-    "JustIdentModel": make_just_ident_model,
-    "SkewModel": make_skew_model,
+    "MeanVarModel": _make_mean_var_model,
+    "JustIdentModel": _make_just_ident_model,
+    "SkewModel": _make_skew_model,
 }
 
 MODEL_NAMES = tuple(sorted(_MODEL_FACTORIES))
@@ -401,33 +390,3 @@ def build_model(name: str, **params) -> MomentModel:
             f"unknown model {name!r}; valid models: {', '.join(MODEL_NAMES)}"
         )
     return _MODEL_FACTORIES[name](**params)
-
-
-_FD_CHECK_POINTS = 100
-_FD_CHECK_SEED = 11
-
-
-def jacobian_fd_error(model: MomentModel) -> float:
-    """Max relative error of g_jacobian against central differences of g.
-
-    Points are drawn from the simulator and theta around theta_star (unit
-    normal offsets) so the check exercises the region the solvers visit.
-    """
-    rng = philox_generator(_FD_CHECK_SEED)
-    rows = model.sampler(rng, _FD_CHECK_POINTS)
-    thetas = model.theta_star + rng.standard_normal((_FD_CHECK_POINTS, model.dim_theta))
-    worst = 0.0
-    for i in range(_FD_CHECK_POINTS):
-        x = rows[i : i + 1]
-        theta = thetas[i]
-        jac = model.g_jacobian(x, theta)[0]
-        for j in range(model.dim_theta):
-            h = 1e-6 * (1.0 + abs(theta[j]))
-            tp = theta.copy()
-            tp[j] += h
-            tm = theta.copy()
-            tm[j] -= h
-            col = (model.g(x, tp)[0] - model.g(x, tm)[0]) / (2.0 * h)
-            denom = 1.0 + np.abs(jac[:, j])
-            worst = max(worst, float(np.max(np.abs(col - jac[:, j]) / denom)))
-    return worst

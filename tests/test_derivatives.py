@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import gel_expand as gx
 from gel_expand.derivatives import (
+    _assemble,
+    _neg_inv_contract,
+    _phi2_population,
+    _phi3_diff_theta_population,
+    _sample_features,
     fd_phi1,
     phi1_population,
     phi2_jacobian_seeded,
-    phi2_population,
     phi3_diff_theta_jacobian_seeded,
-    phi3_diff_theta_population,
     population_tensors,
-    psi_tensors,
     sample_stats,
 )
 from gel_expand.errors import DimensionError
@@ -55,7 +59,7 @@ def test_phi1_shared_between_systems_fd(bundles, name):
 @pytest.mark.parametrize("system", ["etel", "el", "diff"])
 def test_phi2_closed_vs_seeded(bundles, name, system):
     b = bundles[name]
-    closed = phi2_population(system, b.pm, b.mt, b.layout)
+    closed = _phi2_population(system, b.pm, b.mt, b.layout)
     seeded = phi2_jacobian_seeded(
         system, b.model, b.measure, BetaVector.star_values(b.model)
     )
@@ -67,7 +71,7 @@ def test_phi2_closed_vs_seeded(bundles, name, system):
 @pytest.mark.parametrize("system", ["etel", "el", "diff"])
 def test_phi2_closed_vs_plain_fd(bundles, name, system):
     b = bundles[name]
-    closed = phi2_population(system, b.pm, b.mt, b.layout)
+    closed = _phi2_population(system, b.pm, b.mt, b.layout)
     fd = population_tensors(
         system, b.model, b.pm, order=2, method="finite_difference", measure=b.measure
     ).phi2
@@ -80,7 +84,7 @@ def test_phi2_closed_vs_plain_fd(bundles, name, system):
 @pytest.mark.parametrize("name", gx.MODEL_NAMES)
 def test_phi3_diff_theta_closed_vs_oracles(bundles, name):
     b = bundles[name]
-    closed = phi3_diff_theta_population(b.mt, b.layout)
+    closed = _phi3_diff_theta_population(b.mt, b.layout)
     seeded = phi3_diff_theta_jacobian_seeded(b.model, b.measure, b.layout)
     assert (np.abs(closed - seeded) / (1.0 + np.abs(closed))).max() <= 1e-7
     fd = population_tensors(
@@ -136,7 +140,7 @@ def test_phi3_diff_theta_slices_with_two_parameters():
         U=rng.standard_normal((m, m, m, p)),
         V=rng.standard_normal((m, m, p, p)),
     )
-    got = phi3_diff_theta_population(mt, layout)
+    got = _phi3_diff_theta_population(mt, layout)
     want = _phi3_diff_theta_blocks_written_out(mt, layout)
     assert got.shape == (layout.dim_beta,) * 3 + (p,)
     np.testing.assert_array_equal(got, want)
@@ -221,7 +225,7 @@ def test_fd_engine_matches_hand_nested_stencils(mean_var):
 
 def test_phi2_symmetry_closed(skew):
     for system in ("etel", "el", "diff"):
-        t = phi2_population(system, skew.pm, skew.mt, skew.layout)
+        t = _phi2_population(system, skew.pm, skew.mt, skew.layout)
         assert np.abs(t - np.transpose(t, (0, 2, 1))).max() <= 1e-12
 
 
@@ -229,8 +233,8 @@ def test_difference_tensors_vanish_on_shared_rows(skew):
     # the stackings share their first two blocks, so every derivative of
     # the difference has zero tau and kappa rows
     layout = skew.layout
-    d2 = phi2_population("diff", skew.pm, skew.mt, layout)
-    d3 = phi3_diff_theta_population(skew.mt, layout)
+    d2 = _phi2_population("diff", skew.pm, skew.mt, layout)
+    d3 = _phi3_diff_theta_population(skew.mt, layout)
     shared = list(range(layout.l_lambda))
     assert np.abs(d2[shared]).max() == 0.0
     assert np.abs(d3[shared]).max() == 0.0
@@ -356,14 +360,15 @@ def test_unknown_tensor_method_lists_all_methods(skew):
 def test_psi_tensor_roundtrip_and_symmetry(skew):
     phi = gx.phi_system(skew.pm)
     dt = population_tensors("etel", skew.model, skew.pm, order=2, method="closed_form", mt=skew.mt)
-    psi = psi_tensors(dt, phi.phi_inv)
-    back = -np.einsum("lh,hjk->ljk", phi.phi, psi.phi2)
+    psi2 = _neg_inv_contract(phi.phi_inv, dt.phi2)
+    back = -np.einsum("lh,hjk->ljk", phi.phi, psi2)
     assert np.abs(back - dt.phi2).max() <= 1e-12
-    assert np.abs(psi.phi2 - np.transpose(psi.phi2, (0, 2, 1))).max() <= 1e-12
+    assert np.abs(psi2 - np.transpose(psi2, (0, 2, 1))).max() <= 1e-12
     # first-order psi agrees between the systems
     dt_el = population_tensors("el", skew.model, skew.pm, order=1, method="closed_form", mt=skew.mt)
-    psi_el = psi_tensors(dt_el, phi.phi_inv)
-    np.testing.assert_array_equal(psi.phi1, psi_el.phi1)
+    np.testing.assert_array_equal(
+        _neg_inv_contract(phi.phi_inv, dt.phi1), _neg_inv_contract(phi.phi_inv, dt_el.phi1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +391,7 @@ def test_sample_stats_single_observation(mean_var):
     data = gx.Dataset(np.array([[0.7]]))
     ss = sample_stats("etel", model, data, mean_var.pm)
     np.testing.assert_allclose(
-        ss.g_bar, gx.eval_g(model, [0.7], model.theta_star), atol=1e-15
+        ss.g_bar, model.g_rows(np.array([[0.7]]), model.theta_star)[0], atol=1e-15
     )
 
 
@@ -450,7 +455,7 @@ def _brute_force_bars(system, model, data, pm, mt):
     phi1_pop = (
         np.zeros((D, D)) if system == "diff" else phi1_population(pm, layout)
     )
-    phi2_pop = phi2_population(system, pm, mt, layout)
+    phi2_pop = _phi2_population(system, pm, mt, layout)
     root_n = np.sqrt(n)
     phi1_bar = root_n * (jac.mean(axis=0) - phi1_pop)
     phi2_bar = root_n * (hess.mean(axis=0) - phi2_pop)
@@ -510,3 +515,32 @@ def test_stacked_sample_stats_are_single_sample_bars(bundles, name, system, with
                 continue
             part = getattr(stacked, field)[k]
             assert part.shape == value.shape and part.tobytes() == value.tobytes(), field
+
+
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_one_feature_pass_serves_every_system(bundles, name):
+    # a batch's features evaluate g and dg once for the shared bars and once
+    # in each of the ETEL and EL rows at beta*, d2g once; every system's
+    # assembly from them is bitwise its sample_stats
+    b = bundles[name]
+    calls = {"g": 0, "g_jacobian": 0, "g_hessian": 0}
+
+    def counted(attr):
+        fn = getattr(b.model, attr)
+
+        def wrapper(rows, theta):
+            calls[attr] += 1
+            return fn(rows, theta)
+
+        return wrapper
+
+    model = dataclasses.replace(b.model, **{attr: counted(attr) for attr in calls})
+    rows = np.stack([gx.simulate(b.model, 40, 700 + k).rows for k in range(5)])
+    features = _sample_features(model, rows, b.pm, b.mt)
+    assert calls == {"g": 3, "g_jacobian": 3, "g_hessian": 1}
+    for system in ("etel", "el", "diff"):
+        got = _assemble(system, features)
+        want = sample_stats(system, b.model, rows, b.pm, b.mt)
+        assert got.system == system
+        for field in ("g_bar", "G_bar", "Omega_bar", "phi0_bar", "phi1_bar", "phi2_bar"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field

@@ -25,13 +25,23 @@ from gel_expand.errors import (
     OverflowGuardError,
     SingularMatrixError,
 )
-from gel_expand.estimators import BetaVector, stacked_jacobian, stacked_residual
+from gel_expand.estimators import BetaVector, phi_rows, stacked_jacobian, stacked_residual
 from gel_expand.rng import philox_generator, replication_generator
+
+
+def _g(model, x, theta):
+    """g at one observation x."""
+    return model.g_rows(np.atleast_2d(np.asarray(x, float)), np.asarray(theta, float))[0]
+
+
+def _phi(system, x, beta, model):
+    """The stacked moment vector of one observation x."""
+    return phi_rows(system, model, np.atleast_2d(np.asarray(x, float)), beta.values)[0]
 
 
 def _naive_phi_etel(x, beta, model):
     """Term-by-term evaluation of the displayed ETEL stacking (oracle)."""
-    g = gx.eval_g(model, x, beta.theta)
+    g = _g(model, x, beta.theta)
     G = model.g_jacobian(np.atleast_2d(np.asarray(x, float)), beta.theta)[0]
     tau, kappa, lam = beta.tau, beta.kappa, beta.lam
     tdot = math.exp(float(lam @ g))
@@ -48,7 +58,7 @@ def _naive_phi_etel(x, beta, model):
 
 
 def _naive_phi_el(x, beta, model):
-    g = gx.eval_g(model, x, beta.theta)
+    g = _g(model, x, beta.theta)
     G = model.g_jacobian(np.atleast_2d(np.asarray(x, float)), beta.theta)[0]
     tau, kappa, lam = beta.tau, beta.kappa, beta.lam
     tdot = math.exp(float(lam @ g))
@@ -63,10 +73,10 @@ def test_phi_collapses_at_beta_star(mean_var):
     star = BetaVector.star(model)
     rng = philox_generator(5)
     for x in model.sampler(rng, 10):
-        g = gx.eval_g(model, x, model.theta_star)
+        g = _g(model, x, model.theta_star)
         expected = np.concatenate([[0.0], g, np.zeros(3)])
-        np.testing.assert_allclose(gx.phi_etel(x, star, model), expected, atol=1e-15)
-        np.testing.assert_allclose(gx.phi_el(x, star, model), expected, atol=1e-15)
+        np.testing.assert_allclose(_phi("etel", x, star, model), expected, atol=1e-15)
+        np.testing.assert_allclose(_phi("el", x, star, model), expected, atol=1e-15)
 
 
 def test_phi_hand_value(mean_var):
@@ -74,17 +84,17 @@ def test_phi_hand_value(mean_var):
     beta = BetaVector.from_blocks(
         1.0, [0.0, 0.0], [0.0, 0.0], [1.0], mean_var.layout
     )
-    out = gx.phi_etel([2.0], beta, mean_var.model)
+    out = _phi("etel", [2.0], beta, mean_var.model)
     np.testing.assert_allclose(out, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(
-        gx.phi_el([2.0], beta, mean_var.model), out, atol=1e-15
+        _phi("el", [2.0], beta, mean_var.model), out, atol=1e-15
     )
 
 
 def test_phi_el_third_block_hand_value(mean_var):
     layout = mean_var.layout
     beta = BetaVector.from_blocks(1.0, [0.1, 0.0], [0.0, 0.0], [1.0], layout)
-    out = gx.phi_el([2.0], beta, mean_var.model)
+    out = _phi("el", [2.0], beta, mean_var.model)
     np.testing.assert_allclose(out[layout.lambda_slice], [1.0 / 9.0, 0.0], atol=1e-14)
 
 
@@ -101,11 +111,11 @@ def test_phi_matches_independent_reimplementation(mean_var, seed):
         model.layout,
     )
     np.testing.assert_allclose(
-        gx.phi_etel(x, beta, model), _naive_phi_etel(x, beta, model), atol=1e-14
+        _phi("etel", x, beta, model), _naive_phi_etel(x, beta, model), atol=1e-14
     )
-    if float(beta.kappa @ gx.eval_g(model, x, beta.theta)) < 1.0:
+    if float(beta.kappa @ _g(model, x, beta.theta)) < 1.0:
         np.testing.assert_allclose(
-            gx.phi_el(x, beta, model), _naive_phi_el(x, beta, model), atol=1e-14
+            _phi("el", x, beta, model), _naive_phi_el(x, beta, model), atol=1e-14
         )
 
 
@@ -117,8 +127,8 @@ def test_phi_first_two_blocks_shared(mean_var):
     beta = BetaVector.from_blocks(
         0.9, [0.05, -0.02], [0.1, 0.03], [0.2], model.layout
     )
-    a = gx.phi_etel(x, beta, model)
-    b = gx.phi_el(x, beta, model)
+    a = _phi("etel", x, beta, model)
+    b = _phi("el", x, beta, model)
     np.testing.assert_array_equal(a[:3], b[:3])
 
 
@@ -127,7 +137,7 @@ def test_phi_el_domain_error(mean_var):
         1.0, [2.0, 0.0], [0.0, 0.0], [0.0], mean_var.layout
     )
     with pytest.raises(DomainError):
-        gx.phi_el([2.0], beta, mean_var.model)  # kappa'g = 4 > 1
+        _phi("el", [2.0], beta, mean_var.model)  # kappa'g = 4 > 1
 
 
 def test_jacobian_matches_fd_of_residual(mean_var):
@@ -387,32 +397,47 @@ def _tiny(values):
     return gx.Dataset(np.asarray(values, dtype=float).reshape(-1, 1))
 
 
+def _inner(core, model, data, theta):
+    """The ET (``_et_core``) or EL (``_el_core``) multiplier and weights of
+    a dataset at a fixed theta, with the tolerance and budget of the start."""
+    g = model.g_rows(data.rows, np.asarray(theta, dtype=float))
+    return core(g, np.full(data.n, 1.0 / data.n), estimators._INNER_TOL, estimators._MAX_ITER)
+
+
+def _et_inner(model, data, theta):
+    return _inner(estimators._et_core, model, data, theta)
+
+
+def _el_inner(model, data, theta):
+    return _inner(estimators._el_core, model, data, theta)
+
+
 def test_et_inner_symmetric(just_ident):
-    lam, w = gx.et_inner_solve(just_ident.model, _tiny([-1.0, 1.0]), [0.0])
+    lam, w = _et_inner(just_ident.model, _tiny([-1.0, 1.0]), [0.0])
     assert lam[0] == 0.0
     np.testing.assert_allclose(w, [0.5, 0.5])
 
 
 def test_et_inner_known_root(just_ident):
-    lam, w = gx.et_inner_solve(just_ident.model, _tiny([-1.0, -1.0, 1.0]), [0.0])
+    lam, w = _et_inner(just_ident.model, _tiny([-1.0, -1.0, 1.0]), [0.0])
     assert lam[0] == pytest.approx(math.log(2.0) / 2.0, abs=1e-12)
     np.testing.assert_allclose(w, [0.25, 0.25, 0.5], atol=1e-12)
 
 
 def test_el_inner_symmetric(just_ident):
-    kap, w = gx.el_inner_solve(just_ident.model, _tiny([-1.0, 1.0]), [0.0])
+    kap, w = _el_inner(just_ident.model, _tiny([-1.0, 1.0]), [0.0])
     assert kap[0] == 0.0
 
 
 def test_el_inner_known_root(just_ident):
     # root of -2/(1+k) + 1/(1-k) = 0; the implied weights rebalance the
     # duplicated point mass: {1/4, 1/4, 1/2}
-    kap, w = gx.el_inner_solve(just_ident.model, _tiny([-1.0, -1.0, 1.0]), [0.0])
+    kap, w = _el_inner(just_ident.model, _tiny([-1.0, -1.0, 1.0]), [0.0])
     assert kap[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     np.testing.assert_allclose(w, [0.25, 0.25, 0.5], atol=1e-12)
 
 
-@pytest.mark.parametrize("solver", [gx.et_inner_solve, gx.el_inner_solve])
+@pytest.mark.parametrize("solver", [_et_inner, _el_inner], ids=["et_inner_solve", "el_inner_solve"])
 def test_inner_hull_error(just_ident, solver):
     with pytest.raises(HullError):
         solver(just_ident.model, _tiny([1.0, 2.0, 3.0]), [0.0])
@@ -423,11 +448,11 @@ def test_inner_postconditions(mean_var, system):
     model = mean_var.model
     data = gx.simulate(model, 300, 21)
     if system == "etel":
-        mult, w = gx.et_inner_solve(model, data, model.theta_star)
+        mult, w = _et_inner(model, data, model.theta_star)
         g = model.g_rows(data.rows, model.theta_star)
         resid = np.linalg.norm((np.exp(g @ mult) / data.n) @ g)
     else:
-        mult, w = gx.el_inner_solve(model, data, model.theta_star)
+        mult, w = _el_inner(model, data, model.theta_star)
         g = model.g_rows(data.rows, model.theta_star)
         denom = 1.0 - g @ mult
         assert denom.min() > 0
@@ -441,7 +466,7 @@ def test_hull_error_multivariate(mean_var):
     # both components of g strictly positive on every row at theta = -10
     data = gx.Dataset(np.linspace(-4.0, 4.0, 9).reshape(-1, 1))
     with pytest.raises(HullError):
-        gx.et_inner_solve(mean_var.model, data, [-10.0])
+        _et_inner(mean_var.model, data, [-10.0])
 
 
 def test_highs_is_imported_at_the_first_hull_check():
@@ -495,7 +520,7 @@ def _nested_profile_el_theta(model, data):
     """Independent oracle: root of the profiled EL score over theta."""
 
     def foc(theta):
-        kappa, _ = gx.el_inner_solve(model, data, [theta])
+        kappa, _ = _el_inner(model, data, [theta])
         g = model.g_rows(data.rows, np.array([theta]))
         gjac = model.g_jacobian(data.rows, np.array([theta]))
         eps = 1.0 / (1.0 - g @ kappa)
@@ -528,7 +553,11 @@ def test_solve_stacked_symmetric_data(just_ident):
 def test_solve_stacked_report_serializable(mean_var):
     data = gx.simulate(mean_var.model, 120, 5)
     rep = gx.solve_stacked("etel", data, mean_var.model)
-    payload = json.dumps(rep.to_dict())
+    # every scalar field is a plain Python value
+    payload = json.dumps(
+        {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "beta_hat"}
+        | {"beta_hat": rep.beta_hat.values.tolist()}
+    )
     parsed = json.loads(payload)
     assert parsed["converged"] is True
     assert parsed["system"] == "etel"
@@ -569,7 +598,7 @@ def test_kappa_roles_in_each_system(mean_var):
     model = mean_var.model
     data = gx.simulate(model, 250, 37)
     rep_el = gx.solve_stacked("el", data, model, tol=1e-11)
-    kappa_inner, _ = gx.el_inner_solve(model, data, rep_el.beta_hat.theta)
+    kappa_inner, _ = _el_inner(model, data, rep_el.beta_hat.theta)
     np.testing.assert_allclose(rep_el.beta_hat.kappa, kappa_inner, atol=1e-9)
 
     rep_et = gx.solve_stacked("etel", data, model, tol=1e-11)
@@ -959,6 +988,24 @@ def test_stacked_overflowing_candidate_rejected_without_warning():
         "67d79d5d5d5bed3f00008c9af2c0493d1b86d53e1781d1bf"
         "f2ebe80d130bbcbf77b49b0010f1babf53aca6b64466d7bf"
     )
+
+
+def test_stacked_candidate_with_overflowing_rows_rejected_without_warning():
+    # replication 131 of the df = 1 SkewModel scaling study at seed 3 (its
+    # first sample of n = 50): a trial step overflows inside the moment rows
+    # themselves; the candidate is rejected quietly and the report is the
+    # one computed with warnings ignored
+    model = gx.build_model("SkewModel", df=1)
+    data = gx.Dataset(np.asarray(model.sampler(replication_generator(3, 131), 50), dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = gx.solve_stacked("etel", data, model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gx.solve_stacked("etel", data, model)
+    assert got.converged
+    assert got.beta_hat.values.tobytes() == want.beta_hat.values.tobytes()
+    assert dataclasses.replace(got, beta_hat=None) == dataclasses.replace(want, beta_hat=None)
 
 
 @pytest.mark.parametrize("core", ["_et_core", "_el_core"])

@@ -67,13 +67,13 @@ def test_psi_bar_closed_vs_generic(bundles, name):
 def test_var_psi_bar_blocks(mean_var, just_ident):
     ps = gx.projection_set(gx.population_moments(mean_var.model, "analytic"))
     layout = mean_var.layout
-    v = gx.var_psi_bar(ps, layout)
+    v = expansion._var_psi_bar(ps, layout)
     np.testing.assert_array_equal(v[layout.theta_slice, layout.theta_slice], ps.Sigma)
     np.testing.assert_array_equal(v[layout.kappa_slice, layout.lambda_slice], ps.P)
     assert np.abs(v[0]).max() == 0.0
     # just-identified: the multiplier blocks vanish with P
     psj = gx.projection_set(gx.population_moments(just_ident.model, "analytic"))
-    vj = gx.var_psi_bar(psj, just_ident.layout)
+    vj = expansion._var_psi_bar(psj, just_ident.layout)
     ksj = just_ident.layout.kappa_slice
     assert np.abs(vj[ksj, ksj]).max() <= 1e-15
 
@@ -158,7 +158,7 @@ def test_q_diff_decomposition_pieces(skew, skew_sample):
 
 
 def test_xi_weight_matrix(mean_var):
-    xi = gx.xi_weight_matrix(mean_var.layout)
+    xi = expansion._xi_weight_matrix(mean_var.layout)
     ts = mean_var.layout.theta_slice
     assert np.all(xi[ts, ts] == 1.0)
     assert np.all(xi[:5, :5] == 3.0)
@@ -263,7 +263,7 @@ def _loop_var_psi_bar_study(model, n, reps, seed):
     """Reference: one replication at a time, as the study was first written."""
     ps = gx.projection_set(gx.population_moments(model, "analytic"))
     layout = model.layout
-    target = gx.var_psi_bar(ps, layout)
+    target = expansion._var_psi_bar(ps, layout)
     draws = np.empty((reps, layout.dim_beta))
     for rep in range(reps):
         gbar = _loop_g_bar(model, n, seed, rep)
@@ -362,10 +362,10 @@ def test_g_bar_studies_need_two_replications(mean_var):
 def test_xi7_kernel_batched_rows_match_single(bundles, name):
     b = bundles[name]
     u1 = np.random.default_rng(4).standard_normal((9, b.layout.dim_g))
-    batched = gx.xi7_kernel(u1, b.ps, b.mt)
+    batched = expansion._xi7_kernel(u1, b.ps, b.mt)
     assert batched.shape == u1.shape
     for row, u in zip(batched, u1):
-        np.testing.assert_array_equal(row, gx.xi7_kernel(u, b.ps, b.mt))
+        np.testing.assert_array_equal(row, expansion._xi7_kernel(u, b.ps, b.mt))
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +493,23 @@ def test_study_profiles_each_row_once(mean_var, monkeypatch):
     assert calls["pilot_theta"] == [(7, 50, 1), (7, 100, 1)]
     assert calls["_et_core"] == calls["_el_core"] == [(7, 50, 2), (7, 100, 2)]
     assert len(solves.records) == 2 * 2 * 7 and all(rec[3] for rec in solves.records)
+
+
+def test_study_with_one_distinct_size_flags_no_slope(mean_var):
+    res = gx.expansion_difference_study(mean_var.model, [50, 50], reps=4, seed=1)
+    assert res.slope is None
+    assert "not enough scale points" in res.flag
+
+
+def test_mc_zscores_zero_spread():
+    # exact zeros are degenerate; a constant nonzero deviation is infinitely
+    # significant, not z = 0
+    zeros = np.zeros((50, 2))
+    np.testing.assert_array_equal(_mc_zscores(zeros), [0.0, 0.0])
+    constant = np.full((50, 2), 2.0**-30)  # ~1e-9; its mean is exact, its spread 0
+    assert np.all(np.abs(_mc_zscores(constant)) == np.inf)
+    # within the roundoff band a tiny constant deviation is degenerate
+    np.testing.assert_array_equal(_mc_zscores(constant, 1e-8), [0.0, 0.0])
 
 
 def test_study_rejects_empty_n_list(mean_var):

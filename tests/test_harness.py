@@ -86,15 +86,22 @@ def test_flag_overrides_file(tmp_path):
     "key, value",
     [("seed", "-4"), ("reps", "-1"), ("samples", "0"), ("n", "50,0"), ("n_nodes", "0"),
      ("skew_df", "0"), ("reps", "1"), ("theta_star", "nan"), ("theta_star", "inf"),
-     ("theta_star", "-inf")],
+     ("theta_star", "-inf"), ("n", "50"), ("n", "50,50")],
 )
 def test_out_of_range_config_value_is_a_config_error(key, value):
+    # mc_study, the one suite that needs two distinct sizes, is the suite
+    # here; every other bound holds for every suite
     with pytest.raises(ConfigError, match=f"'{key}'"):
-        parse_config(overrides={"seed": "1", key: value})
+        parse_config(overrides={"seed": "1", "suite": "mc_study", key: value})
     flag = "--" + key.replace("_", "-")
-    argv = ["run", "--suite", "identities", "--model", "SkewModel", "--seed", "1",
+    argv = ["run", "--suite", "mc_study", "--model", "SkewModel", "--seed", "1",
             f"{flag}={value}", "--quiet"]
     assert cli.main(argv) == 2
+
+
+def test_one_size_is_enough_outside_mc_study():
+    config = parse_config(overrides={"seed": "1", "suite": "q_equality", "n": "50"})
+    assert config.n_list == [50]
 
 
 def test_n_ref_is_not_a_config_key():
@@ -199,7 +206,7 @@ def test_failure_rate_check_reads_the_study_abort_rate():
     # one policy: the check's tolerance is the rate above which the study aborts
     config = parse_config(
         overrides={"seed": "3", "suite": "mc_study", "model": "JustIdentModel",
-                   "n": "30", "reps": "5"}
+                   "n": "30,60", "reps": "5"}
     )
     check = next(c for c in run_suite(config).checks if c.name == "scaling.failure-rate")
     assert check.tol == expansion._MAX_FAIL_RATE
@@ -438,25 +445,39 @@ def test_r_ladder_propagates_an_injected_nan(monkeypatch, skew):
 @pytest.mark.parametrize("ladder", ["q", "r"])
 def test_ladder_batches_are_capped_in_rows(monkeypatch, skew, ladder):
     # a cap of 3 samples' rows splits 7 samples into batches of 3, 3 and 1,
-    # one sample_stats call per system and batch, with unchanged results
+    # one feature pass per batch (every system assembles from it), with
+    # unchanged results
     n, seeds = 40, range(8_000, 8_007)
     run = (lambda: _ladder(q_ladder, skew, n, seeds)) if ladder == "q" else (
         lambda: _ladder(r_ladder, skew, n, seeds, fd_samples=4))
     uncapped = run()
     sizes = []
+    features = derivatives._sample_features
 
-    def stats(system, model, rows, pm, mt=None):
+    def spy(model, rows, pm, mt):
         sizes.append(rows.shape[0])
-        return sample_stats(system, model, rows, pm, mt)
+        return features(model, rows, pm, mt)
 
-    monkeypatch.setattr(harness, "sample_stats", stats)
+    monkeypatch.setattr(harness, "_sample_features", spy)
     monkeypatch.setattr(harness, "_BATCH_ROWS", 3 * n + 1)
     assert run() == uncapped
-    systems = 3 if ladder == "q" else 2
-    assert sorted(sizes) == sorted([3] * systems + [3] * systems + [1] * systems)
+    assert sizes == [3, 3, 1]
     assert max(sizes) * n <= harness._BATCH_ROWS
 
     sizes.clear()
     monkeypatch.setattr(harness, "_BATCH_ROWS", derivatives._BATCH_ROWS)
     assert run() == uncapped
-    assert sizes == [7] * systems
+    assert sizes == [7]
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_q_equality_passes_on_skew_model_at_df_1(seed):
+    # at df = 1 the projections give P[0, 0] ~ 4e-16 where the covariance
+    # display has an exact zero, and its draws spread by roundoff: the
+    # Monte Carlo z-score of that entry is degenerate, not roundoff/roundoff
+    config = parse_config(
+        overrides={"seed": str(seed), "suite": "q_equality", "model": "SkewModel",
+                   "skew_df": "1"}
+    )
+    report = run_suite(config)
+    assert report.overall_pass, [c.name for c in report.checks if not c.passed]
