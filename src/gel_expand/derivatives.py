@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .estimators import BetaVector, phi_rows, stacked_jacobian, stacked_residual
-from .models import Dataset, IndexLayout, MomentModel
+from .models import _BATCH_ROWS, Dataset, IndexLayout, MomentModel
 from .population import MomentTensors, PluginMeasure, PopulationMoments
 from .projections import phi1_population
 
@@ -67,12 +67,6 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _CS_STEP = 1e-200
-_BATCH_ROWS = 2**15
-"""Most rows one batched evaluation holds: probes times support points in
-an oracle's stacked evaluation, replications times observations in the
-scaling study's batched start, samples times observations in the q and r
-check ladders' stacked sample bars. Larger sets are split into batches
-of this size."""
 
 SYSTEMS = ("etel", "el", "diff")
 

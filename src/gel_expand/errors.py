@@ -30,7 +30,9 @@ class ConvergenceError(GelError):
 
 
 class DomainError(GelError):
-    """An EL evaluation left the feasible region 1 - kappa'g > 0."""
+    """A value left its domain: an EL evaluation outside the feasible
+    region 1 - kappa'g > 0, or a quadrature rule with non-finite or no
+    usable weights."""
 
 
 class OverflowGuardError(GelError):

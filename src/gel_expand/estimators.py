@@ -141,25 +141,6 @@ class BetaVector:
     def theta(self) -> np.ndarray:
         return self.values[self.layout.theta_slice]
 
-    @classmethod
-    def from_blocks(
-        cls,
-        tau: float,
-        kappa: Sequence[float],
-        lam: Sequence[float],
-        theta: Sequence[float],
-        layout: IndexLayout,
-    ) -> "BetaVector":
-        values = np.concatenate(
-            [[tau], np.asarray(kappa, dtype=float), np.asarray(lam, dtype=float),
-             np.asarray(theta, dtype=float)]
-        )
-        return cls(values, layout)
-
-    @classmethod
-    def star(cls, model: MomentModel) -> "BetaVector":
-        return cls(cls.star_values(model), model.layout)
-
     @staticmethod
     def star_values(model: MomentModel) -> np.ndarray:
         """Plain array form of beta* = (1, 0, 0, theta*')'."""

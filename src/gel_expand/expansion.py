@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, DomainError, GelError, OverflowGuardError
-from .derivatives import _BATCH_ROWS, DerivTensors, SampleStats, _neg_inv_contract
+from .derivatives import DerivTensors, SampleStats, _neg_inv_contract
 from .estimators import BetaVector, _dots, _pilot_starts, solve_stacked
-from .models import Dataset, MomentModel
+from .models import Dataset, MomentModel, _draw_stacks
 from .population import MomentTensors, population_moments
 from .projections import ProjectionSet, _sup, phi_inverse_matrix, projection_set
 from .rng import replication_streams
@@ -369,35 +368,23 @@ def _xi7_kernel(u1: np.ndarray, ps: ProjectionSet, mt: MomentTensors) -> np.ndar
 # Monte Carlo studies
 # ---------------------------------------------------------------------------
 
-_MC_CHUNK = 32
-"""Replications whose draws share one g_rows call in the g_bar-only studies.
-Large enough to amortise the per-call overhead, small enough that the
-chunk's rows stay a few hundred kilobytes at the suites' sample sizes."""
-
-
 def _scaled_g_bars(model: MomentModel, n: int, reps: int, seed: int) -> np.ndarray:
     """sqrt(n) g_bar(theta*) of every replication, shape (reps, m).
 
     Replication i draws from its own stream (seed, 1 + i), so the result
-    does not depend on how replications are grouped into chunks. The
-    studies built on it take a z-score over replications, which needs a
-    spread: fewer than two replications raise DimensionError.
+    does not depend on how replications are grouped into stacks. Each
+    stack is summed observation-major: one contiguous (n, R, d) copy, one
+    g_rows call, and the n observations added in order. The studies built
+    on it take a z-score over replications, which needs a spread: fewer
+    than two replications raise DimensionError.
     """
     if reps < 2:
         raise DimensionError(f"a Monte Carlo z-score needs reps >= 2, got {reps}")
-    out = np.empty((reps, model.dim_g))
-    streams = replication_streams(seed, 0, reps)
-    for start in range(0, reps, _MC_CHUNK):
-        stop = min(start + _MC_CHUNK, reps)
-        rows = np.concatenate(
-            [
-                np.asarray(model.sampler(gen, n), dtype=float)
-                for gen in islice(streams, stop - start)
-            ]
-        )
-        g = model.g_rows(rows, model.theta_star).reshape(stop - start, n, model.dim_g)
-        out[start:stop] = math.sqrt(n) * g.mean(axis=1)
-    return out
+    sums = []
+    for draws in _draw_stacks(model, n, replication_streams(seed, 0, reps)):
+        rows = np.ascontiguousarray(draws.transpose(1, 0, 2))
+        sums.append(model.g_rows(rows, model.theta_star).sum(axis=0) / n)
+    return math.sqrt(n) * np.concatenate(sums)
 
 
 def _mc_zscores(products: np.ndarray, roundoff: float = 0.0) -> np.ndarray:
@@ -562,9 +549,10 @@ def expansion_difference_study(
     any n aborts with diagnostics.
 
     Replication i draws from its own stream (seed, 1 + i). The
-    replications of one n are profiled together (at most ``_BATCH_ROWS``
-    rows per batch): one pilot, one g and one ET multiplier give both
-    systems' starts, and each solve starts from its own via ``init``.
+    replications of one n are profiled together, one ``_draw_stacks``
+    stack (at most ``_BATCH_ROWS`` rows) at a time: one pilot, one g and
+    one ET multiplier give both systems' starts, and each solve starts
+    from its own via ``init``.
     The reports are those of ``solve_stacked`` without a start, which
     runs instead where the batched start fails or does not converge.
     """
@@ -578,14 +566,7 @@ def expansion_difference_study(
         el_thetas: list[np.ndarray] = []
         failed = 0
         streams = replication_streams(seed, n_idx * reps, (n_idx + 1) * reps)
-        chunk = max(1, _BATCH_ROWS // n)
-        for first in range(0, reps, chunk):
-            draws = np.stack(
-                [
-                    np.asarray(model.sampler(gen, n), dtype=float)
-                    for gen in islice(streams, min(chunk, reps - first))
-                ]
-            )
+        for draws in _draw_stacks(model, n, streams):
             starts = [
                 [None if err else BetaVector(beta, layout) for beta, err in zip(*pair)]
                 for pair in _pilot_starts(("etel", "el"), model, draws)

@@ -32,7 +32,6 @@ import numpy as np
 
 from .derivatives import (
     SYSTEMS,
-    _BATCH_ROWS,
     _assemble,
     _sample_features,
     population_tensors,
@@ -50,7 +49,7 @@ from .expansion import (
     r_diff_terms,
     var_psi_bar_study,
 )
-from .models import MODEL_NAMES, build_model, simulate
+from .models import MODEL_NAMES, _draw_stacks, build_model
 from .population import (
     PopulationMoments,
     moment_tensors,
@@ -398,15 +397,6 @@ def random_identity_ladder(seed: int, count: int) -> dict[str, float]:
     return worst
 
 
-def _batches(model, n: int, seeds):
-    """The seeds' samples of size n (each ``simulate(model, n, seed)``), as
-    rows (S, n, d) of consecutive seeds, at most _BATCH_ROWS rows per batch."""
-    seeds = list(seeds)
-    chunk = max(1, _BATCH_ROWS // n)
-    for first in range(0, len(seeds), chunk):
-        yield np.stack([simulate(model, n, seed).rows for seed in seeds[first : first + chunk]])
-
-
 def _at(stack, k: int):
     """Sample k of stacked sample bars or q-terms."""
     arrays = (f.name for f in fields(stack))
@@ -439,7 +429,7 @@ def q_ladder(model, measure, pm, ps, mt, n: int, seeds) -> dict[str, float]:
          "qdiff.quadratic-piece"),
         0.0,
     )
-    for rows in _batches(model, n, seeds):
+    for rows in _draw_stacks(model, n, map(philox_generator, seeds)):
         features = _sample_features(model, rows, pm, None)
         ss = {s: _assemble(s, features) for s in SYSTEMS}
         _bump(worst, "psi.closed-vs-generic",
@@ -473,7 +463,7 @@ def r_ladder(model, measure, pm, ps, mt, n: int, seeds, fd_samples: int) -> dict
     worst = dict.fromkeys(("term1", "cancel", "term3", "term4", "term4-fd"), 0.0)
     supported: set[str | None] = set()
     done = 0
-    for rows in _batches(model, n, seeds):
+    for rows in _draw_stacks(model, n, map(philox_generator, seeds)):
         features = _sample_features(model, rows, pm, mt)
         ss_d = _assemble("diff", features)
         q = q_bar(_assemble("etel", features), ps, dt_et, mt)

@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_hermite
@@ -221,6 +222,33 @@ def simulate(model: MomentModel, n: int, seed: int) -> Dataset:
     return Dataset(np.asarray(rows, dtype=float).reshape(n, model.dim_x))
 
 
+_BATCH_ROWS = 2**15
+"""Most rows one batched evaluation holds: probes times support points in
+a derivative oracle's stacked evaluation, and draws times observations in
+a ``_draw_stacks`` stack, which feeds the g-bar studies (var_psi_bar and
+xi7 orthogonality), the scaling study's batched start and the q and r
+check ladders' stacked sample bars. Larger sets are split into batches of
+this size."""
+
+
+def _draw_stacks(
+    model: MomentModel, n: int, generators: Iterable[np.random.Generator]
+) -> Iterator[np.ndarray]:
+    """One sampler draw of n observations per generator, in order, as
+    stacks (R, n, dim_x) of at most _BATCH_ROWS rows (at least one draw).
+
+    Each generator is drawn from before the next one is taken, so the
+    re-keyed generator of ``replication_streams`` may be passed. Draws from
+    ``philox_generator(seed)`` are bitwise ``simulate(model, n, seed).rows``.
+    """
+    if n < 1:
+        raise DimensionError(f"sample size must be >= 1, got {n}")
+    generators = iter(generators)
+    chunk = max(1, _BATCH_ROWS // n)
+    while draws := [model.sampler(gen, n) for gen in islice(generators, chunk)]:
+        yield np.asarray(draws, dtype=float).reshape(len(draws), n, model.dim_x)
+
+
 # ---------------------------------------------------------------------------
 # Built-in models
 # ---------------------------------------------------------------------------
@@ -271,7 +299,8 @@ def _chi2_rule(theta_star: float, df: int):
     def rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         t, w = roots_genlaguerre(n_nodes, alpha)
         x = theta_star + (2.0 * t - df) / scale
-        w = w / w.sum()
+        if np.isfinite(w).all():  # overflowed weights (df >= 344) are left to the caller
+            w = w / w.sum()
         return x[:, None], w
 
     return rule

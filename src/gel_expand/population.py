@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, DomainError, SingularMatrixError
 from .estimators import _et_core
 from .models import MomentModel
 from .rng import philox_generator
@@ -60,6 +60,8 @@ class PluginMeasure:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (pts.shape[0],):
             raise DimensionError("measure weights must match the point count")
+        if w.size == 0:
+            raise DimensionError("measure needs at least one support point")
         if np.any(w <= 0):
             raise DimensionError("measure weights must be strictly positive")
         w = w / w.sum()
@@ -90,15 +92,25 @@ def reference_measure(
     finite-difference probes of the EL system through its pole. The
     remaining weights are exponentially tilted (gradient tolerance 1e-13)
     so the moment condition holds exactly at theta_star under the measure.
+
+    Raises DomainError, naming the model and n_nodes, when the rule's
+    points or weights are not all finite (the chi-square rule's weights
+    overflow at df >= 344) or when no support point survives the floor.
     """
     if model.gauss_rule is not None:
         points, weights = model.gauss_rule(n_nodes)
+        rule = f"{model.name}: {n_nodes}-node quadrature rule"
     else:
         rng = philox_generator(seed)
         points = np.asarray(model.sampler(rng, n_ref), dtype=float)
         weights = np.full(n_ref, 1.0 / n_ref)
+        rule = f"{model.name}: reference sample of {n_ref}"
     points = np.atleast_2d(points)
+    if not (np.isfinite(points).all() and np.isfinite(weights).all()):
+        raise DomainError(f"{rule} has non-finite points or weights")
     keep = weights >= _WEIGHT_FLOOR * weights.max()
+    if not keep.any():
+        raise DomainError(f"{rule} keeps no support point above the weight floor")
     points, weights = points[keep], weights[keep]
     weights = weights / weights.sum()
     g = model.g_rows(points, model.theta_star)

@@ -70,7 +70,7 @@ def _naive_phi_el(x, beta, model):
 
 def test_phi_collapses_at_beta_star(mean_var):
     model = mean_var.model
-    star = BetaVector.star(model)
+    star = BetaVector(BetaVector.star_values(model), model.layout)
     rng = philox_generator(5)
     for x in model.sampler(rng, 10):
         g = _g(model, x, model.theta_star)
@@ -81,9 +81,7 @@ def test_phi_collapses_at_beta_star(mean_var):
 
 def test_phi_hand_value(mean_var):
     # x = 2 and theta = 1 give g = (1, 0); the multiplier blocks vanish
-    beta = BetaVector.from_blocks(
-        1.0, [0.0, 0.0], [0.0, 0.0], [1.0], mean_var.layout
-    )
+    beta = BetaVector(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0]), mean_var.layout)
     out = _phi("etel", [2.0], beta, mean_var.model)
     np.testing.assert_allclose(out, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(
@@ -93,7 +91,7 @@ def test_phi_hand_value(mean_var):
 
 def test_phi_el_third_block_hand_value(mean_var):
     layout = mean_var.layout
-    beta = BetaVector.from_blocks(1.0, [0.1, 0.0], [0.0, 0.0], [1.0], layout)
+    beta = BetaVector(np.array([1.0, 0.1, 0.0, 0.0, 0.0, 1.0]), layout)
     out = _phi("el", [2.0], beta, mean_var.model)
     np.testing.assert_allclose(out[layout.lambda_slice], [1.0 / 9.0, 0.0], atol=1e-14)
 
@@ -103,11 +101,13 @@ def test_phi_matches_independent_reimplementation(mean_var, seed):
     model = mean_var.model
     rng = philox_generator(200 + seed)
     x = model.sampler(rng, 1)[0]
-    beta = BetaVector.from_blocks(
-        1.0 + 0.2 * rng.standard_normal(),
-        0.1 * rng.standard_normal(2),
-        0.2 * rng.standard_normal(2),
-        model.theta_star + 0.3 * rng.standard_normal(1),
+    beta = BetaVector(
+        np.concatenate([
+            [1.0 + 0.2 * rng.standard_normal()],
+            0.1 * rng.standard_normal(2),
+            0.2 * rng.standard_normal(2),
+            model.theta_star + 0.3 * rng.standard_normal(1),
+        ]),
         model.layout,
     )
     np.testing.assert_allclose(
@@ -124,18 +124,14 @@ def test_phi_first_two_blocks_shared(mean_var):
     model = mean_var.model
     rng = philox_generator(3)
     x = model.sampler(rng, 1)[0]
-    beta = BetaVector.from_blocks(
-        0.9, [0.05, -0.02], [0.1, 0.03], [0.2], model.layout
-    )
+    beta = BetaVector(np.array([0.9, 0.05, -0.02, 0.1, 0.03, 0.2]), model.layout)
     a = _phi("etel", x, beta, model)
     b = _phi("el", x, beta, model)
     np.testing.assert_array_equal(a[:3], b[:3])
 
 
 def test_phi_el_domain_error(mean_var):
-    beta = BetaVector.from_blocks(
-        1.0, [2.0, 0.0], [0.0, 0.0], [0.0], mean_var.layout
-    )
+    beta = BetaVector(np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0]), mean_var.layout)
     with pytest.raises(DomainError):
         _phi("el", [2.0], beta, mean_var.model)  # kappa'g = 4 > 1
 
@@ -143,9 +139,7 @@ def test_phi_el_domain_error(mean_var):
 def test_jacobian_matches_fd_of_residual(mean_var):
     model = mean_var.model
     data = gx.simulate(model, 40, 9)
-    beta = BetaVector.from_blocks(
-        1.05, [0.03, -0.01], [0.04, 0.02], [0.1], model.layout
-    ).values
+    beta = np.array([1.05, 0.03, -0.01, 0.04, 0.02, 0.1])
     jac = stacked_jacobian("etel", model, data.rows, beta)
     fd = np.zeros_like(jac)
     for j in range(beta.shape[0]):
@@ -566,9 +560,7 @@ def test_solve_stacked_report_serializable(mean_var):
 
 def test_solve_stacked_nonconvergence_reported(mean_var):
     data = gx.simulate(mean_var.model, 80, 13)
-    far = BetaVector.from_blocks(
-        1.0, [0.0, 0.0], [0.4, 0.2], [1.5], mean_var.layout
-    )
+    far = BetaVector(np.array([1.0, 0.0, 0.0, 0.4, 0.2, 1.5]), mean_var.layout)
     rep = gx.solve_stacked("etel", data, mean_var.model, init=far, max_iter=1)
     assert not rep.converged
     assert rep.reason == "max_iter"
@@ -581,15 +573,14 @@ def test_solve_stacked_needs_enough_observations(mean_var):
 
 
 def test_beta_star_round_trips(mean_var):
-    star = BetaVector.star(mean_var.model)
+    star = BetaVector(BetaVector.star_values(mean_var.model), mean_var.layout)
     assert star.tau == 1.0
     assert np.all(star.kappa == 0.0) and np.all(star.lam == 0.0)
     np.testing.assert_array_equal(star.theta, mean_var.model.theta_star)
-    rebuilt = BetaVector.from_blocks(
-        star.tau, star.kappa, star.lam, star.theta, mean_var.layout
+    rebuilt = BetaVector(
+        np.concatenate([[star.tau], star.kappa, star.lam, star.theta]), mean_var.layout
     )
     np.testing.assert_array_equal(rebuilt.values, star.values)
-    np.testing.assert_array_equal(star.values, BetaVector.star_values(mean_var.model))
 
 
 def test_kappa_roles_in_each_system(mean_var):
@@ -728,7 +719,7 @@ def test_shared_start_keyed_by_inner_settings(mean_var, pilot_calls, changed):
 def test_explicit_init_bypasses_shared_start(mean_var, pilot_calls):
     model = mean_var.model
     data = gx.simulate(model, 100, 59)
-    star = BetaVector.star(model)
+    star = BetaVector(BetaVector.star_values(model), model.layout)
     rep = gx.solve_stacked("el", data, model, init=star)
     assert not pilot_calls
     assert rep.converged

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import gel_expand as gx
-from gel_expand import estimators, expansion
+from gel_expand import estimators, expansion, models
 from gel_expand.derivatives import SampleStats, population_tensors, sample_stats
 from gel_expand.errors import DimensionError, GelError
-from gel_expand.expansion import _MC_CHUNK, TOLERANCES, _mc_zscores
+from gel_expand.expansion import TOLERANCES, _mc_zscores
 from gel_expand.rng import replication_generator, replication_streams
 
 
@@ -317,11 +317,10 @@ def _loop_orthogonality_xi7_study(model, mt, n, reps, seed):
 
 @pytest.mark.parametrize("name", ["MeanVarModel", "SkewModel"])
 def test_replication_streams_draw_as_fresh_generators(name):
-    # replications 20..69 cross the chunk boundaries at 32 and 64; each
-    # stream starts from a clean state even after the previous one left
-    # buffered bits (odd normal and 32-bit integer counts)
+    # each stream of replications 20..69 starts from a clean state even
+    # after the previous one left buffered bits (odd normal and 32-bit
+    # integer counts)
     model = gx.build_model(name, df=4) if name == "SkewModel" else gx.build_model(name)
-    assert _MC_CHUNK == 32
 
     def draws(rng, i):
         return (
@@ -336,12 +335,14 @@ def test_replication_streams_draw_as_fresh_generators(name):
     assert list(replication_streams(9, 5, 5)) == []
 
 
-# fewer replications than one chunk, a partial last chunk, an exact multiple
+# fewer replications than one stack, a partial last stack, an exact multiple
 @pytest.mark.parametrize("reps", [5, 70, 256])
 @pytest.mark.parametrize("name", ["MeanVarModel", "SkewModel"])
-def test_g_bar_studies_match_per_replication_loop(bundles, name, reps):
+def test_g_bar_studies_match_per_replication_loop(bundles, monkeypatch, name, reps):
     b = bundles[name]
-    # the chunked pass computes each replication's products exactly as the loop does
+    # stacks of 32 replications at n = 60; the observation-major sum of a
+    # stack computes each replication's products exactly as the loop does
+    monkeypatch.setattr(models, "_BATCH_ROWS", 32 * 60)
     assert gx.var_psi_bar_study(b.model, n=60, reps=reps, seed=17) == _loop_var_psi_bar_study(
         b.model, 60, reps, 17
     )

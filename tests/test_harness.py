@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gel_expand.cli as cli
-from gel_expand import derivatives, expansion, harness
+from gel_expand import derivatives, expansion, harness, models
 from gel_expand.derivatives import population_tensors, sample_stats
 from gel_expand.errors import ConfigError
 from gel_expand.expansion import (
@@ -458,14 +458,15 @@ def test_ladder_batches_are_capped_in_rows(monkeypatch, skew, ladder):
         sizes.append(rows.shape[0])
         return features(model, rows, pm, mt)
 
+    default = models._BATCH_ROWS
     monkeypatch.setattr(harness, "_sample_features", spy)
-    monkeypatch.setattr(harness, "_BATCH_ROWS", 3 * n + 1)
+    monkeypatch.setattr(models, "_BATCH_ROWS", 3 * n + 1)
     assert run() == uncapped
     assert sizes == [3, 3, 1]
-    assert max(sizes) * n <= harness._BATCH_ROWS
+    assert max(sizes) * n <= models._BATCH_ROWS
 
     sizes.clear()
-    monkeypatch.setattr(harness, "_BATCH_ROWS", derivatives._BATCH_ROWS)
+    monkeypatch.setattr(models, "_BATCH_ROWS", default)
     assert run() == uncapped
     assert sizes == [7]
 
@@ -481,3 +482,33 @@ def test_q_equality_passes_on_skew_model_at_df_1(seed):
     )
     report = run_suite(config)
     assert report.overall_pass, [c.name for c in report.checks if not c.passed]
+
+
+def test_overflowed_chi2_rule_is_a_typed_cli_error(tmp_path, capsys):
+    # SkewModel at df 400: the suites that build the plug-in measure exit 1
+    # with its DomainError and no traceback; identities never builds it
+    base = ["run", "--model", "SkewModel", "--skew-df", "400", "--seed", "1", "--quiet"]
+    for suite in ("tensors", "q_equality", "r_terms"):
+        assert cli.main(base + ["--suite", suite, "--out", str(tmp_path / suite)]) == 1
+        assert "DomainError: SkewModel: 96-node" in capsys.readouterr().err
+    assert cli.main(base + ["--suite", "identities", "--out", str(tmp_path / "identities")]) == 0
+
+
+def test_reports_byte_identical_under_heap_perturbation(tmp_path):
+    # the four solver-free suites write the same report bytes when rerun
+    # after odd-sized allocations have moved where new buffers land
+    def run_suites(tag):
+        reports = []
+        for suite in ("identities", "tensors", "q_equality", "r_terms"):
+            out = tmp_path / tag / suite
+            argv = ["run", "--suite", suite, "--model", "SkewModel", "--seed", "31",
+                    "--n", "50", "--samples", "2", "--reps", "50", "--out", str(out), "--quiet"]
+            assert cli.main(argv) == 0
+            reports.append((out / "report.json").read_bytes())
+        return reports
+
+    first = run_suites("first")
+    held = [np.full(2 * k + 1, 0.5 * k) for k in range(1, 600, 7)]
+    held += [bytearray(8 * k + 3) for k in range(1, 300, 11)]
+    del held[::3]
+    assert run_suites("second") == first

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gel_expand as gx
-from gel_expand.errors import DimensionError
-from gel_expand.rng import philox_generator
+from gel_expand import models
+from gel_expand.errors import DimensionError, DomainError
+from gel_expand.rng import philox_generator, replication_generator, replication_streams
 
 
 def _g(model, x, theta):
@@ -257,3 +259,59 @@ def test_gauss_measure_matches_analytic_moments(bundles):
         pma = gx.population_moments(b.model, "analytic")
         assert np.abs(b.pm.G - pma.G).max() <= 1e-3
         assert np.abs(b.pm.Omega - pma.Omega).max() <= 1e-3 * np.abs(pma.Omega).max()
+
+
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_draw_stacks_match_per_generator_draws(monkeypatch, name):
+    # one sampler draw per generator, in order and bitwise, split at the row
+    # cap: the re-keyed replication streams give each replication's own
+    # generator's draws, and per-seed generators give simulate's rows
+    model = gx.build_model(name)
+    n = 40
+    by_stream = np.stack([model.sampler(replication_generator(9, i), n) for i in range(20, 27)])
+    by_seed = np.stack([gx.simulate(model, n, seed).rows for seed in range(100, 107)])
+    default = models._BATCH_ROWS
+    for cap, sizes in ((3 * n + 1, [3, 3, 1]), (default, [7])):
+        monkeypatch.setattr(models, "_BATCH_ROWS", cap)
+        for generators, want in (
+            (replication_streams(9, 20, 27), by_stream),
+            (map(philox_generator, range(100, 107)), by_seed),
+        ):
+            stacks = list(models._draw_stacks(model, n, generators))
+            assert [s.shape for s in stacks] == [(k, n, model.dim_x) for k in sizes]
+            got = np.concatenate(stacks)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_draw_stacks_need_observations_and_end_with_the_generators():
+    model = gx.build_model("MeanVarModel")
+    assert list(models._draw_stacks(model, 5, [])) == []
+    with pytest.raises(DimensionError, match="sample size"):
+        next(models._draw_stacks(model, 0, [philox_generator(1)]))
+
+
+def test_reference_measure_rejects_an_overflowed_chi2_rule():
+    # from df 344 on, the 96-node generalized Gauss-Laguerre weights overflow
+    # to inf: the rule leaves them unnormalised (no invalid-value warning) and
+    # the measure refuses them with a typed error naming the model and n_nodes
+    model = gx.build_model("SkewModel", df=400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, weights = model.gauss_rule(96)
+        assert not np.isfinite(weights).all()
+        with pytest.raises(DomainError, match="SkewModel: 96-node"):
+            gx.reference_measure(model)
+        assert gx.reference_measure(gx.build_model("SkewModel", df=340)).size > 0
+
+
+def test_reference_measure_needs_a_support_point_above_the_floor():
+    model = dataclasses.replace(
+        gx.build_model("MeanVarModel"), gauss_rule=lambda k: (np.zeros((k, 1)), -np.ones(k))
+    )
+    with pytest.raises(DomainError, match="no support point"):
+        gx.reference_measure(model, n_nodes=3)
+
+
+def test_plugin_measure_rejects_empty_support():
+    with pytest.raises(DimensionError, match="support point"):
+        gx.PluginMeasure(points=np.zeros((0, 1)), weights=np.zeros(0))
