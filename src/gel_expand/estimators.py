@@ -23,19 +23,19 @@ Solver layout:
   (DomainError for moment rows that are not all finite, HullError when a
   hyperplane separates the origin from its moment rows, ConvergenceError
   otherwise, SingularMatrixError for a singular pilot or kappa system)
-  without stopping the others. Called on one dataset they raise that
-  error instead. The hull check is a HiGHS linear program for m > 1;
-  scipy.optimize is imported at the first such check, which pays about
-  0.2 s once per process. ``_pilot_starts`` builds every
-  system's start from one pilot, one g and one tilt multiplier.
-* ``solve_stacked`` initializes by profiling one dataset (pilot theta
-  from the just-identified sub-moments, inner duals for the multipliers,
-  tau from the tilt mean: the R = 1 case of the batched start), runs a
-  full Newton iteration on all blocks with an analytic Jacobian and, if
-  that start stalls, retries from four perturbed pilots profiled as one
-  batch. Nothing is kept between calls. A caller that solves many
-  datasets profiles them together and passes each start as ``init``;
-  the Newton from it is the one ``solve_stacked`` would run itself.
+  without stopping the others. Called on one dataset, ``pilot_theta``
+  and the duals raise that error instead. The hull check is a HiGHS
+  linear program for m > 1; scipy.optimize is imported at the first such
+  check, which pays about 0.2 s once per process. ``_profile_init``
+  builds every start, from one g and one tilt multiplier for all systems.
+* ``solve_stacked`` starts from ``init`` or else from the profile of its
+  pilot theta (the R = 1 case of the batched start), runs a full Newton
+  iteration on all blocks with an analytic Jacobian and, if that start
+  stalls or leaves the EL domain or the exp cap, retries from four
+  perturbed pilots around its theta, profiled as one batch. Nothing is
+  kept between calls. A caller that solves many datasets profiles them
+  together and passes each start as ``init``; the reports are those of
+  plain solves.
 * Every iterate is evaluated once. ``_StackedEval`` computes the per-row
   features (g, dg, exp(lambda'g), kappa'g, dg'kappa, dg'lambda and the
   system's coefficient) and from them the phi rows and their weighted
@@ -634,29 +634,33 @@ def _el_core(
 # ---------------------------------------------------------------------------
 
 
-def _rows_of(data) -> np.ndarray:
-    """The rows of a Dataset, or an array of rows (..., n, d) as given."""
-    return data.rows if isinstance(data, Dataset) else np.asarray(data, dtype=float)
-
-
 def pilot_theta(model: MomentModel, data, errors: list | None = None) -> np.ndarray:
     """Just-identified pilot: Newton root of the first p moment components.
 
     ``data`` is a Dataset, giving theta (p,), or the rows (R, n, d) of R
     datasets of one size, giving (R, p): each dataset iterates and stops
     on its own, bitwise as it would alone. Without ``errors`` a failed
-    dataset raises (SingularMatrixError for a singular Jacobian,
-    ConvergenceError when the iterations run out); with a list (one entry
-    per dataset) failures are recorded there and their theta is NaN.
+    dataset raises (DomainError when its moment values at the first
+    iterate are not all finite, SingularMatrixError for a singular
+    Jacobian, ConvergenceError when the iterations run out); with a list
+    (one entry per dataset) failures are recorded there and their theta
+    is NaN.
     """
-    rows, single, errs = _batched(_rows_of(data), 2, errors)
+    rows = data.rows if isinstance(data, Dataset) else np.asarray(data, dtype=float)
+    rows, single, errs = _batched(rows, 2, errors)
     p = model.dim_theta
     theta = np.full((len(rows), p), np.nan)
-    # the datasets still iterating, packed: their rows and theta
+    # the datasets still iterating, packed: their rows, theta and g there
     active = _open_rows(errs)
     ra, th = rows[active], np.zeros((len(active), p))
+    g = model.g_rows(ra, th)
+    finite = np.isfinite(g).all(axis=(1, 2))
+    if not _all(finite):
+        for row in active[~finite]:
+            errs[row] = DomainError("pilot theta: moment values not all finite")
+        active, ra, th, g = active[finite], ra[finite], th[finite], g[finite]
     for _ in range(_PILOT_MAX_ITER):
-        r = model.g_rows(ra, th)[..., :p].mean(axis=1)
+        r = g[..., :p].mean(axis=1)
         keep = ~(_norms(r) <= _PILOT_TOL * (1.0 + _norms(th)))
         if not _all(keep):
             theta[active[~keep]] = th[~keep]
@@ -673,6 +677,7 @@ def pilot_theta(model: MomentModel, data, errors: list | None = None) -> np.ndar
                 keep[i] = False
         if not _all(keep):
             active, ra, th = active[keep], ra[keep], th[keep]
+        g = model.g_rows(ra, th)
     for row in active:
         errs[row] = ConvergenceError("pilot theta iteration did not converge")
     return _unbatch(errs, errors, single, theta)[0]
@@ -693,78 +698,64 @@ class SolveReport:
 
 
 def _profile_init(
-    system: str,
+    systems: Sequence[str],
     model: MomentModel,
-    data,
-    theta0: np.ndarray,
+    rows: np.ndarray,
+    thetas: np.ndarray,
     max_iter: int,
-    g: np.ndarray | None = None,
-    lam: np.ndarray | None = None,
-    errors: list | None = None,
-) -> np.ndarray:
-    """Profile initialization: inner multipliers and tau at a fixed theta.
+    errors: list,
+) -> list[tuple[np.ndarray, list]]:
+    """Profiled starts: inner multipliers and tau at fixed thetas (R, p), for
+    rows (R, n, d) of R datasets of one size or (n, d) shared by all.
 
-    ``data`` (a Dataset or rows (n, d)) and theta0 (p,) give one start
-    (D,); rows (R, n, d), or (n, d) shared, with theta0 (R, p) give R
-    starts (R, D), each bitwise the start alone. ``g`` (R, n, m), the
-    moment rows at theta0, and ``lam`` (R, m), the tilt multiplier there,
-    may be passed in when already known; they are computed otherwise.
-    ``errors`` as for ``pilot_theta``: a failed ET or EL dual, or a
-    singular ETEL kappa system (SingularMatrixError), fails only its
-    dataset.
+    One g and one ET multiplier serve every system in ``systems``; the
+    duals run at most ``max_iter`` iterations. Datasets whose entry of
+    ``errors`` is set are skipped. Returns, per system, the starts (R, D),
+    each bitwise the start of its dataset and theta alone, and the errors:
+    a failed dual or a singular ETEL kappa system (SingularMatrixError)
+    fails only its dataset, whose start is NaN.
     """
-    theta0, single, errs = _batched(np.asarray(theta0, dtype=float), 1, errors)
-    rows = _rows_of(data)
     n = rows.shape[-2]
-    if g is None:
-        g = model.g_rows(rows, theta0)
     base = np.full(n, 1.0 / n)
-    if lam is None:
-        lam, _ = _et_core(g, base, _INNER_TOL, max_iter, errors=errs)
+    shared = list(errors)
+    g = model.g_rows(rows, thetas)
+    lam, _ = _et_core(g, base, _INNER_TOL, max_iter, errors=shared)
     tdot = np.exp((g @ lam[:, :, None])[..., 0])
     tau = tdot.mean(axis=1)
-    if system == "etel":
-        lhs = _gram(tdot / n, g)
-        rhs = (((tdot - tau[:, None]) / n)[:, None, :] @ g)[:, 0]
-        kappa = np.full(lam.shape, np.nan)
-        for r in _open_rows(errs):
-            try:
-                kappa[r] = _solve(lhs[r], rhs[r])
-            except np.linalg.LinAlgError as exc:
-                errs[r] = _typed(
-                    SingularMatrixError, "tilted second-moment matrix singular", exc
-                )
-    else:
-        kappa, _ = _el_core(g, base, _INNER_TOL, max_iter, errors=errs)
-    starts = np.concatenate((tau[:, None], kappa, lam, theta0), axis=1)
-    starts[[e is not None for e in errs]] = np.nan
-    return _unbatch(errs, errors, single, starts)[0]
+    out = []
+    for system in systems:
+        errs = list(shared)
+        if system == "etel":
+            lhs = _gram(tdot / n, g)
+            rhs = (((tdot - tau[:, None]) / n)[:, None, :] @ g)[:, 0]
+            kappa = np.full(lam.shape, np.nan)
+            for r in _open_rows(errs):
+                try:
+                    kappa[r] = _solve(lhs[r], rhs[r])
+                except np.linalg.LinAlgError as exc:
+                    errs[r] = _typed(
+                        SingularMatrixError, "tilted second-moment matrix singular", exc
+                    )
+        else:
+            kappa, _ = _el_core(g, base, _INNER_TOL, max_iter, errors=errs)
+        starts = np.concatenate((tau[:, None], kappa, lam, thetas), axis=1)
+        starts[[e is not None for e in errs]] = np.nan
+        out.append((starts, errs))
+    return out
 
 
 def _pilot_starts(
     systems: Sequence[str], model: MomentModel, rows: np.ndarray
 ) -> list[tuple[np.ndarray, list]]:
-    """``solve_stacked``'s first start for R datasets of one size at once.
-
-    rows (R, n, d). One pilot, one g and one ET multiplier serve every
-    system in ``systems``; each dataset's start is bitwise the one
-    ``solve_stacked`` (at its default ``max_iter``) profiles for it
-    alone. Returns, per system, the
-    starts (R, D) and the per-dataset errors (None, or the typed error
-    of its pilot, ET multiplier or the system's kappa; a failed dataset's
-    start is NaN and the others are not affected).
+    """``solve_stacked``'s first start for R datasets (rows (R, n, d)) of one
+    size at once: the batched pilot, then one ``_profile_init`` for every
+    system. Each start is bitwise the one ``solve_stacked`` (at its default
+    ``max_iter``) profiles for its dataset alone. Returns ``_profile_init``'s
+    (starts, errors) per system; the errors include failed pilots.
     """
-    shared: list = [None] * len(rows)
-    theta0 = pilot_theta(model, rows, errors=shared)
-    g0 = model.g_rows(rows, theta0)
-    n = rows.shape[-2]
-    lam, _ = _et_core(g0, np.full(n, 1.0 / n), _INNER_TOL, _MAX_ITER, errors=shared)
-    out = []
-    for system in systems:
-        errs = list(shared)
-        starts = _profile_init(system, model, rows, theta0, _MAX_ITER, g=g0, lam=lam, errors=errs)
-        out.append((starts, errs))
-    return out
+    errors: list = [None] * len(rows)
+    thetas = pilot_theta(model, rows, errors=errors)
+    return _profile_init(systems, model, rows, thetas, _MAX_ITER, errors)
 
 
 def _newton_stacked(
@@ -823,15 +814,16 @@ def solve_stacked(
 ) -> SolveReport:
     """Solve the full stacked system for beta-hat.
 
-    Without an explicit init the solver profiles: pilot theta from the
-    just-identified sub-moments, inner dual multipliers, tau from the
-    tilt mean, then full Newton. If the first attempt stalls it retries
-    the profile from four perturbed pilot values, profiled as one batch.
+    The first start is ``init`` when given. Without it the solver
+    profiles one: pilot theta from the just-identified sub-moments, inner
+    dual multipliers, tau from the tilt mean (the one-dataset case of the
+    batched start ``_pilot_starts``, so a caller that profiles many
+    datasets at once and passes each start as ``init`` gets the reports
+    of plain solves). Full Newton runs from that start; if it stalls, or
+    leaves the EL domain or the exp cap, the solver retries from four
+    perturbed pilots around the start's theta, profiled as one batch.
     ``max_iter`` bounds the Newton iterations and the inner dual solves
-    of the start. The start is the one-dataset case of the batched start
-    (``_pilot_starts``), so a caller that profiles many datasets at once
-    and passes each start as ``init`` gets the same reports whenever that
-    first attempt converges.
+    of the profiled starts.
 
     Returns a SolveReport; plain failure to reach tolerance is reported
     via converged=False, while hull / domain / singularity problems
@@ -843,28 +835,27 @@ def solve_stacked(
         raise DimensionError(
             f"need n >= dim_g + 1 = {model.dim_g + 1} observations, got {data.n}"
         )
-    if init is not None:
-        beta0 = np.asarray(init.values, dtype=float)
-        result = _newton_stacked(system, model, data, beta0, tol, max_iter)
-        return _report(system, model, result, tol, beta0)
-
-    theta0 = pilot_theta(model, data)
-    g0 = model.g_rows(data.rows, theta0)
+    if init is None:
+        theta0 = pilot_theta(model, data)
+        first = _profile_init((system,), model, data.rows, theta0[None], max_iter, [None])[0]
+    else:
+        theta0 = init.theta
+        first = np.asarray(init.values, dtype=float)[None], [None]
 
     def groups():
-        # the pilot itself first; the perturbed pilots only if its start
-        # stalls (or fails), all of them profiled before any is iterated
-        yield theta0[None], g0[None]
+        # the first start; the perturbed pilots only if it stalls (or
+        # fails), all of them profiled before any is iterated
+        yield first
         # a retry pilot sits k standard errors of the just-identified
-        # sub-moments away from the pilot
+        # sub-moments away from the first start's theta
+        g0 = model.g_rows(data.rows, theta0)
         spread = g0[:, : model.dim_theta].std(axis=0) / np.sqrt(data.n)
-        yield theta0 + _RETRY_OFFSETS[:, None] * spread, None
+        thetas = theta0 + _RETRY_OFFSETS[:, None] * spread
+        yield _profile_init((system,), model, data.rows, thetas, max_iter, [None] * len(thetas))[0]
 
     last_failure: Exception | None = None
     init_beta = best = None
-    for thetas, g in groups():
-        errors: list = [None] * len(thetas)
-        starts = _profile_init(system, model, data, thetas, max_iter, g=g, errors=errors)
+    for starts, errors in groups():
         last_failure = next((e for e in reversed(errors) if e is not None), last_failure)
         for beta0, err in zip(starts, errors):
             if err is not None:

@@ -26,7 +26,8 @@ from gel_expand.errors import (
     SingularMatrixError,
 )
 from gel_expand.estimators import BetaVector, phi_rows, stacked_jacobian, stacked_residual
-from gel_expand.rng import philox_generator, replication_generator
+from gel_expand.models import _draw_stacks
+from gel_expand.rng import philox_generator, replication_generator, replication_streams
 
 
 def _g(model, x, theta):
@@ -355,6 +356,16 @@ def test_one_probe_outside_the_domain_fails_the_batch(bundles, name):
                     fn(system, model, rows, over, weights)
 
 
+def _profiled(system, model, data, theta0, max_iter):
+    """One dataset's profiled start at theta0 (p,), raising its typed error."""
+    ((start,), (err,)) = estimators._profile_init(
+        (system,), model, data.rows, theta0[None], max_iter, [None]
+    )[0]
+    if err is not None:
+        raise err
+    return start
+
+
 @pytest.mark.parametrize("system", ["etel", "el"])
 @pytest.mark.parametrize("name", gx.MODEL_NAMES)
 def test_newton_evaluates_each_accepted_iterate_once(bundles, name, system, monkeypatch):
@@ -364,7 +375,7 @@ def test_newton_evaluates_each_accepted_iterate_once(bundles, name, system, monk
     model = bundles[name].model
     data = gx.simulate(model, 200, 41)
     theta0 = estimators.pilot_theta(model, data) + 0.05
-    beta0 = estimators._profile_init(system, model, data, theta0, 100)
+    beta0 = _profiled(system, model, data, theta0, 100)
     hessians = []
     counted = dataclasses.replace(
         model, g_hessian=lambda rows, theta: hessians.append(1) or model.g_hessian(rows, theta)
@@ -606,13 +617,14 @@ def test_kappa_roles_in_each_system(mean_var):
 
 def test_profile_init_zeroes_shared_blocks(mean_var):
     # tau-hat and lambda-hat are defined to kill the first two blocks
-    from gel_expand.estimators import _profile_init
-
     model = mean_var.model
     data = gx.simulate(model, 180, 53)
     theta0 = gx.pilot_theta(model, data)
-    for system in ("etel", "el"):
-        beta0 = _profile_init(system, model, data, theta0, 100)
+    both = estimators._profile_init(("etel", "el"), model, data.rows, theta0[None], 100, [None])
+    for system, ((beta0,), errors) in zip(("etel", "el"), both):
+        # one g and one ET multiplier serve both systems, bitwise as alone
+        assert errors == [None]
+        np.testing.assert_array_equal(beta0, _profiled(system, model, data, theta0, 100))
         resid = stacked_residual(system, model, data.rows, beta0)
         assert abs(resid[0]) <= 1e-11
         assert np.abs(resid[model.layout.kappa_slice]).max() <= 1e-11
@@ -708,7 +720,7 @@ def test_shared_start_keyed_by_inner_settings(mean_var, pilot_calls, changed):
     data = gx.simulate(model, 100, 47)
     theta0 = estimators.pilot_theta(model, data)
     for system in ("etel", "el"):
-        start = estimators._profile_init(system, model, data, theta0, changed["max_iter"])
+        start = _profiled(system, model, data, theta0, changed["max_iter"])
         rep = gx.solve_stacked(system, data, model, init=BetaVector(start, model.layout), **changed)
         assert _fingerprint(rep) == _fingerprint(
             gx.solve_stacked(system, _fresh(data), model, **changed)
@@ -726,6 +738,33 @@ def test_explicit_init_bypasses_shared_start(mean_var, pilot_calls):
     assert rep.init_distance == np.linalg.norm(rep.beta_hat.values - star.values)
     gx.solve_stacked("el", gx.simulate(model, 100, 61), model, init=star)
     assert not pilot_calls
+
+
+def test_init_start_that_stalls_retries_as_a_plain_solve():
+    # SkewModel at n = 10 (seed 4): some batched starts stall or leave the
+    # exp cap; from such an init the solve retries from the perturbed pilots
+    # around its theta, giving the report of a plain solve
+    model = gx.build_model("SkewModel")
+    rows = next(_draw_stacks(model, 10, replication_streams(4, 0, 20)))
+    seen = set()
+    for system, (starts, errors) in zip(
+        ("etel", "el"), estimators._pilot_starts(("etel", "el"), model, rows)
+    ):
+        for r in np.flatnonzero([e is None for e in errors]):
+            data = gx.Dataset(rows[r])
+            try:
+                _, _, _, converged = estimators._newton_stacked(
+                    system, model, data, starts[r], 1e-9, 100
+                )
+            except (DomainError, OverflowGuardError):
+                converged = None
+            if converged:
+                continue
+            seen.add("stall" if converged is False else "raise")
+            rep = gx.solve_stacked(system, data, model, init=BetaVector(starts[r], model.layout))
+            assert _fingerprint(rep) == _fingerprint(gx.solve_stacked(system, _fresh(data), model))
+            assert rep.converged
+    assert seen == {"stall", "raise"}
 
 
 def test_shared_start_under_threads(mean_var):
@@ -761,8 +800,7 @@ def test_shared_start_under_threads(mean_var):
 def _single_start(system, model, data):
     """The start solve_stacked profiles for one dataset, or its typed error."""
     try:
-        theta0 = estimators.pilot_theta(model, data)
-        return estimators._profile_init(system, model, data, theta0, 100)
+        return _profiled(system, model, data, estimators.pilot_theta(model, data), 100)
     except GelError as exc:
         return exc
 
@@ -885,6 +923,27 @@ def test_non_finite_moment_rows_fail_only_their_dataset(m, bad_value):
                 np.testing.assert_array_equal(got, want)
         with pytest.raises(DomainError, match="not all finite"):
             core(g[2], base, 1e-11, 100)
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["MeanVarModel", "JustIdentModel"])
+def test_non_finite_data_row_is_a_domain_error(bundles, name, bad_value):
+    # a non-finite observation fails the pilot at its first iterate, with
+    # DomainError and no warning; in a stack only its dataset fails and the
+    # other pilots are bitwise those of single datasets
+    model = bundles[name].model
+    rows = _draws(model, 30, 41, 3)
+    rows[1, 7, 0] = bad_value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not all finite"):
+            gx.solve_stacked("etel", gx.Dataset(rows[1]), model)
+        errors = [None] * len(rows)
+        theta = estimators.pilot_theta(model, rows, errors=errors)
+    assert isinstance(errors[1], DomainError) and np.isnan(theta[1]).all()
+    for r in (0, 2):
+        assert errors[r] is None
+        assert theta[r].tobytes() == estimators.pilot_theta(model, gx.Dataset(rows[r])).tobytes()
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
