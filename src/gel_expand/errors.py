@@ -20,8 +20,10 @@ class DimensionError(GelError):
 class HullError(GelError):
     """The origin is not in the convex hull of the moment values.
 
-    Raised by the inner dual solvers when the tilting problem has no
-    finite solution.
+    Raised by the inner dual solvers when an iterate x has x'g_i < 0 on
+    every row (the tilting problem then has no finite solution), and by
+    the stacked solve when every start ends in such a failure or at a
+    root whose multiplier lambda has lambda'g_i < 0 on every row.
     """
 
 

@@ -21,21 +21,19 @@ Solver layout:
   every dataset iterates, halves its steps and stops on its own, bitwise
   as it would alone, and one that fails records its own typed error
   (DomainError for moment rows that are not all finite, HullError when a
-  hyperplane separates the origin from its moment rows, ConvergenceError
+  multiplier iterate x has x'g_i < 0 on every row, ConvergenceError
   otherwise, SingularMatrixError for a singular pilot or kappa system)
   without stopping the others. Called on one dataset, ``pilot_theta``
-  and the duals raise that error instead. The hull check is a HiGHS
-  linear program for m > 1; scipy.optimize is imported at the first such
-  check, which pays about 0.2 s once per process. ``_profile_init``
-  builds every start, from one g and one tilt multiplier for all systems.
+  and the duals raise that error instead. ``_profile_init`` builds every
+  start, from one g and one tilt multiplier for all systems.
 * ``solve_stacked`` starts from ``init`` or else from the profile of its
   pilot theta (the R = 1 case of the batched start), runs a full Newton
   iteration on all blocks with an analytic Jacobian and, if that start
-  stalls or leaves the EL domain or the exp cap, retries from four
-  perturbed pilots around its theta, profiled as one batch. Nothing is
-  kept between calls. A caller that solves many datasets profiles them
-  together and passes each start as ``init``; the reports are those of
-  plain solves.
+  stalls, leaves the EL domain or the exp cap, or ends at a "root" with
+  lambda'g_i < 0 on every row, retries from four perturbed pilots
+  around its theta, profiled as one batch. Nothing is kept between
+  calls. A caller that solves many datasets profiles them together and
+  passes each start as ``init``; the reports are those of plain solves.
 * Every iterate is evaluated once. ``_StackedEval`` computes the per-row
   features (g, dg, exp(lambda'g), kappa'g, dg'kappa, dg'lambda and the
   system's coefficient) and from them the phi rows and their weighted
@@ -352,22 +350,11 @@ def stacked_jacobian(
 # ---------------------------------------------------------------------------
 
 
-def _hull_separated(g: np.ndarray) -> bool:
-    """True when a hyperplane strictly separates the origin from {g_i}."""
-    m = g.shape[1]
-    if m == 1:
-        return bool(g.min() > 0.0 or g.max() < 0.0)
-    # imported here: HiGHS costs ~0.2 s and ~17 MB, only to classify a failed dual
-    from scipy.optimize import linprog
-
-    res = linprog(
-        c=np.zeros(m),
-        A_ub=-g,
-        b_ub=-np.ones(g.shape[0]),
-        bounds=[(None, None)] * m,
-        method="highs",
-    )
-    return bool(res.status == 0)
+def _hull_separated(s: np.ndarray) -> np.ndarray:
+    """True where s (..., n) = x'g_i < 0 on every row: x'v = 0 then separates
+    the origin from the g_i. Exact: at any root the positive tilts (or EL
+    weights) give a zero weighted mean of g_i, so max_i x'g_i >= 0."""
+    return s.max(axis=-1) < 0.0
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -458,9 +445,9 @@ def _dual_newton(g, state, hessian, converged, max_iter, what, errors):
     dataset iterates, halves and stops on its own, bitwise as it would
     alone. Datasets whose entry of ``errors`` is set are skipped; one whose
     rows of g are not all finite gets DomainError there and does not
-    iterate; one that fails (no acceptable step, a runaway multiplier or
-    the iteration budget spent) gets HullError there when a hyperplane
-    separates the origin from its rows of g, ConvergenceError otherwise.
+    iterate; one whose new iterate passes ``_hull_separated`` gets
+    HullError at once, one that fails otherwise (no acceptable step, a
+    runaway multiplier or the iteration budget spent) ConvergenceError.
     No failure stops the others. Returns x and the state with the gradient
     norm appended, over all R datasets, NaN where skipped or failed.
     """
@@ -473,12 +460,6 @@ def _dual_newton(g, state, hessian, converged, max_iter, what, errors):
         for r in active[~finite]:
             errors[r] = DomainError(f"{what}: moment values not all finite")
         active = active[finite]
-    if m == 1:
-        ga = g[active]
-        one_sided = (ga.min(axis=(1, 2)) > 0.0) | (ga.max(axis=(1, 2)) < 0.0)
-        for r in active[one_sided]:
-            errors[r] = HullError(f"{what}: all moment values on one side of the origin")
-        active = active[~one_sided]
 
     def evaluate(xs, gk):  # the state and its gradient norm
         new = state(xs, gk)
@@ -541,17 +522,19 @@ def _dual_newton(g, state, hessian, converged, max_iter, what, errors):
 
         # try_step writes only accepted rows, which _backtrack reads no more
         stuck = _backtrack(xa, step, try_step)
-        keep = ~(np.abs(xa).max(axis=1) * gsa > 2.0 * EXP_CAP)
+        separated = _hull_separated((ga @ xa[:, :, None])[..., 0])
+        keep = ~(separated | (np.abs(xa).max(axis=1) * gsa > 2.0 * EXP_CAP))
         if stuck.size:
             keep[stuck] = False
         if not _all(keep):
-            failed.extend(active[~keep])
+            for r in active[separated]:
+                errors[r] = HullError(
+                    f"{what}: origin outside the convex hull of the moment values"
+                )
+            failed.extend(active[~keep & ~separated])
             pack(keep)
     for r in [*failed, *active]:
-        if _hull_separated(g[r]):
-            errors[r] = HullError(f"{what}: origin outside the convex hull of the moment values")
-        else:
-            errors[r] = ConvergenceError(f"{what}: iteration budget exhausted before tolerance")
+        errors[r] = ConvergenceError(f"{what}: iteration budget exhausted before tolerance")
     return x, st
 
 
@@ -685,7 +668,8 @@ def pilot_theta(model: MomentModel, data, errors: list | None = None) -> np.ndar
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a stacked solve; converged implies residual_norm <= tol."""
+    """Outcome of a stacked solve; converged implies residual_norm <= tol
+    and max_i lambda-hat'g_i >= 0 at theta-hat."""
 
     system: str
     beta_hat: BetaVector
@@ -789,19 +773,20 @@ def _newton_stacked(
     beta = beta0.copy()
     ev = _StackedEval(system, model, data.rows, beta, w)
     norm = _norm(ev.residual)
-    for it in range(max_iter):
-        if norm <= tol:
-            return beta, norm, it, True
+    its = 0
+    while norm > tol and its < max_iter:
         try:
             step = _solve(ev.jacobian(), -ev.residual)
         except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"stacked Jacobian singular at iteration {it}"
-            ) from exc
+            raise SingularMatrixError(f"stacked Jacobian singular at iteration {its}") from exc
+        its += 1
         if _backtrack(beta[None], step[None], try_step).size:
-            return beta, norm, it + 1, norm <= tol
+            return beta, norm, its, False
         beta, ev, norm = accepted[0]
-    return beta, norm, max_iter, norm <= tol
+    converged = norm <= tol
+    if converged and _hull_separated(ev.g @ beta[model.layout.lambda_slice]):
+        raise HullError(f"{system}: root with every lambda'g < 0, origin outside the hull")
+    return beta, norm, its, converged
 
 
 def solve_stacked(
@@ -819,15 +804,17 @@ def solve_stacked(
     dual multipliers, tau from the tilt mean (the one-dataset case of the
     batched start ``_pilot_starts``, so a caller that profiles many
     datasets at once and passes each start as ``init`` gets the reports
-    of plain solves). Full Newton runs from that start; if it stalls, or
-    leaves the EL domain or the exp cap, the solver retries from four
-    perturbed pilots around the start's theta, profiled as one batch.
-    ``max_iter`` bounds the Newton iterations and the inner dual solves
-    of the profiled starts.
+    of plain solves). Full Newton runs from that start; if it stalls,
+    leaves the EL domain or the exp cap, or reaches tolerance at a lambda
+    with lambda'g_i < 0 on every row (no root: a hyperplane separating
+    the origin from the moment rows, every tilt near 0; HullError), the
+    solver retries from four perturbed pilots around the start's theta,
+    profiled as one batch. ``max_iter`` bounds the Newton iterations and
+    the inner dual solves of the profiled starts.
 
     Returns a SolveReport; plain failure to reach tolerance is reported
     via converged=False, while hull / domain / singularity problems
-    raise their typed errors.
+    raise their typed errors when no start reaches a root.
     """
     if system not in ("etel", "el"):
         raise DimensionError(f"unknown system {system!r}; use 'etel' or 'el'")
@@ -864,7 +851,7 @@ def solve_stacked(
                 init_beta = beta0
             try:
                 result = _newton_stacked(system, model, data, beta0, tol, max_iter)
-            except (DomainError, OverflowGuardError) as exc:
+            except (DomainError, HullError, OverflowGuardError) as exc:
                 last_failure = exc
                 continue
             if result[3]:

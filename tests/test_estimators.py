@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linprog
 
 import gel_expand as gx
 from gel_expand import estimators
@@ -474,17 +474,18 @@ def test_hull_error_multivariate(mean_var):
         _et_inner(mean_var.model, data, [-10.0])
 
 
-def test_highs_is_imported_at_the_first_hull_check():
-    # the package and its CLI load without scipy.optimize (HiGHS), which is
-    # imported only when a failed dual needs a hull verdict
+def test_hull_verdict_loads_no_lp_solver():
+    # the duals decide hull separation from their own iterates: the CLI and
+    # an m = 2 solve that ends in HullError leave scipy.optimize unloaded
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "import gel_expand, gel_expand.cli\n"
-        "from gel_expand.estimators import _hull_separated\n"
-        "print('scipy.optimize' in sys.modules)\n"
-        "print(_hull_separated(np.array([[1.0, 2.0], [2.0, 1.0], [0.5, 3.0]])))\n"
-        "print(_hull_separated(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])))\n"
+        "import gel_expand as gx, gel_expand.cli\n"
+        "data = gx.Dataset(np.linspace(-0.1, 0.1, 9).reshape(-1, 1))\n"
+        "try:\n"
+        "    gx.solve_stacked('etel', data, gx.build_model('MeanVarModel'))\n"
+        "except gx.HullError as exc:\n"
+        "    print(type(exc).__name__)\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(gx.__file__))
@@ -493,7 +494,72 @@ def test_highs_is_imported_at_the_first_hull_check():
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == ["False", "True", "False", "True"]
+    assert out.stdout.split() == ["HullError", "False"]
+
+
+def _lp_separated(g):
+    """Reference verdict: some x has g_i'x >= 1 on every row (a HiGHS LP)."""
+    res = linprog(
+        np.zeros(g.shape[1]), A_ub=-g, b_ub=-np.ones(len(g)),
+        bounds=[(None, None)] * g.shape[1], method="highs",
+    )
+    return res.status == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_dual_hull_verdicts_match_a_linear_program(m):
+    # random sets around centres up to 2 units from the origin, about half
+    # of them separated: both duals raise HullError exactly where the LP
+    # finds a separating hyperplane, and solve every other set
+    rng = philox_generator(90 + m)
+    n = 3 * m + 3
+    direction = rng.standard_normal((100, 1, m))
+    direction /= np.linalg.norm(direction, axis=2)[..., None]
+    g = rng.standard_normal((100, n, m)) + rng.uniform(0.0, 2.0, (100, 1, 1)) * direction
+    separated = [_lp_separated(rows) for rows in g]
+    assert 20 <= sum(separated) <= 80
+    base = np.full(n, 1.0 / n)
+    for core in (estimators._et_core, estimators._el_core):
+        errors = [None] * len(g)
+        core(g, base, 1e-11, 100, errors=errors)
+        assert [isinstance(e, HullError) for e in errors] == separated
+        assert all(e is None for e, sep in zip(errors, separated) if not sep)
+
+
+def test_hull_separated_root_is_a_hull_error():
+    # SkewModel n = 10, seed 4, replication 12: a hyperplane separates the
+    # origin from the moment rows at every retry start's theta, where the ET
+    # dual's stopping rule alone would accept a multiplier running off along
+    # it (all tilts below 1e-18, tau ~ 2e-20)
+    model = gx.build_model("SkewModel")
+    data = gx.Dataset(next(_draw_stacks(model, 10, replication_streams(4, 0, 20)))[12])
+    for system in ("etel", "el"):
+        with pytest.raises(HullError):
+            gx.solve_stacked(system, data, model)
+
+
+@pytest.mark.parametrize("seed", [31, 977])
+def test_no_converged_report_is_hull_separated(seed):
+    # small SkewModel samples near the hull boundary, one stream per solve:
+    # every converged report has max_i lambda'g_i >= 0 at its theta, as a
+    # root of the shared blocks must
+    model = gx.build_model("SkewModel")
+    stream, converged = 0, 0
+    for n in (6, 10, 20):
+        for _ in range(20):
+            for system in ("etel", "el"):
+                gen = replication_generator(seed, stream)
+                stream += 1
+                data = gx.Dataset(np.asarray(model.sampler(gen, n), dtype=float))
+                try:
+                    rep = gx.solve_stacked(system, data, model)
+                except GelError:
+                    continue
+                if rep.converged:
+                    converged += 1
+                    g = model.g_rows(data.rows, rep.beta_hat.theta)
+                    assert (g @ rep.beta_hat.lam).max() >= 0.0
+    assert converged >= 90
 
 
 # ---------------------------------------------------------------------------
@@ -741,11 +807,12 @@ def test_explicit_init_bypasses_shared_start(mean_var, pilot_calls):
 
 
 def test_init_start_that_stalls_retries_as_a_plain_solve():
-    # SkewModel at n = 10 (seed 4): some batched starts stall or leave the
-    # exp cap; from such an init the solve retries from the perturbed pilots
-    # around its theta, giving the report of a plain solve
+    # SkewModel at n = 10 (seed 10): some batched starts stall, one reaches
+    # a hull-separated root and raises; from such an init the solve retries
+    # from the perturbed pilots around its theta, giving the report of a
+    # plain solve
     model = gx.build_model("SkewModel")
-    rows = next(_draw_stacks(model, 10, replication_streams(4, 0, 20)))
+    rows = next(_draw_stacks(model, 10, replication_streams(10, 0, 20)))
     seen = set()
     for system, (starts, errors) in zip(
         ("etel", "el"), estimators._pilot_starts(("etel", "el"), model, rows)
@@ -756,7 +823,7 @@ def test_init_start_that_stalls_retries_as_a_plain_solve():
                 _, _, _, converged = estimators._newton_stacked(
                     system, model, data, starts[r], 1e-9, 100
                 )
-            except (DomainError, OverflowGuardError):
+            except (DomainError, HullError, OverflowGuardError):
                 converged = None
             if converged:
                 continue
@@ -841,17 +908,20 @@ def test_batched_start_rows_are_single_starts(bundles, name, n):
 
 def test_hull_separated_row_leaves_the_others_unchanged(mean_var):
     # a dataset spread less than one unit has (x - theta)^2 - 1 < 0 on every
-    # row at its pilot: the ET dual fails with HullError on that row alone
+    # row at its pilot: the ET dual fails with HullError on that row alone;
+    # on the wider of the two such rows the dual's stopping rule alone would
+    # accept a multiplier running off along the separating direction
     model = mean_var.model
     good = _draws(model, 50, 23, 5)
-    tight = 0.1 * philox_generator(5).standard_normal((1, 50, 1))
-    rows = np.concatenate((good[:2], tight, good[2:]))
+    tight = philox_generator(5).standard_normal((1, 50, 1))
+    rows = np.concatenate((good[:2], 0.1 * tight, good[2:4], 0.2 * tight, good[4:]))
+    bad = [2, 5]
     pairs = estimators._pilot_starts(("etel", "el"), model, rows)
     alone = estimators._pilot_starts(("etel", "el"), model, good)
     for (starts, errors), (want, want_errors) in zip(pairs, alone):
-        assert isinstance(errors[2], HullError)
-        assert errors[:2] + errors[3:] == want_errors == [None] * 5
-        np.testing.assert_array_equal(np.delete(starts, 2, axis=0), want)
+        assert all(isinstance(errors[r], HullError) for r in bad)
+        assert [e for r, e in enumerate(errors) if r not in bad] == want_errors == [None] * 5
+        np.testing.assert_array_equal(np.delete(starts, bad, axis=0), want)
     _assert_rows_are_single_starts(model, rows, pairs)
 
 
@@ -1009,10 +1079,13 @@ class _RecordingNumpy:
 
 @pytest.mark.parametrize("core, n", [("_et_core", 10), ("_el_core", 20)])
 def test_dual_newton_evaluates_each_candidate_once(monkeypatch, core, n):
-    # on these SkewModel samples some full Newton step fails the local
-    # gradient test and then passes Armijo: its candidate is evaluated once
+    # on these SkewModel samples (whose hull holds the origin) some full
+    # Newton step fails the local gradient test and then passes Armijo: its
+    # candidate is evaluated once
     model = gx.build_model("SkewModel")
-    data = gx.Dataset(np.asarray(model.sampler(replication_generator(31, 8), n), dtype=float))
+    seed, replication = {"_et_core": (3, 15), "_el_core": (31, 8)}[core]
+    gen = replication_generator(seed, replication)
+    data = gx.Dataset(np.asarray(model.sampler(gen, n), dtype=float))
     g = model.g_rows(data.rows, estimators.pilot_theta(model, data))
     want = getattr(estimators, core)(g, np.full(n, 1.0 / n), 1e-11, 100)
     recorder = _RecordingNumpy()

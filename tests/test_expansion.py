@@ -447,14 +447,20 @@ def test_study_solves_pass_the_benchmark_checks(bundles, monkeypatch, seed):
 
 def test_study_falls_back_to_the_plain_solve(monkeypatch):
     # at n = 10 and 20 some SkewModel starts fail or do not converge: each
-    # replication and system is still one solve, without a start where the
-    # batched one failed, and every outcome is a plain solve's
+    # replication and system is at most one solve, without a start where the
+    # batched one failed, and every outcome is a plain solve's; replication
+    # 12 at n = 10 is hull-separated, so its ETEL solve raises and its EL
+    # solve is skipped
     model = gx.build_model("SkewModel")
     solves = _Solves(monkeypatch)
     res = gx.expansion_difference_study(model, [10, 20], reps=20, seed=4)
     assert [row.reps_failed for row in res.rows] == [1, 0]
     keys = [(id(rec[1]), rec[0]) for rec in solves.records]
-    assert len(keys) == len(set(keys)) == 2 * 2 * 20
+    assert len(keys) == len(set(keys)) == 2 * 2 * 20 - 1
+    datasets = list(dict.fromkeys(id(rec[1]) for rec in solves.records))
+    assert len(datasets) == 2 * 20
+    skipped = [(rec[0], rec[4]) for rec in solves.records if (id(rec[1]), "el") not in keys]
+    assert skipped == [("etel", "HullError")]
     assert any(not rec[3] for rec in solves.records)
     _check_against_fresh_solves(solves, 1e-9)
 
