@@ -1,11 +1,13 @@
 """Command line interface.
 
-    gel-expand run --suite identities --model MeanVarModel --seed 42 \
-        [--config run.ini] [--n 50,100,200,400] [--reps 1000] \
-        [--samples 50] [--out results/] [--tol-override key=val ...]
+    gel-expand run --seed 42 [--config run.ini] [--suite identities]
+        [--model MeanVarModel] [--n 50,100,200,400] [--reps 1000] ...
+        [--tol-override key=val ...] [--quiet]
 
-Exit status: 0 when every check passes, 1 on a check failure, 2 on a
-usage or configuration error.
+Every run setting in ``harness._SETTINGS`` is a flag named after its key
+(``theta_star`` is ``--theta-star``); a flag wins over the same key in the
+``--config`` file. Exit status: 0 when every check passes, 1 on a check
+failure, 2 on a usage or configuration error.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, GelError
-from .harness import SUITE_NAMES, parse_config, run_suite
-from .models import MODEL_NAMES
+from .harness import _SETTINGS, parse_config, run_suite
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,16 +27,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a verification suite")
     run.add_argument("--config", help="INI-style config file; flags override it")
-    run.add_argument("--suite", choices=SUITE_NAMES, help="suite to run")
-    run.add_argument("--model", choices=MODEL_NAMES, help="built-in model name")
-    run.add_argument("--seed", help="base RNG seed (mandatory, here or in the file)")
-    run.add_argument("--n", help="comma-separated sample sizes, e.g. 50,100,200,400")
-    run.add_argument("--reps", help="Monte Carlo replications")
-    run.add_argument("--samples", help="simulated samples for per-sample identity checks")
-    run.add_argument("--theta-star", dest="theta_star", help="true parameter value")
-    run.add_argument("--skew-df", dest="skew_df", help="chi-square df for SkewModel")
-    run.add_argument("--n-nodes", dest="n_nodes", help="quadrature nodes of the plug-in measure")
-    run.add_argument("--out", help="output directory for report.json and tables")
+    for key, setting in _SETTINGS.items():
+        choices = setting.kind if isinstance(setting.kind, tuple) else None
+        run.add_argument("--" + key.replace("_", "-"), choices=choices, help=setting.help)
     run.add_argument(
         "--tol-override",
         action="append",
@@ -51,12 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    overrides: dict[str, str] = {}
-    for key in ("suite", "model", "seed", "n", "reps", "samples", "theta_star",
-                "skew_df", "n_nodes", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = str(value)
+    overrides = {key: getattr(args, key) for key in _SETTINGS}
     for item in args.tol_override:
         if "=" not in item:
             print(f"error: --tol-override expects KEY=VAL, got {item!r}", file=sys.stderr)
@@ -65,13 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides[f"tol.{key.strip()}"] = val.strip()
 
     try:
-        config = parse_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        report = run_suite(config)
+        report = run_suite(parse_config(args.config, overrides))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

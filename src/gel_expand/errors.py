@@ -28,7 +28,7 @@ class HullError(GelError):
 
 
 class ConvergenceError(GelError):
-    """An iterative solver exhausted its iteration budget."""
+    """An iterative solver stopped without reaching its tolerance."""
 
 
 class DomainError(GelError):

@@ -446,10 +446,11 @@ def _dual_newton(g, state, hessian, converged, max_iter, what, errors):
     alone. Datasets whose entry of ``errors`` is set are skipped; one whose
     rows of g are not all finite gets DomainError there and does not
     iterate; one whose new iterate passes ``_hull_separated`` gets
-    HullError at once, one that fails otherwise (no acceptable step, a
-    runaway multiplier or the iteration budget spent) ConvergenceError.
-    No failure stops the others. Returns x and the state with the gradient
-    norm appended, over all R datasets, NaN where skipped or failed.
+    HullError at once, one that fails otherwise a ConvergenceError naming
+    the cause: no acceptable step, a runaway multiplier or the iteration
+    budget spent. No failure stops the others. Returns x and the state
+    with the gradient norm appended, over all R datasets, NaN where
+    skipped or failed.
     """
     R, n, m = g.shape
     x = np.full((R, m), np.nan)
@@ -471,7 +472,6 @@ def _dual_newton(g, state, hessian, converged, max_iter, what, errors):
     gsa = np.maximum(np.abs(ga).max(axis=(1, 2)), 1e-12)
     xa = np.zeros((len(active), m))
     cur = evaluate(xa, ga)
-    failed = []
 
     def pack(keep):
         nonlocal active, ga, gsa, xa, cur
@@ -523,17 +523,22 @@ def _dual_newton(g, state, hessian, converged, max_iter, what, errors):
         # try_step writes only accepted rows, which _backtrack reads no more
         stuck = _backtrack(xa, step, try_step)
         separated = _hull_separated((ga @ xa[:, :, None])[..., 0])
-        keep = ~(separated | (np.abs(xa).max(axis=1) * gsa > 2.0 * EXP_CAP))
+        runaway = np.abs(xa).max(axis=1) * gsa > 2.0 * EXP_CAP
+        keep = ~(separated | runaway)
         if stuck.size:
             keep[stuck] = False
         if not _all(keep):
-            for r in active[separated]:
-                errors[r] = HullError(
-                    f"{what}: origin outside the convex hull of the moment values"
-                )
-            failed.extend(active[~keep & ~separated])
+            for r, sep, ran in zip(active[~keep], separated[~keep], runaway[~keep]):
+                if sep:
+                    errors[r] = HullError(
+                        f"{what}: origin outside the convex hull of the moment values"
+                    )
+                else:
+                    why = ("multiplier ran away (|x| max|g| > 2 EXP_CAP)" if ran
+                           else "no acceptable step")
+                    errors[r] = ConvergenceError(f"{what}: {why}")
             pack(keep)
-    for r in [*failed, *active]:
+    for r in active:
         errors[r] = ConvergenceError(f"{what}: iteration budget exhausted before tolerance")
     return x, st
 
@@ -814,7 +819,8 @@ def solve_stacked(
 
     Returns a SolveReport; plain failure to reach tolerance is reported
     via converged=False, while hull / domain / singularity problems
-    raise their typed errors when no start reaches a root.
+    raise a typed error when no start reaches a root: that of the first
+    start to fail, the profiled or given start before the retries.
     """
     if system not in ("etel", "el"):
         raise DimensionError(f"unknown system {system!r}; use 'etel' or 'el'")
@@ -840,27 +846,26 @@ def solve_stacked(
         thetas = theta0 + _RETRY_OFFSETS[:, None] * spread
         yield _profile_init((system,), model, data.rows, thetas, max_iter, [None] * len(thetas))[0]
 
-    last_failure: Exception | None = None
+    first_failure: Exception | None = None
     init_beta = best = None
     for starts, errors in groups():
-        last_failure = next((e for e in reversed(errors) if e is not None), last_failure)
         for beta0, err in zip(starts, errors):
-            if err is not None:
-                continue
-            if init_beta is None:
-                init_beta = beta0
-            try:
-                result = _newton_stacked(system, model, data, beta0, tol, max_iter)
-            except (DomainError, HullError, OverflowGuardError) as exc:
-                last_failure = exc
-                continue
-            if result[3]:
-                return _report(system, model, result, tol, init_beta)
-            if best is None or result[1] < best[1]:
-                best = result
+            if err is None:
+                if init_beta is None:
+                    init_beta = beta0
+                try:
+                    result = _newton_stacked(system, model, data, beta0, tol, max_iter)
+                except (DomainError, HullError, OverflowGuardError) as exc:
+                    err = exc
+                else:
+                    if result[3]:
+                        return _report(system, model, result, tol, init_beta)
+                    if best is None or result[1] < best[1]:
+                        best = result
+            first_failure = first_failure or err
     if best is None:
-        if last_failure is not None:
-            raise last_failure
+        if first_failure is not None:
+            raise first_failure
         raise ConvergenceError(f"{system}: no usable start for the stacked solve")
     return _report(system, model, best, tol, init_beta)
 

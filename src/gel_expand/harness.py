@@ -1,4 +1,4 @@
-"""Experiment configuration, verification suites and report output.
+"""Verification suites, their run settings and report output.
 
 A suite bundles related checks against one configured model:
 
@@ -13,10 +13,11 @@ A suite bundles related checks against one configured model:
   orthogonality Monte Carlo;
 * ``mc_study``    the estimator-difference scaling study.
 
-Reports are written as ``report.json`` (bit-identical across runs for a
-fixed config and seed; wall-clock time lives in ``run.meta.json``),
-tables as CSV, and the fully resolved configuration as
-``config.resolved.txt``.
+Each run setting is declared once, in ``_SETTINGS`` (kind, default, least
+value, flag help): the CLI flags, config-file keys, ExperimentConfig fields
+and the lines of ``config.resolved.txt`` all follow it. Reports are written
+as ``report.json`` (bit-identical across runs for a fixed config and seed;
+wall-clock time lives in ``run.meta.json``) and tables as CSV.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,195 +79,6 @@ __all__ = [
     "q_ladder",
     "r_ladder",
 ]
-
-SUITE_NAMES = ("identities", "tensors", "q_equality", "r_terms", "mc_study")
-
-_DEFAULTS: dict[str, object] = {
-    "model": "MeanVarModel",
-    "theta_star": 0.0,
-    "skew_df": 4,
-    "suite": "identities",
-    "n": [50, 100, 200, 400],
-    "reps": 1000,
-    "samples": 50,
-    "n_nodes": 96,
-    "out": None,
-    "seed": None,
-}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved run configuration; see parse_config for sources."""
-
-    model: str
-    suite: str
-    seed: int
-    n_list: list[int]
-    reps: int
-    samples: int
-    theta_star: float
-    skew_df: int
-    n_nodes: int
-    out_dir: str | None
-    tol_overrides: dict[str, float] = field(default_factory=dict)
-
-    def build_model(self):
-        if self.model == "SkewModel":
-            return build_model(self.model, theta_star=self.theta_star, df=self.skew_df)
-        return build_model(self.model, theta_star=self.theta_star)
-
-    def tolerance(self, key: str) -> float:
-        """The named TOLERANCES entry, or its override."""
-        return float(self.tol_overrides.get(key, TOLERANCES[key]))
-
-    def resolved_lines(self) -> list[str]:
-        items = {
-            "model": self.model,
-            "suite": self.suite,
-            "seed": self.seed,
-            "n": ",".join(str(v) for v in self.n_list),
-            "reps": self.reps,
-            "samples": self.samples,
-            "theta_star": repr(self.theta_star),
-            "skew_df": self.skew_df,
-            "n_nodes": self.n_nodes,
-            "out": self.out_dir or "",
-        }
-        for key, val in sorted(self.tol_overrides.items()):
-            items[f"tol.{key}"] = repr(val)
-        return [f"{k}={items[k]}" for k in sorted(items)]
-
-
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: expected an integer, got {value!r}") from exc
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: expected a number, got {value!r}") from exc
-
-
-def _parse_n_list(key: str, value: str) -> list[int]:
-    parts = [p for p in value.replace(" ", "").split(",") if p]
-    if not parts:
-        raise ConfigError(f"config key {key!r}: expected a comma-separated list of sizes")
-    return [_parse_int(key, p) for p in parts]
-
-
-def read_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value file; '#' and ';' start comments, sections are ignored."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
-        if not line or (line.startswith("[") and line.endswith("]")):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def parse_config(
-    path: str | Path | None = None, overrides: dict[str, str] | None = None
-) -> ExperimentConfig:
-    """Merge defaults, an optional config file and flag overrides.
-
-    Flag overrides win over file values. Raises ConfigError naming the
-    offending key for anything malformed, unknown, missing or out of
-    range (a negative seed; fewer than two reps; a sample count, sample
-    size, node count or df below 1; fewer than two distinct sizes for
-    ``mc_study``; a theta_star that is not finite; a ``tol.<name>``
-    whose name is not in TOLERANCES).
-    """
-    raw: dict[str, str] = {}
-    if path is not None:
-        raw.update(read_config_file(path))
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-
-    tol_overrides: dict[str, float] = {}
-    values: dict[str, object] = dict(_DEFAULTS)
-    for key, value in raw.items():
-        if key.startswith("tol."):
-            if key[4:] not in TOLERANCES:
-                raise ConfigError(
-                    f"unknown tolerance {key[4:]!r} in {key!r}; valid names: "
-                    f"{', '.join(sorted(TOLERANCES))}"
-                )
-            tol_overrides[key[4:]] = _parse_float(key, value)
-            continue
-        if key not in _DEFAULTS:
-            raise ConfigError(
-                f"unknown config key {key!r}; valid keys: "
-                f"{', '.join(sorted(_DEFAULTS))} and tol.<name>"
-            )
-        values[key] = value
-
-    if values["seed"] is None:
-        raise ConfigError("config key 'seed' is mandatory and was not provided")
-    suite = str(values["suite"])
-    if suite not in SUITE_NAMES:
-        raise ConfigError(
-            f"unknown suite {suite!r}; valid suites: {', '.join(SUITE_NAMES)}"
-        )
-    model = str(values["model"])
-    if model not in MODEL_NAMES:
-        raise ConfigError(
-            f"unknown model {model!r}; valid models: {', '.join(MODEL_NAMES)}"
-        )
-    n_list = values["n"]
-    if isinstance(n_list, str):
-        n_list = _parse_n_list("n", n_list)
-    if suite == "mc_study" and len(set(n_list)) < 2:
-        raise ConfigError(
-            "config key 'n': mc_study fits a slope across sizes and needs at least "
-            f"two distinct sizes, got {','.join(str(v) for v in n_list)}"
-        )
-
-    def as_int(key: str) -> int:
-        v = values[key]
-        return v if isinstance(v, int) else _parse_int(key, str(v))
-
-    def as_float(key: str) -> float:
-        v = values[key]
-        return v if isinstance(v, float) else _parse_float(key, str(v))
-
-    config = ExperimentConfig(
-        model=model,
-        suite=suite,
-        seed=as_int("seed"),
-        n_list=list(n_list),
-        reps=as_int("reps"),
-        samples=as_int("samples"),
-        theta_star=as_float("theta_star"),
-        skew_df=as_int("skew_df"),
-        n_nodes=as_int("n_nodes"),
-        out_dir=str(values["out"]) if values["out"] else None,
-        tol_overrides=tol_overrides,
-    )
-    for key, value, least in (
-        ("seed", config.seed, 0), ("reps", config.reps, 2), ("samples", config.samples, 1),
-        ("n_nodes", config.n_nodes, 1), ("skew_df", config.skew_df, 1),
-        *(("n", v, 1) for v in config.n_list),
-    ):
-        if value < least:
-            raise ConfigError(f"config key {key!r}: expected an integer >= {least}, got {value}")
-    if not math.isfinite(config.theta_star):
-        raise ConfigError(
-            f"config key 'theta_star': expected a finite number, got {config.theta_star}"
-        )
-    return config
-
 
 # ---------------------------------------------------------------------------
 # Checks and reports
@@ -546,7 +359,7 @@ def _suite_q_equality(config: ExperimentConfig, model) -> tuple[list[CheckResult
     tol_fd = config.tolerance("fd_backed")
     tol_psi = config.tolerance("psi_bar")
     measure, pm, mt = _measure_bundle(config, model)
-    n = config.n_list[-1] if config.n_list else 200
+    n = config.n[-1]
     seeds = range(config.seed + 1000, config.seed + 1000 + config.samples)
     worst = q_ladder(model, measure, pm, projection_set(pm), mt, n, seeds)
 
@@ -574,7 +387,7 @@ def _suite_r_terms(config: ExperimentConfig, model) -> tuple[list[CheckResult], 
     tol_term3 = config.tolerance("term3")
     tol_fd = config.tolerance("fd_backed")
     measure, pm, mt = _measure_bundle(config, model)
-    n = config.n_list[-1] if config.n_list else 200
+    n = config.n[-1]
     seeds = range(config.seed + 2000, config.seed + 2000 + config.samples)
     worst = r_ladder(model, measure, pm, projection_set(pm), mt, n, seeds, fd_samples=1)
     supported = worst["xi7-supported"]
@@ -602,7 +415,7 @@ def _suite_r_terms(config: ExperimentConfig, model) -> tuple[list[CheckResult], 
 def _suite_mc_study(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
     checks: list[CheckResult] = []
     result = expansion_difference_study(
-        model, config.n_list, reps=config.reps, seed=config.seed
+        model, config.n, reps=config.reps, seed=config.seed
     )
     tables = {"study": result.to_rows()}
     if result.slope is not None:
@@ -638,10 +451,170 @@ _SUITES = {
     "mc_study": _suite_mc_study,
 }
 
+SUITE_NAMES = tuple(_SUITES)
+
+
+# ---------------------------------------------------------------------------
+# Run settings
+# ---------------------------------------------------------------------------
+
+
+class _Setting(NamedTuple):
+    """One run setting; see _SETTINGS."""
+
+    kind: object  # int, float, list (of comma-separated sizes), str or the names accepted
+    default: str | None  # its text in a config file; None when it is mandatory
+    least: int | None  # the smallest value accepted (for each size of a list)
+    help: str
+
+
+_SETTINGS = {
+    "suite": _Setting(SUITE_NAMES, "identities", None, "suite to run"),
+    "model": _Setting(MODEL_NAMES, "MeanVarModel", None, "built-in model name"),
+    "seed": _Setting(int, None, 0, "base RNG seed (mandatory, here or in the file)"),
+    "n": _Setting(list, "50,100,200,400", 1, "comma-separated sample sizes, e.g. 50,100,200,400"),
+    # a Monte Carlo z-score needs a spread
+    "reps": _Setting(int, "1000", 2, "Monte Carlo replications"),
+    "samples": _Setting(int, "50", 1, "simulated samples for per-sample identity checks"),
+    "theta_star": _Setting(float, "0.0", None, "true parameter value"),
+    "skew_df": _Setting(int, "4", 1, "chi-square df for SkewModel"),
+    "n_nodes": _Setting(int, "96", 1, "quadrature nodes of the plug-in measure"),
+    "out": _Setting(str, "", None, "output directory for report.json and tables"),
+}
+"""The run settings, in ``--help`` order. Each key is a config-file key, a
+CLI flag (``theta_star`` is ``--theta-star``), an ExperimentConfig field and
+a line of ``config.resolved.txt``."""
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Fully resolved run configuration: one field per ``_SETTINGS`` key and
+    the tolerance overrides; see parse_config for sources."""
+
+    suite: str
+    model: str
+    seed: int
+    n: list[int]
+    reps: int
+    samples: int
+    theta_star: float
+    skew_df: int
+    n_nodes: int
+    out: str
+    tol_overrides: dict[str, float] = field(default_factory=dict)
+
+    def tolerance(self, key: str) -> float:
+        """The named TOLERANCES entry, or its override."""
+        return float(self.tol_overrides.get(key, TOLERANCES[key]))
+
+    def resolved_lines(self) -> list[str]:
+        """``key=value`` for every setting and ``tol.<name>`` override, sorted
+        by key, as a config file gives them."""
+        items = {key: getattr(self, key) for key in _SETTINGS}
+        items.update((f"tol.{key}", val) for key, val in self.tol_overrides.items())
+        return [f"{key}={_text(items[key])}" for key in sorted(items)]
+
+
+def _text(value) -> str:
+    """A parsed value as config-file text."""
+    return ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
+
+
+def _parse(kind, key: str, value: str):
+    """The value of a setting or tolerance from its text; see _Setting.kind."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"unknown {key} {value!r}; valid {key}s: {', '.join(kind)}")
+        return value
+    if kind is list:
+        parts = [p for p in value.replace(" ", "").split(",") if p]
+        if not parts:
+            raise ConfigError(f"config key {key!r}: expected a comma-separated list of sizes")
+        return [_parse(int, key, p) for p in parts]
+    try:
+        return kind(value)
+    except ValueError as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key!r}: expected {expected}, got {value!r}") from exc
+
+
+def read_config_file(path: str | Path) -> dict[str, str]:
+    """Flat key=value file; '#' and ';' start comments, sections are ignored."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
+        if not line or (line.startswith("[") and line.endswith("]")):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
+    return out
+
+
+def parse_config(
+    path: str | Path | None = None, overrides: dict[str, str] | None = None
+) -> ExperimentConfig:
+    """Merge the ``_SETTINGS`` defaults, an optional config file and flag
+    overrides.
+
+    Flag overrides win over file values. Raises ConfigError naming the
+    offending key for anything malformed, unknown, missing or out of
+    range (a value below its setting's least; fewer than two distinct
+    sizes for ``mc_study``; a theta_star that is not finite; a
+    ``tol.<name>`` whose name is not in TOLERANCES).
+    """
+    raw = read_config_file(path) if path is not None else {}
+    raw.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+
+    text = {key: setting.default for key, setting in _SETTINGS.items()}
+    tol_overrides: dict[str, float] = {}
+    for key, value in raw.items():
+        if key.startswith("tol."):
+            if key[4:] not in TOLERANCES:
+                raise ConfigError(
+                    f"unknown tolerance {key[4:]!r} in {key!r}; valid names: "
+                    f"{', '.join(sorted(TOLERANCES))}"
+                )
+            tol_overrides[key[4:]] = _parse(float, key, value)
+        elif key in _SETTINGS:
+            text[key] = value
+        else:
+            raise ConfigError(
+                f"unknown config key {key!r}; valid keys: "
+                f"{', '.join(sorted(_SETTINGS))} and tol.<name>"
+            )
+    for key, value in text.items():
+        if value is None:
+            raise ConfigError(f"config key {key!r} is mandatory and was not provided")
+
+    values = {key: _parse(_SETTINGS[key].kind, key, value) for key, value in text.items()}
+    if values["suite"] == "mc_study" and len(set(values["n"])) < 2:
+        raise ConfigError(
+            "config key 'n': mc_study fits a slope across sizes and needs at least "
+            f"two distinct sizes, got {_text(values['n'])}"
+        )
+    # the sizes of a list are checked after every single value
+    for key, setting in sorted(_SETTINGS.items(), key=lambda item: item[1].kind is list):
+        for value in values[key] if setting.kind is list else [values[key]]:
+            if setting.least is not None and value < setting.least:
+                raise ConfigError(
+                    f"config key {key!r}: expected an integer >= {setting.least}, got {value}"
+                )
+    if not math.isfinite(values["theta_star"]):
+        raise ConfigError(
+            f"config key 'theta_star': expected a finite number, got {values['theta_star']}"
+        )
+    return ExperimentConfig(**values, tol_overrides=tol_overrides)
+
 
 def run_suite(config: ExperimentConfig) -> SuiteReport:
-    """Run the configured suite and, if out_dir is set, write its reports."""
-    model = config.build_model()
+    """Run the configured suite and, if ``out`` is set, write its reports."""
+    extra = {"df": config.skew_df} if config.model == "SkewModel" else {}
+    model = build_model(config.model, theta_star=config.theta_star, **extra)
     start = time.perf_counter()
     checks, tables = _SUITES[config.suite](config, model)
     runtime = time.perf_counter() - start
@@ -653,14 +626,14 @@ def run_suite(config: ExperimentConfig) -> SuiteReport:
         runtime_s=runtime,
         tables=tables,
     )
-    if config.out_dir:
+    if config.out:
         write_report(report, config)
     return report
 
 
 def write_report(report: SuiteReport, config: ExperimentConfig) -> Path:
     """Write report.json, tables/*.csv, config.resolved.txt and run.meta.json."""
-    out = Path(config.out_dir or ".")
+    out = Path(config.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
         json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"

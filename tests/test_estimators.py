@@ -18,6 +18,7 @@ from scipy.optimize import brentq, linprog
 import gel_expand as gx
 from gel_expand import estimators
 from gel_expand.errors import (
+    ConvergenceError,
     DimensionError,
     DomainError,
     GelError,
@@ -1174,3 +1175,52 @@ def test_stalled_first_start_retries_perturbed_pilots(mean_var, monkeypatch):
     assert len(starts) == 5
     for got, expected in zip(starts, want):
         np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "scale, defined_off_origin, cause",
+    [(1e4, True, "multiplier ran away"), (1.0, True, "iteration budget exhausted"),
+     (1.0, False, "no acceptable step")],
+)
+def test_each_dual_failure_names_its_cause(scale, defined_off_origin, cause):
+    # a dual that never converges, on moment rows with both signs along each
+    # axis (never hull-separated): its unbounded linear objective runs the
+    # multiplier away on large rows and spends the budget on small ones;
+    # undefined (NaN) off x = 0, it accepts no step
+    g = scale * np.array([[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]])
+
+    def state(x, gk):
+        value = -x.sum(axis=1)
+        if not defined_off_origin:
+            value = np.where((x == 0.0).all(axis=1), value, np.nan)
+        return value, -np.ones_like(x), np.full(gk.shape[:2], 0.25)
+
+    errors = [None]
+    estimators._dual_newton(
+        g, state, lambda st, gk: np.tile(np.eye(2), (len(gk), 1, 1)),
+        lambda value, gnorm: np.zeros(value.shape, dtype=bool), 3, "dual", errors,
+    )
+    assert isinstance(errors[0], ConvergenceError)
+    assert str(errors[0]).startswith(f"dual: {cause}")
+
+
+@pytest.mark.parametrize("seed, rep", [(0, 1), (0, 18), (5, 8)])
+def test_a_solve_without_a_root_raises_its_first_starts_error(seed, rep, monkeypatch):
+    # SkewModel df = 2, n = 20: the profiled start's ET dual certifies hull
+    # separation, while the last retry pilot, with the origin just inside
+    # the hull, runs its multiplier away
+    model = gx.build_model("SkewModel", df=2)
+    rows = next(_draw_stacks(model, 20, replication_streams(seed, 0, 40)))[rep]
+    profiled = []
+
+    def spy(*args, real=estimators._profile_init):
+        out = real(*args)
+        profiled.append(out[0][1])
+        return out
+
+    monkeypatch.setattr(estimators, "_profile_init", spy)
+    with pytest.raises(HullError):
+        estimators.solve_stacked("etel", gx.Dataset(rows), model)
+    (first,), retries = profiled
+    assert isinstance(first, HullError)
+    assert "multiplier ran away" in str(retries[-1])

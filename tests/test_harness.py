@@ -77,7 +77,7 @@ def test_flag_overrides_file(tmp_path):
     config = parse_config(ini, overrides={"reps": "99"})
     assert config.reps == 99  # flag wins
     assert config.seed == 5
-    assert config.n_list == [10, 20]
+    assert config.n == [10, 20]
     assert config.tol_overrides["identity"] == 1e-9
     assert "reps=99" in config.resolved_lines()
 
@@ -101,7 +101,40 @@ def test_out_of_range_config_value_is_a_config_error(key, value):
 
 def test_one_size_is_enough_outside_mc_study():
     config = parse_config(overrides={"seed": "1", "suite": "q_equality", "n": "50"})
-    assert config.n_list == [50]
+    assert config.n == [50]
+
+
+def test_every_setting_is_a_flag_a_file_key_and_a_resolved_line(tmp_path):
+    parser = cli._build_parser()
+    for key, setting in harness._SETTINGS.items():
+        value = setting.default or "1"
+        args = parser.parse_args(["run", "--" + key.replace("_", "-"), value])
+        assert getattr(args, key) == value
+        ini = tmp_path / f"{key}.ini"
+        ini.write_text(f"seed = 1\n{key} = {value}\n")
+        assert f"{key}={value}" in parse_config(ini).resolved_lines()
+    config = parse_config(overrides={"seed": "1"})
+    keys = [line.split("=", 1)[0] for line in config.resolved_lines()]
+    assert sorted(keys) == sorted(harness._SETTINGS)
+    assert [f.name for f in dataclasses.fields(config)] == [*harness._SETTINGS, "tol_overrides"]
+
+
+def test_config_resolved_txt_of_a_file_that_sets_every_key(tmp_path, monkeypatch):
+    # every setting and two tolerances from a file: the resolved
+    # configuration keeps its bytes and reads back as the same config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text(
+        "[run]\nsuite = identities\nmodel = SkewModel\nseed = 12\nn = 30, 60\nreps = 5\n"
+        "samples = 2\ntheta_star = 0.25\nskew_df = 6\nn_nodes = 40\nout = results\n"
+        "tol.identity = 1e-9\ntol.slope_min = -3\n"
+    )
+    assert cli.main(["run", "--config", "run.ini", "--quiet"]) == 0
+    resolved = tmp_path / "results" / "config.resolved.txt"
+    assert resolved.read_bytes() == (
+        b"model=SkewModel\nn=30,60\nn_nodes=40\nout=results\nreps=5\nsamples=2\nseed=12\n"
+        b"skew_df=6\nsuite=identities\ntheta_star=0.25\ntol.identity=1e-09\ntol.slope_min=-3.0\n"
+    )
+    assert parse_config(resolved) == parse_config("run.ini")
 
 
 def test_n_ref_is_not_a_config_key():
