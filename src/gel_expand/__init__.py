@@ -51,7 +51,6 @@ from .projections import (
 from .estimators import (
     BetaVector,
     SolveReport,
-    pilot_theta,
     solve_stacked,
     stacked_jacobian,
     stacked_residual,

@@ -17,23 +17,24 @@ Solver layout:
   that shrinks the gradient norm is taken outright, otherwise Armijo
   decides; EL candidates outside 1 - kappa'g > 0 are rejected.
 * The start is batched over datasets. ``pilot_theta``, the two duals
-  and ``_profile_init`` take R datasets of one size (rows (R, n, d)):
-  every dataset iterates, halves its steps and stops on its own, bitwise
-  as it would alone, and one that fails records its own typed error
-  (DomainError for moment rows that are not all finite, HullError when a
-  multiplier iterate x has x'g_i < 0 on every row, ConvergenceError
-  otherwise, SingularMatrixError for a singular pilot or kappa system)
-  without stopping the others. Called on one dataset, ``pilot_theta``
-  and the duals raise that error instead. ``_profile_init`` builds every
-  start, from one g and one tilt multiplier for all systems.
+  and ``_profile_init`` take R datasets of one size (rows (R, n, d)) and
+  an error list: every dataset iterates, halves its steps and stops on
+  its own, bitwise as it would alone, and one that fails records its own
+  typed error (DomainError for moment rows that are not all finite,
+  HullError when a multiplier iterate x has x'g_i < 0 on every row,
+  ConvergenceError otherwise, SingularMatrixError for a singular pilot or
+  kappa system) without stopping the others. ``_profile_init`` builds
+  every start, from one g and one tilt multiplier for all systems.
 * ``solve_stacked`` starts from ``init`` or else from the profile of its
-  pilot theta (the R = 1 case of the batched start), runs a full Newton
-  iteration on all blocks with an analytic Jacobian and, if that start
-  stalls, leaves the EL domain or the exp cap, or ends at a "root" with
-  lambda'g_i < 0 on every row, retries from four perturbed pilots
-  around its theta, profiled as one batch. Nothing is kept between
-  calls. A caller that solves many datasets profiles them together and
-  passes each start as ``init``; the reports are those of plain solves.
+  pilot theta (the R = 1 case of the batched start) and runs a full
+  Newton iteration on all blocks with an analytic Jacobian. A start that
+  fails to profile or stalls, or whose Newton raises DomainError,
+  OverflowGuardError, HullError or ConvergenceError (a root below its
+  start's profile log-likelihood), is retried from four perturbed pilots
+  around its theta, profiled as one batch; a failed pilot or a singular
+  stacked Jacobian raises at once. Nothing is kept between calls. A caller
+  that solves many datasets profiles them together and passes each
+  start as ``init``; the reports are those of plain solves.
 * Every iterate is evaluated once. ``_StackedEval`` computes the per-row
   features (g, dg, exp(lambda'g), kappa'g, dg'kappa, dg'lambda and the
   system's coefficient) and from them the phi rows and their weighted
@@ -89,7 +90,6 @@ __all__ = [
     "phi_rows",
     "stacked_residual",
     "stacked_jacobian",
-    "pilot_theta",
     "solve_stacked",
 ]
 
@@ -104,6 +104,9 @@ _PILOT_MAX_ITER = 50
 _MAX_ITER = 100
 _RETRY_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 """Retry pilots, in standard errors of the just-identified sub-moments."""
+_PROFILE_SLACK = 1e-9
+"""Roundoff margin of the profile-maximum certificate, relative to 1 + |l|
+at the start (l sums n logs of weights, each exact to a few ulps)."""
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,7 @@ class _StackedEval:
             gj.swapaxes(-1, -2).reshape(lead + (n * p, m)) @ kl.swapaxes(-1, -2)
         ).reshape(lead + (n, p, 2))
         gk, gl = gkl[..., 0], gkl[..., 1]
-        self.t, self.u, self.gk, self.gl = t, u, gk, gl
+        self.s, self.t, self.u, self.gk, self.gl = s, t, u, gk, gl
         if system == "etel":
             self.c = c = tau - t * (1.0 - u)
             lam_rows, theta_rows = c[..., None] * g, t[..., None] * gk + c[..., None] * gl
@@ -390,25 +393,6 @@ def _open_rows(errors: list) -> np.ndarray:
     return np.flatnonzero([e is None for e in errors])
 
 
-def _batched(x: np.ndarray, rank: int, errors: list | None):
-    """(x with a batch axis, whether one was added because x has the
-    unbatched rank, the per-dataset error list to fill)."""
-    single = x.ndim == rank
-    if single:
-        x = x[None]
-    return x, single, [None] * len(x) if errors is None else errors
-
-
-def _unbatch(errors: list, caller_errors: list | None, single: bool, *arrays):
-    """Finish a batched call: without a caller's error list the first failed
-    row raises its error; one dataset loses its batch axis again."""
-    if caller_errors is None:
-        for err in errors:
-            if err is not None:
-                raise err
-    return tuple(a[0] for a in arrays) if single else arrays
-
-
 def _backtrack(x, step, try_step):
     """Step halving, row by row, over a batch x, step (R, k).
 
@@ -544,24 +528,17 @@ def _dual_newton(g, state, hessian, converged, max_iter, what, errors):
 
 
 def _et_core(
-    g: np.ndarray,
-    base_weights: np.ndarray,
-    tol: float,
-    max_iter: int,
-    errors: list | None = None,
+    g: np.ndarray, base_weights: np.ndarray, tol: float, max_iter: int, errors: list
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on the log tilt normalizer L(lam) = log sum w exp(lam'g).
 
-    g is one dataset's moment rows (n, m) or R datasets' (R, n, m), with
-    base weights (n,) shared by all. Returns (lam, tilted weights), with
-    the leading axis of g. Convergence is declared on the raw gradient
-    norm || sum w exp(lam'g) g || <= tol. Without ``errors`` a failed
-    dataset raises its typed error; with a list (one entry per dataset)
-    failures are recorded there, NaN is returned for them, and datasets
-    whose entry is already set are skipped.
+    g holds R datasets' moment rows (R, n, m), with base weights (n,)
+    shared by all. Returns (lam (R, m), tilted weights (R, n)). Convergence
+    is declared on the raw gradient norm || sum w exp(lam'g) g || <= tol.
+    A failed dataset's typed error is recorded in ``errors`` (one entry per
+    dataset) and its outputs are NaN; datasets whose entry is already set
+    are skipped.
     """
-    g, single, errs = _batched(g, 2, errors)
-
     def state(lam, gr):
         s = (gr @ lam[:, :, None])[..., 0]
         smax = s.max(axis=1)
@@ -579,22 +556,16 @@ def _et_core(
         return (value < EXP_CAP) & (np.exp(np.minimum(value, EXP_CAP)) * gnorm <= tol)
 
     lam, (_, _, wt, _) = _dual_newton(
-        g, state, hessian, converged, max_iter, "ET inner solve", errs
+        g, state, hessian, converged, max_iter, "ET inner solve", errors
     )
-    return _unbatch(errs, errors, single, lam, wt)
+    return lam, wt
 
 
 def _el_core(
-    g: np.ndarray,
-    base_weights: np.ndarray,
-    tol: float,
-    max_iter: int,
-    errors: list | None = None,
+    g: np.ndarray, base_weights: np.ndarray, tol: float, max_iter: int, errors: list
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on M(kappa) = -sum w log(1 - kappa'g), restricted to its
     domain; g, the weights and ``errors`` as for ``_et_core``."""
-    g, single, errs = _batched(g, 2, errors)
-
     def state(kappa, gr):
         denom = 1.0 - (gr @ kappa[:, :, None])[..., 0]
         outside = ~(denom.min(axis=1) > 0.0)
@@ -611,10 +582,10 @@ def _el_core(
         g, state,
         lambda st, gr: _gram(base_weights * st[2] ** 2, gr),
         lambda value, gnorm: gnorm <= tol,
-        max_iter, "EL inner solve", errs,
+        max_iter, "EL inner solve", errors,
     )
     wt = base_weights * eps
-    return _unbatch(errs, errors, single, kappa, wt / wt.sum(axis=1)[:, None])
+    return kappa, wt / wt.sum(axis=1)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -622,30 +593,26 @@ def _el_core(
 # ---------------------------------------------------------------------------
 
 
-def pilot_theta(model: MomentModel, data, errors: list | None = None) -> np.ndarray:
+def pilot_theta(model: MomentModel, rows: np.ndarray, errors: list) -> np.ndarray:
     """Just-identified pilot: Newton root of the first p moment components.
 
-    ``data`` is a Dataset, giving theta (p,), or the rows (R, n, d) of R
-    datasets of one size, giving (R, p): each dataset iterates and stops
-    on its own, bitwise as it would alone. Without ``errors`` a failed
-    dataset raises (DomainError when its moment values at the first
-    iterate are not all finite, SingularMatrixError for a singular
-    Jacobian, ConvergenceError when the iterations run out); with a list
-    (one entry per dataset) failures are recorded there and their theta
-    is NaN.
+    rows (R, n, d) stack R datasets of one size; returns theta (R, p). Each
+    dataset iterates and stops on its own, bitwise as it would alone. A
+    failed dataset's typed error is recorded in ``errors`` (one entry per
+    dataset: DomainError when its moment values at the first iterate are
+    not all finite, SingularMatrixError for a singular Jacobian,
+    ConvergenceError when the iterations run out) and its theta is NaN.
     """
-    rows = data.rows if isinstance(data, Dataset) else np.asarray(data, dtype=float)
-    rows, single, errs = _batched(rows, 2, errors)
     p = model.dim_theta
     theta = np.full((len(rows), p), np.nan)
     # the datasets still iterating, packed: their rows, theta and g there
-    active = _open_rows(errs)
+    active = _open_rows(errors)
     ra, th = rows[active], np.zeros((len(active), p))
     g = model.g_rows(ra, th)
     finite = np.isfinite(g).all(axis=(1, 2))
     if not _all(finite):
         for row in active[~finite]:
-            errs[row] = DomainError("pilot theta: moment values not all finite")
+            errors[row] = DomainError("pilot theta: moment values not all finite")
         active, ra, th, g = active[finite], ra[finite], th[finite], g[finite]
     for _ in range(_PILOT_MAX_ITER):
         r = g[..., :p].mean(axis=1)
@@ -661,20 +628,22 @@ def pilot_theta(model: MomentModel, data, errors: list | None = None) -> np.ndar
             try:
                 th[i] = th[i] - _solve(jac[i], r[i])
             except np.linalg.LinAlgError as exc:
-                errs[active[i]] = _typed(SingularMatrixError, "pilot Jacobian singular", exc)
+                errors[active[i]] = _typed(SingularMatrixError, "pilot Jacobian singular", exc)
                 keep[i] = False
         if not _all(keep):
             active, ra, th = active[keep], ra[keep], th[keep]
         g = model.g_rows(ra, th)
     for row in active:
-        errs[row] = ConvergenceError("pilot theta iteration did not converge")
-    return _unbatch(errs, errors, single, theta)[0]
+        errors[row] = ConvergenceError("pilot theta iteration did not converge")
+    return theta
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a stacked solve; converged implies residual_norm <= tol
-    and max_i lambda-hat'g_i >= 0 at theta-hat."""
+    """Outcome of a stacked solve; converged implies residual_norm <= tol,
+    max_i lambda-hat'g_i >= 0 at theta-hat and, after a step from a start
+    on the profile, a profile log-likelihood (``_log_likelihood``) at
+    theta-hat not below the start's: the profile maximum cannot be."""
 
     system: str
     beta_hat: BetaVector
@@ -687,18 +656,13 @@ class SolveReport:
 
 
 def _profile_init(
-    systems: Sequence[str],
-    model: MomentModel,
-    rows: np.ndarray,
-    thetas: np.ndarray,
-    max_iter: int,
-    errors: list,
+    systems: Sequence[str], model: MomentModel, rows: np.ndarray, thetas: np.ndarray, errors: list
 ) -> list[tuple[np.ndarray, list]]:
     """Profiled starts: inner multipliers and tau at fixed thetas (R, p), for
     rows (R, n, d) of R datasets of one size or (n, d) shared by all.
 
     One g and one ET multiplier serve every system in ``systems``; the
-    duals run at most ``max_iter`` iterations. Datasets whose entry of
+    duals run at most ``_MAX_ITER`` iterations. Datasets whose entry of
     ``errors`` is set are skipped. Returns, per system, the starts (R, D),
     each bitwise the start of its dataset and theta alone, and the errors:
     a failed dual or a singular ETEL kappa system (SingularMatrixError)
@@ -708,7 +672,7 @@ def _profile_init(
     base = np.full(n, 1.0 / n)
     shared = list(errors)
     g = model.g_rows(rows, thetas)
-    lam, _ = _et_core(g, base, _INNER_TOL, max_iter, errors=shared)
+    lam, _ = _et_core(g, base, _INNER_TOL, _MAX_ITER, shared)
     tdot = np.exp((g @ lam[:, :, None])[..., 0])
     tau = tdot.mean(axis=1)
     out = []
@@ -726,7 +690,7 @@ def _profile_init(
                         SingularMatrixError, "tilted second-moment matrix singular", exc
                     )
         else:
-            kappa, _ = _el_core(g, base, _INNER_TOL, max_iter, errors=errs)
+            kappa, _ = _el_core(g, base, _INNER_TOL, _MAX_ITER, errs)
         starts = np.concatenate((tau[:, None], kappa, lam, thetas), axis=1)
         starts[[e is not None for e in errs]] = np.nan
         out.append((starts, errs))
@@ -738,22 +702,17 @@ def _pilot_starts(
 ) -> list[tuple[np.ndarray, list]]:
     """``solve_stacked``'s first start for R datasets (rows (R, n, d)) of one
     size at once: the batched pilot, then one ``_profile_init`` for every
-    system. Each start is bitwise the one ``solve_stacked`` (at its default
-    ``max_iter``) profiles for its dataset alone. Returns ``_profile_init``'s
-    (starts, errors) per system; the errors include failed pilots.
+    system. Each start is bitwise the one ``solve_stacked`` profiles for its
+    dataset alone. Returns ``_profile_init``'s (starts, errors) per system;
+    the errors include failed pilots.
     """
     errors: list = [None] * len(rows)
-    thetas = pilot_theta(model, rows, errors=errors)
-    return _profile_init(systems, model, rows, thetas, _MAX_ITER, errors)
+    thetas = pilot_theta(model, rows, errors)
+    return _profile_init(systems, model, rows, thetas, errors)
 
 
 def _newton_stacked(
-    system: str,
-    model: MomentModel,
-    data: Dataset,
-    beta0: np.ndarray,
-    tol: float,
-    max_iter: int,
+    system: str, model: MomentModel, data: Dataset, beta0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, float, int, bool]:
     # the accepted candidate's evaluation gives the next Jacobian, so
     # every iterate is evaluated once
@@ -776,10 +735,10 @@ def _newton_stacked(
         return np.array([ok])
 
     beta = beta0.copy()
-    ev = _StackedEval(system, model, data.rows, beta, w)
+    ev = start = _StackedEval(system, model, data.rows, beta, w)
     norm = _norm(ev.residual)
     its = 0
-    while norm > tol and its < max_iter:
+    while norm > tol and its < _MAX_ITER:
         try:
             step = _solve(ev.jacobian(), -ev.residual)
         except np.linalg.LinAlgError as exc:
@@ -791,16 +750,26 @@ def _newton_stacked(
     converged = norm <= tol
     if converged and _hull_separated(ev.g @ beta[model.layout.lambda_slice]):
         raise HullError(f"{system}: root with every lambda'g < 0, origin outside the hull")
+    # a start on the profile (every block but theta's within tol) carries
+    # the profile log-likelihood at its theta, which the maximum cannot be below
+    if converged and its and _norm(start.residual[: model.layout.l_theta]) <= tol:
+        floor = _log_likelihood(start)
+        if _log_likelihood(ev) < floor - _PROFILE_SLACK * (1.0 + abs(floor)):
+            raise ConvergenceError(f"{system}: root is not the profile maximum")
     return beta, norm, its, converged
 
 
+def _log_likelihood(ev: _StackedEval) -> float:
+    """sum_i log w_i for the weights w proportional to exp(lambda'g_i) (ETEL)
+    or to 1 / (1 - kappa'g_i) (EL) at an evaluation."""
+    n = len(ev.t)
+    if ev.system == "etel":
+        return float(ev.s.sum()) - n * math.log(float(ev.t.sum()))
+    return float(np.log(ev.c).sum()) - n * math.log(float(ev.c.sum()))
+
+
 def solve_stacked(
-    system: str,
-    data: Dataset,
-    model: MomentModel,
-    init: BetaVector | None = None,
-    tol: float = 1e-9,
-    max_iter: int = _MAX_ITER,
+    system: str, data: Dataset, model: MomentModel, init: BetaVector | None = None, tol: float = 1e-9
 ) -> SolveReport:
     """Solve the full stacked system for beta-hat.
 
@@ -809,18 +778,20 @@ def solve_stacked(
     dual multipliers, tau from the tilt mean (the one-dataset case of the
     batched start ``_pilot_starts``, so a caller that profiles many
     datasets at once and passes each start as ``init`` gets the reports
-    of plain solves). Full Newton runs from that start; if it stalls,
-    leaves the EL domain or the exp cap, or reaches tolerance at a lambda
-    with lambda'g_i < 0 on every row (no root: a hyperplane separating
-    the origin from the moment rows, every tilt near 0; HullError), the
-    solver retries from four perturbed pilots around the start's theta,
-    profiled as one batch. ``max_iter`` bounds the Newton iterations and
-    the inner dual solves of the profiled starts.
+    of plain solves). Full Newton runs from that start. If the start
+    failed to profile, stalls, or its Newton raises DomainError (a step
+    leaves the EL domain), OverflowGuardError (the exp cap), HullError
+    (tolerance reached with lambda'g_i < 0 on every row: a hyperplane
+    separates the origin from the moment rows) or ConvergenceError (a
+    root that is not the profile maximum; see SolveReport), the solver
+    retries from four perturbed pilots around the start's theta, profiled
+    as one batch. A failed pilot or a singular stacked Jacobian
+    (SingularMatrixError) raises at once.
 
     Returns a SolveReport; plain failure to reach tolerance is reported
-    via converged=False, while hull / domain / singularity problems
-    raise a typed error when no start reaches a root: that of the first
-    start to fail, the profiled or given start before the retries.
+    via converged=False (the stalled start with the smallest residual);
+    when every start fails, the typed error of the first to fail is
+    raised, the profiled or given start before the retries.
     """
     if system not in ("etel", "el"):
         raise DimensionError(f"unknown system {system!r}; use 'etel' or 'el'")
@@ -829,8 +800,11 @@ def solve_stacked(
             f"need n >= dim_g + 1 = {model.dim_g + 1} observations, got {data.n}"
         )
     if init is None:
-        theta0 = pilot_theta(model, data)
-        first = _profile_init((system,), model, data.rows, theta0[None], max_iter, [None])[0]
+        pilot_error = [None]
+        theta0 = pilot_theta(model, data.rows[None], pilot_error)[0]
+        if pilot_error[0] is not None:
+            raise pilot_error[0]
+        first = _profile_init((system,), model, data.rows, theta0[None], [None])[0]
     else:
         theta0 = init.theta
         first = np.asarray(init.values, dtype=float)[None], [None]
@@ -844,7 +818,7 @@ def solve_stacked(
         g0 = model.g_rows(data.rows, theta0)
         spread = g0[:, : model.dim_theta].std(axis=0) / np.sqrt(data.n)
         thetas = theta0 + _RETRY_OFFSETS[:, None] * spread
-        yield _profile_init((system,), model, data.rows, thetas, max_iter, [None] * len(thetas))[0]
+        yield _profile_init((system,), model, data.rows, thetas, [None] * len(thetas))[0]
 
     first_failure: Exception | None = None
     init_beta = best = None
@@ -854,8 +828,8 @@ def solve_stacked(
                 if init_beta is None:
                     init_beta = beta0
                 try:
-                    result = _newton_stacked(system, model, data, beta0, tol, max_iter)
-                except (DomainError, HullError, OverflowGuardError) as exc:
+                    result = _newton_stacked(system, model, data, beta0, tol)
+                except (DomainError, HullError, OverflowGuardError, ConvergenceError) as exc:
                     err = exc
                 else:
                     if result[3]:

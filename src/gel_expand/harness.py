@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -538,18 +539,27 @@ def _parse(kind, key: str, value: str):
         raise ConfigError(f"config key {key!r}: expected {expected}, got {value!r}") from exc
 
 
+_COMMENT = re.compile(r"(?:^|\s)[#;]")
+"""Where a comment starts: '#' or ';' at the line start or after whitespace,
+so a value such as ``out=res#1`` keeps its '#'."""
+
+
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Flat key=value file; '#' and ';' start comments, sections are ignored."""
+    """Flat key=value file; comments (see _COMMENT) and sections are ignored."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    return _read_config_text(path.read_text(), path)
+
+
+def _read_config_text(text: str, where) -> dict[str, str]:
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line or (line.startswith("[") and line.endswith("]")):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"{where}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
@@ -565,7 +575,8 @@ def parse_config(
     offending key for anything malformed, unknown, missing or out of
     range (a value below its setting's least; fewer than two distinct
     sizes for ``mc_study``; a theta_star that is not finite; a
-    ``tol.<name>`` whose name is not in TOLERANCES).
+    ``tol.<name>`` whose name is not in TOLERANCES; a value that would
+    not read back from ``config.resolved.txt``).
     """
     raw = read_config_file(path) if path is not None else {}
     raw.update((k, v) for k, v in (overrides or {}).items() if v is not None)
@@ -608,7 +619,16 @@ def parse_config(
         raise ConfigError(
             f"config key 'theta_star': expected a finite number, got {values['theta_star']}"
         )
-    return ExperimentConfig(**values, tol_overrides=tol_overrides)
+    config = ExperimentConfig(**values, tol_overrides=tol_overrides)
+    # config.resolved.txt must give this config back (a flag value may hold
+    # a line break, a comment or surrounding whitespace, which a file cannot)
+    for line in config.resolved_lines():
+        key, value = line.split("=", 1)
+        if len(line.splitlines()) != 1 or _read_config_text(line, "") != {key: value}:
+            raise ConfigError(
+                f"config key {key!r}: {value!r} would not read back from config.resolved.txt"
+            )
+    return config
 
 
 def run_suite(config: ExperimentConfig) -> SuiteReport:

@@ -114,8 +114,11 @@ def reference_measure(
     points, weights = points[keep], weights[keep]
     weights = weights / weights.sum()
     g = model.g_rows(points, model.theta_star)
-    _, weights = _et_core(np.asarray(g, dtype=float), weights, _TILT_TOL, 200)
-    return PluginMeasure(points=points, weights=weights)
+    errors = [None]
+    _, weights = _et_core(np.asarray(g, dtype=float)[None], weights, _TILT_TOL, 200, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return PluginMeasure(points=points, weights=weights[0])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -188,12 +189,50 @@ def _rows_and_weights(bundle, weighting):
     return bundle.measure.points, bundle.measure.weights
 
 
+def _bivariate_location():
+    """A test model with p = 2 (every built-in has p = 1): x in R^2 with
+    location theta, g = (x - theta, (x - theta)^2 - 1), m = 4."""
+
+    def g(rows, theta):
+        d = rows - theta[..., None, :]
+        return np.concatenate((d, d * d - 1.0), axis=-1)
+
+    def g_jacobian(rows, theta):
+        d = rows - theta[..., None, :]
+        eye = np.eye(2)
+        # d/dtheta' of x - theta is -I, of (x - theta)^2 it is -2 diag(x - theta)
+        return np.concatenate(
+            (np.broadcast_to(-eye, d.shape + (2,)), -2.0 * d[..., :, None] * eye), axis=-2
+        )
+
+    def g_hessian(rows, theta):
+        d = rows - theta[..., None, :]
+        h = np.zeros(d.shape[:-1] + (4, 2, 2))
+        h[..., 2, 0, 0] = h[..., 3, 1, 1] = 2.0
+        return h
+
+    return gx.MomentModel(
+        name="BivariateLocation", dim_x=2, dim_g=4, dim_theta=2, theta_star=np.zeros(2),
+        g=g, g_jacobian=g_jacobian, g_hessian=g_hessian,
+        sampler=lambda gen, n: gen.standard_normal((n, 2)),
+    )
+
+
+@pytest.fixture(scope="module")
+def bivariate():
+    model = _bivariate_location()
+    return types.SimpleNamespace(model=model, measure=gx.reference_measure(model))
+
+
 @pytest.mark.parametrize("weighting", ["uniform", "measure"])
 @pytest.mark.parametrize("system", ["etel", "el"])
-@pytest.mark.parametrize("name", gx.MODEL_NAMES)
-def test_jacobian_is_complex_step_of_residual(bundles, name, system, weighting):
-    model = bundles[name].model
-    rows, weights = _rows_and_weights(bundles[name], weighting)
+@pytest.mark.parametrize("name", gx.MODEL_NAMES + ("BivariateLocation",))
+def test_jacobian_is_complex_step_of_residual(bundles, bivariate, name, system, weighting):
+    # the p = 2 model reaches the off-diagonal theta-theta and lambda-theta
+    # blocks, which no built-in model has
+    bundle = bivariate if name == "BivariateLocation" else bundles[name]
+    model = bundle.model
+    rows, weights = _rows_and_weights(bundle, weighting)
     beta = _probe_beta(model, model.g_rows(rows, model.theta_star), 23)
     jac = stacked_jacobian(system, model, rows, beta, weights)
     h = 1e-20
@@ -357,14 +396,34 @@ def test_one_probe_outside_the_domain_fails_the_batch(bundles, name):
                     fn(system, model, rows, over, weights)
 
 
-def _profiled(system, model, data, theta0, max_iter):
+def _raised(errors, out):
+    """out, or the first error recorded in errors raised."""
+    for err in errors:
+        if err is not None:
+            raise err
+    return out
+
+
+def _pilot(model, data):
+    """One dataset's pilot theta (p,): a batch of one, raising its error."""
+    errors = [None]
+    return _raised(errors, estimators.pilot_theta(model, data.rows[None], errors)[0])
+
+
+def _dual(core, g, base, tol=1e-11, max_iter=100):
+    """One dataset's dual multiplier and weights from its moment rows g
+    (n, m): a batch of one, raising its error."""
+    errors = [None]
+    mult, wt = core(g[None], base, tol, max_iter, errors)
+    return _raised(errors, (mult[0], wt[0]))
+
+
+def _profiled(system, model, data, theta0):
     """One dataset's profiled start at theta0 (p,), raising its typed error."""
-    ((start,), (err,)) = estimators._profile_init(
-        (system,), model, data.rows, theta0[None], max_iter, [None]
+    ((start,), errors) = estimators._profile_init(
+        (system,), model, data.rows, theta0[None], [None]
     )[0]
-    if err is not None:
-        raise err
-    return start
+    return _raised(errors, start)
 
 
 @pytest.mark.parametrize("system", ["etel", "el"])
@@ -375,8 +434,8 @@ def test_newton_evaluates_each_accepted_iterate_once(bundles, name, system, monk
     # from the evaluation that accepted it
     model = bundles[name].model
     data = gx.simulate(model, 200, 41)
-    theta0 = estimators.pilot_theta(model, data) + 0.05
-    beta0 = _profiled(system, model, data, theta0, 100)
+    theta0 = _pilot(model, data) + 0.05
+    beta0 = _profiled(system, model, data, theta0)
     hessians = []
     counted = dataclasses.replace(
         model, g_hessian=lambda rows, theta: hessians.append(1) or model.g_hessian(rows, theta)
@@ -386,9 +445,7 @@ def test_newton_evaluates_each_accepted_iterate_once(bundles, name, system, monk
     monkeypatch.setattr(
         gx.MomentModel, "g_rows", lambda self, *a: g_calls.append(1) or g_rows(self, *a)
     )
-    beta, norm, its, converged = estimators._newton_stacked(
-        system, counted, data, beta0, 1e-9, 100
-    )
+    beta, norm, its, converged = estimators._newton_stacked(system, counted, data, beta0, 1e-9)
     assert converged and its >= 2
     assert len(g_calls) == its + 1
     assert len(hessians) == its
@@ -407,7 +464,8 @@ def _inner(core, model, data, theta):
     """The ET (``_et_core``) or EL (``_el_core``) multiplier and weights of
     a dataset at a fixed theta, with the tolerance and budget of the start."""
     g = model.g_rows(data.rows, np.asarray(theta, dtype=float))
-    return core(g, np.full(data.n, 1.0 / data.n), estimators._INNER_TOL, estimators._MAX_ITER)
+    base = np.full(data.n, 1.0 / data.n)
+    return _dual(core, g, base, estimators._INNER_TOL, estimators._MAX_ITER)
 
 
 def _et_inner(model, data, theta):
@@ -522,7 +580,7 @@ def test_dual_hull_verdicts_match_a_linear_program(m):
     base = np.full(n, 1.0 / n)
     for core in (estimators._et_core, estimators._el_core):
         errors = [None] * len(g)
-        core(g, base, 1e-11, 100, errors=errors)
+        core(g, base, 1e-11, 100, errors)
         assert [isinstance(e, HullError) for e in errors] == separated
         assert all(e is None for e, sep in zip(errors, separated) if not sep)
 
@@ -599,7 +657,7 @@ def _nested_profile_el_theta(model, data):
         score = np.einsum("n,nmp,m->p", eps / data.n, gjac, kappa)
         return float(score[0])
 
-    pilot = gx.pilot_theta(model, data)[0]
+    pilot = _pilot(model, data)[0]
     lo, hi = pilot - 0.5, pilot + 0.5
     return brentq(foc, lo, hi, xtol=1e-13)
 
@@ -636,10 +694,12 @@ def test_solve_stacked_report_serializable(mean_var):
     assert len(parsed["beta_hat"]) == 6
 
 
-def test_solve_stacked_nonconvergence_reported(mean_var):
+def test_solve_stacked_nonconvergence_reported(mean_var, monkeypatch):
+    # a one-iteration budget for every Newton and dual
+    monkeypatch.setattr(estimators, "_MAX_ITER", 1)
     data = gx.simulate(mean_var.model, 80, 13)
     far = BetaVector(np.array([1.0, 0.0, 0.0, 0.4, 0.2, 1.5]), mean_var.layout)
-    rep = gx.solve_stacked("etel", data, mean_var.model, init=far, max_iter=1)
+    rep = gx.solve_stacked("etel", data, mean_var.model, init=far)
     assert not rep.converged
     assert rep.reason == "max_iter"
 
@@ -686,12 +746,12 @@ def test_profile_init_zeroes_shared_blocks(mean_var):
     # tau-hat and lambda-hat are defined to kill the first two blocks
     model = mean_var.model
     data = gx.simulate(model, 180, 53)
-    theta0 = gx.pilot_theta(model, data)
-    both = estimators._profile_init(("etel", "el"), model, data.rows, theta0[None], 100, [None])
+    theta0 = _pilot(model, data)
+    both = estimators._profile_init(("etel", "el"), model, data.rows, theta0[None], [None])
     for system, ((beta0,), errors) in zip(("etel", "el"), both):
         # one g and one ET multiplier serve both systems, bitwise as alone
         assert errors == [None]
-        np.testing.assert_array_equal(beta0, _profiled(system, model, data, theta0, 100))
+        np.testing.assert_array_equal(beta0, _profiled(system, model, data, theta0))
         resid = stacked_residual(system, model, data.rows, beta0)
         assert abs(resid[0]) <= 1e-11
         assert np.abs(resid[model.layout.kappa_slice]).max() <= 1e-11
@@ -780,21 +840,6 @@ def test_shared_start_interleaved_datasets(mean_var, pilot_calls):
     assert [_fingerprint(r) for r in got] == [_fingerprint(r) for r in want]
 
 
-@pytest.mark.parametrize("changed", [{"max_iter": 80}], ids=["max_iter"])
-def test_shared_start_keyed_by_inner_settings(mean_var, pilot_calls, changed):
-    # the start's inner duals run under the solve's max_iter
-    model = mean_var.model
-    data = gx.simulate(model, 100, 47)
-    theta0 = estimators.pilot_theta(model, data)
-    for system in ("etel", "el"):
-        start = _profiled(system, model, data, theta0, changed["max_iter"])
-        rep = gx.solve_stacked(system, data, model, init=BetaVector(start, model.layout), **changed)
-        assert _fingerprint(rep) == _fingerprint(
-            gx.solve_stacked(system, _fresh(data), model, **changed)
-        )
-    assert len(pilot_calls) == 3
-
-
 def test_explicit_init_bypasses_shared_start(mean_var, pilot_calls):
     model = mean_var.model
     data = gx.simulate(model, 100, 59)
@@ -822,9 +867,9 @@ def test_init_start_that_stalls_retries_as_a_plain_solve():
             data = gx.Dataset(rows[r])
             try:
                 _, _, _, converged = estimators._newton_stacked(
-                    system, model, data, starts[r], 1e-9, 100
+                    system, model, data, starts[r], 1e-9
                 )
-            except (DomainError, HullError, OverflowGuardError):
+            except (DomainError, HullError, OverflowGuardError, ConvergenceError):
                 converged = None
             if converged:
                 continue
@@ -868,7 +913,7 @@ def test_shared_start_under_threads(mean_var):
 def _single_start(system, model, data):
     """The start solve_stacked profiles for one dataset, or its typed error."""
     try:
-        return _profiled(system, model, data, estimators.pilot_theta(model, data), 100)
+        return _profiled(system, model, data, _pilot(model, data))
     except GelError as exc:
         return exc
 
@@ -937,17 +982,16 @@ def test_singular_pilot_fails_only_its_row(mean_var):
     dead = rows[:, 0, 0] > 0.0
     assert dead.any() and not dead.all()
     errors = [None] * len(rows)
-    theta = estimators.pilot_theta(model, rows, errors=errors)
+    theta = estimators.pilot_theta(model, rows, errors)
     for r in range(len(rows)):
         if dead[r]:
             assert isinstance(errors[r], SingularMatrixError) and np.isnan(theta[r]).all()
         else:
             assert errors[r] is None
-            np.testing.assert_array_equal(
-                theta[r], estimators.pilot_theta(mean_var.model, gx.Dataset(rows[r]))
-            )
+            np.testing.assert_array_equal(theta[r], _pilot(mean_var.model, gx.Dataset(rows[r])))
     with pytest.raises(SingularMatrixError, match="pilot"):
-        estimators.pilot_theta(model, rows)  # without a list the first failure raises
+        # a solve raises its one-dataset batch's recorded failure
+        gx.solve_stacked("etel", gx.Dataset(rows[np.flatnonzero(dead)[0]]), model)
 
 
 def test_inner_dual_failures_are_per_row():
@@ -962,16 +1006,16 @@ def test_inner_dual_failures_are_per_row():
     for g, bad in ((g1, 1), (g2, 2)):
         for core in (estimators._et_core, estimators._el_core):
             errors = [None] * len(g)
-            mult, wt = core(g, base, 1e-11, 100, errors=errors)
+            mult, wt = core(g, base, 1e-11, 100, errors)
             assert isinstance(errors[bad], HullError)
             assert np.isnan(mult[bad]).all() and np.isnan(wt[bad]).all()
             for r in range(len(g)):
                 if r != bad:
                     assert errors[r] is None
-                    for got, want in zip((mult[r], wt[r]), core(g[r], base, 1e-11, 100)):
+                    for got, want in zip((mult[r], wt[r]), _dual(core, g[r], base)):
                         np.testing.assert_array_equal(got, want)
             with pytest.raises(HullError):
-                core(g[bad], base, 1e-11, 100)
+                _dual(core, g[bad], base)
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
@@ -985,15 +1029,15 @@ def test_non_finite_moment_rows_fail_only_their_dataset(m, bad_value):
     base = np.full(30, 1.0 / 30)
     for core in (estimators._et_core, estimators._el_core):
         errors = [None] * len(g)
-        mult, wt = core(g, base, 1e-11, 100, errors=errors)
+        mult, wt = core(g, base, 1e-11, 100, errors)
         assert isinstance(errors[2], DomainError)
         assert np.isnan(mult[2]).all() and np.isnan(wt[2]).all()
         for r in (0, 1, 3):
             assert errors[r] is None
-            for got, want in zip((mult[r], wt[r]), core(g[r], base, 1e-11, 100)):
+            for got, want in zip((mult[r], wt[r]), _dual(core, g[r], base)):
                 np.testing.assert_array_equal(got, want)
         with pytest.raises(DomainError, match="not all finite"):
-            core(g[2], base, 1e-11, 100)
+            _dual(core, g[2], base)
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
@@ -1010,11 +1054,11 @@ def test_non_finite_data_row_is_a_domain_error(bundles, name, bad_value):
         with pytest.raises(DomainError, match="not all finite"):
             gx.solve_stacked("etel", gx.Dataset(rows[1]), model)
         errors = [None] * len(rows)
-        theta = estimators.pilot_theta(model, rows, errors=errors)
+        theta = estimators.pilot_theta(model, rows, errors)
     assert isinstance(errors[1], DomainError) and np.isnan(theta[1]).all()
     for r in (0, 2):
         assert errors[r] is None
-        assert theta[r].tobytes() == estimators.pilot_theta(model, gx.Dataset(rows[r])).tobytes()
+        assert theta[r].tobytes() == _pilot(model, gx.Dataset(rows[r])).tobytes()
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
@@ -1051,7 +1095,7 @@ def test_singular_pilot_jacobian_raises(mean_var):
     )
     data = gx.simulate(mean_var.model, 50, 3)
     with pytest.raises(SingularMatrixError, match="pilot"):
-        gx.pilot_theta(model, data)
+        _pilot(model, data)
     with pytest.raises(SingularMatrixError, match="pilot"):
         gx.solve_stacked("etel", data, model)
 
@@ -1087,11 +1131,11 @@ def test_dual_newton_evaluates_each_candidate_once(monkeypatch, core, n):
     seed, replication = {"_et_core": (3, 15), "_el_core": (31, 8)}[core]
     gen = replication_generator(seed, replication)
     data = gx.Dataset(np.asarray(model.sampler(gen, n), dtype=float))
-    g = model.g_rows(data.rows, estimators.pilot_theta(model, data))
-    want = getattr(estimators, core)(g, np.full(n, 1.0 / n), 1e-11, 100)
+    g = model.g_rows(data.rows, _pilot(model, data))
+    want = _dual(getattr(estimators, core), g, np.full(n, 1.0 / n))
     recorder = _RecordingNumpy()
     monkeypatch.setattr(estimators, "np", recorder)
-    got = getattr(estimators, core)(g, np.full(n, 1.0 / n), 1e-11, 100)
+    got = _dual(getattr(estimators, core), g, np.full(n, 1.0 / n))
     monkeypatch.undo()
     assert len(recorder.args) >= 2  # the start and at least one step
     assert len(set(recorder.args)) == len(recorder.args)
@@ -1149,7 +1193,7 @@ def test_singular_inner_hessian_falls_back_to_gradient(monkeypatch, core):
             raise
 
     monkeypatch.setattr(estimators, "_solve", spy)
-    mult, wt = getattr(estimators, core)(g, base, 1e-11, 100)
+    mult, wt = _dual(getattr(estimators, core), g, base)
     assert singular
     assert np.all(np.isfinite(mult))
     assert np.linalg.norm(wt @ g) <= 1e-9
@@ -1160,7 +1204,7 @@ def test_stalled_first_start_retries_perturbed_pilots(mean_var, monkeypatch):
     data = gx.simulate(model, 100, 71)
     starts = []
 
-    def stall(system, model_, data_, beta0, tol, max_iter):
+    def stall(system, model_, data_, beta0, tol):
         starts.append(beta0[model.layout.theta_slice].copy())
         return beta0, 1.0, 1, False
 
@@ -1168,7 +1212,7 @@ def test_stalled_first_start_retries_perturbed_pilots(mean_var, monkeypatch):
     rep = gx.solve_stacked("etel", data, model)
     assert not rep.converged and rep.reason == "max_iter"
 
-    theta0 = gx.pilot_theta(model, data)
+    theta0 = _pilot(model, data)
     g0 = model.g_rows(data.rows, theta0)[:, : model.dim_theta]
     spread = g0.std(axis=0) / np.sqrt(data.n)
     want = [theta0] + [theta0 + k * spread for k in (-2.0, -1.0, 1.0, 2.0)]
@@ -1224,3 +1268,33 @@ def test_a_solve_without_a_root_raises_its_first_starts_error(seed, rep, monkeyp
     (first,), retries = profiled
     assert isinstance(first, HullError)
     assert "multiplier ran away" in str(retries[-1])
+
+
+def _profile_log_likelihood(model, data, theta):
+    """sum_i log w_i of the ET weights at theta (the ETEL profile)."""
+    g = model.g_rows(data.rows, np.array([theta]))
+    return float(np.log(_dual(estimators._et_core, g, np.full(data.n, 1.0 / data.n))[1]).sum())
+
+
+def test_root_below_the_profile_of_its_start_is_retried(mean_var):
+    # SkewModel df = 1, n = 50, seed 977, replication 73: from its profiled
+    # start the ETEL Newton reaches a root at theta 3.145, where the profile
+    # log-likelihood is far below the start's; the certificate rejects it
+    # and a perturbed pilot reaches the maximum near the EL estimate
+    model = gx.build_model("SkewModel", df=1)
+    data = gx.Dataset(next(_draw_stacks(model, 50, replication_streams(977, 0, 200)))[73])
+    start = _profiled("etel", model, data, _pilot(model, data))
+    with pytest.raises(ConvergenceError, match="root is not the profile maximum"):
+        estimators._newton_stacked("etel", model, data, start, 1e-9)
+    assert _profile_log_likelihood(model, data, 3.145) < -500.0
+    assert _profile_log_likelihood(model, data, 0.0) > -200.0
+    et, el = (gx.solve_stacked(system, data, model) for system in ("etel", "el"))
+    assert et.converged and et.iterations == 4
+    assert et.beta_hat.theta[0] == pytest.approx(-0.0324, abs=1e-4)
+    assert el.converged and el.beta_hat.theta[0] == pytest.approx(0.0020, abs=1e-4)
+    # a start off the profile (beta*, whose uniform weights bound every
+    # log-likelihood) carries no profile value and is not compared
+    star = BetaVector.star_values(mean_var.model)
+    data = gx.simulate(mean_var.model, 100, 59)
+    for system in ("etel", "el"):
+        assert estimators._newton_stacked(system, mean_var.model, data, star, 1e-9)[3]

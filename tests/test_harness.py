@@ -5,9 +5,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gel_expand.cli as cli
 from gel_expand import derivatives, expansion, harness, models
@@ -135,6 +139,30 @@ def test_config_resolved_txt_of_a_file_that_sets_every_key(tmp_path, monkeypatch
         b"skew_df=6\nsuite=identities\ntheta_star=0.25\ntol.identity=1e-09\ntol.slope_min=-3.0\n"
     )
     assert parse_config(resolved) == parse_config("run.ini")
+
+
+@settings(max_examples=200, deadline=None)
+@example(out="res#1")
+@given(out=st.text(alphabet=st.sampled_from("ab/.#;=[] \t\n\r"), max_size=12))
+def test_resolved_config_written_from_flags_reads_back(out):
+    # every setting and a tolerance set by flags: config.resolved.txt, as
+    # write_report writes it, parses to the same config; a value that could
+    # not read back (a comment after whitespace, a line break, surrounding
+    # whitespace) is a ConfigError instead
+    flags = {"suite": "q_equality", "model": "SkewModel", "seed": "7", "n": "50,100",
+             "reps": "3", "samples": "2", "theta_star": "0.5", "skew_df": "3",
+             "n_nodes": "20", "out": out, "tol.psi_bar": "1e-3"}
+    assert set(flags) - {"tol.psi_bar"} == set(harness._SETTINGS)
+    try:
+        config = parse_config(overrides=flags)
+    except ConfigError as exc:
+        assert "would not read back" in str(exc)
+        assert any(c.isspace() for c in out)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        resolved = Path(tmp) / "config.resolved.txt"
+        resolved.write_text("\n".join(config.resolved_lines()) + "\n")
+        assert parse_config(resolved) == config
 
 
 def test_n_ref_is_not_a_config_key():
