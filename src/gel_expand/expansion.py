@@ -373,10 +373,11 @@ def _scaled_g_bars(model: MomentModel, n: int, reps: int, seed: int) -> np.ndarr
 
     Replication i draws from its own stream (seed, 1 + i), so the result
     does not depend on how replications are grouped into stacks. Each
-    stack is summed observation-major: one contiguous (n, R, d) copy, one
-    g_rows call, and the n observations added in order. The studies built
-    on it take a z-score over replications, which needs a spread: fewer
-    than two replications raise DimensionError.
+    stack (their ``draw`` variates, one ``to_rows`` call) is summed
+    observation-major: one contiguous (n, R, d) copy, one g_rows call, and
+    the n observations added in order. The studies built on it take a
+    z-score over replications, which needs a spread: fewer than two
+    replications raise DimensionError.
     """
     if reps < 2:
         raise DimensionError(f"a Monte Carlo z-score needs reps >= 2, got {reps}")

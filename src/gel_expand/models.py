@@ -1,8 +1,10 @@
 """Moment-condition models, built-in test models and data simulation.
 
 A :class:`MomentModel` bundles the moment function g(x, theta), its
-theta-derivatives, the true parameter used in verification mode, and a
-sampler. The three built-ins cover the cases the identity suites need:
+theta-derivatives, the true parameter used in verification mode, and the
+DGP as a standard ``draw`` per dataset and an elementwise map ``to_rows``
+applied once per ``_draw_stacks`` stack (``sampler`` is the stack of one).
+The three built-ins cover the cases the identity suites need:
 
 * ``MeanVarModel``   mean/variance moments of a unit normal, m=2 > p=1,
   so the projection residual P is nonzero but all odd moments vanish.
@@ -147,8 +149,11 @@ class MomentModel:
         per leading index, bitwise the single call).
     g_jacobian : callable
         ``(rows, theta) -> (..., n, m, p)`` derivative of g in theta.
-    sampler : callable
-        ``(generator, n) -> (n, dim_x)`` i.i.d. draws from the DGP.
+    draw, to_rows : callable
+        ``draw(generator, n) -> (n, dim_x)`` one dataset's i.i.d. standard
+        variates; ``to_rows`` maps any stack (..., n, dim_x) of them to
+        observations elementwise, once per stack. A DGP with no cheap map
+        draws observations and passes ``to_rows=lambda z: z``.
     g_hessian : callable, optional
         ``(rows, theta) -> (..., n, m, p, p)`` second theta-derivative.
         Needed by the analytic stacked Jacobian and the derivative tensors.
@@ -167,7 +172,8 @@ class MomentModel:
     theta_star: np.ndarray
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     g_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
+    draw: Callable[[np.random.Generator, int], np.ndarray]
+    to_rows: Callable[[np.ndarray], np.ndarray]
     g_hessian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     gauss_rule: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None
     analytic: AnalyticMoments | None = None
@@ -212,41 +218,49 @@ class MomentModel:
             raise DimensionError(f"{self.name}: g returned shape {out.shape}")
         return out
 
+    def sampler(self, generator: np.random.Generator, n: int) -> np.ndarray:
+        """n i.i.d. observations (n, dim_x), ``to_rows(draw(generator, n))``:
+        the ``_draw_stacks`` stack of one."""
+        return next(_draw_stacks(self, n, [generator]))[0]
+
 
 def simulate(model: MomentModel, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. observations; deterministic in (model, n, seed)."""
-    if n < 1:
-        raise DimensionError(f"sample size must be >= 1, got {n}")
-    rng = philox_generator(seed)
-    rows = model.sampler(rng, n)
-    return Dataset(np.asarray(rows, dtype=float).reshape(n, model.dim_x))
+    return Dataset(model.sampler(philox_generator(seed), n))
 
 
 _BATCH_ROWS = 2**15
 """Most rows one batched evaluation holds: probes times support points in
 a derivative oracle's stacked evaluation, and draws times observations in
-a ``_draw_stacks`` stack, which feeds the g-bar studies (var_psi_bar and
-xi7 orthogonality), the scaling study's batched start and the q and r
-check ladders' stacked sample bars. Larger sets are split into batches of
-this size."""
+a ``_draw_stacks`` stack (the joined ``draw`` variates, one ``to_rows``
+call), which feeds the g-bar studies (var_psi_bar and xi7 orthogonality),
+the scaling study's batched start and the q and r check ladders' stacked
+sample bars. Larger sets are split into batches of this size."""
 
 
 def _draw_stacks(
     model: MomentModel, n: int, generators: Iterable[np.random.Generator]
 ) -> Iterator[np.ndarray]:
-    """One sampler draw of n observations per generator, in order, as
-    stacks (R, n, dim_x) of at most _BATCH_ROWS rows (at least one draw).
+    """n observations per generator, in order, as stacks (R, n, dim_x) of
+    at most _BATCH_ROWS rows (at least one draw).
 
-    Each generator is drawn from before the next one is taken, so the
-    re-keyed generator of ``replication_streams`` may be passed. Draws from
-    ``philox_generator(seed)`` are bitwise ``simulate(model, n, seed).rows``.
+    Each generator's ``draw`` (DimensionError unless (n, dim_x)) is made
+    before the next generator is taken, so the re-keyed generator of
+    ``replication_streams`` may be passed; the draws are joined into one
+    stack by one ``np.concatenate`` and mapped by one ``to_rows`` call.
+    Draws from ``philox_generator(seed)`` are bitwise
+    ``simulate(model, n, seed).rows``.
     """
     if n < 1:
         raise DimensionError(f"sample size must be >= 1, got {n}")
     generators = iter(generators)
+    shape = (n, model.dim_x)
     chunk = max(1, _BATCH_ROWS // n)
-    while draws := [model.sampler(gen, n) for gen in islice(generators, chunk)]:
-        yield np.asarray(draws, dtype=float).reshape(len(draws), n, model.dim_x)
+    while draws := [model.draw(gen, n) for gen in islice(generators, chunk)]:
+        for draw in draws:
+            if np.shape(draw) != shape:
+                raise DimensionError(f"{model.name}: draw gave shape {np.shape(draw)}, not {shape}")
+        yield model.to_rows(np.concatenate(draws, dtype=float).reshape((len(draws),) + shape))
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +322,6 @@ def _chi2_rule(theta_star: float, df: int):
 
 def _make_mean_var_model(theta_star: float = 0.0) -> MomentModel:
     """x ~ Normal(theta_star, 1) with g = (x - theta, (x - theta)^2 - 1)."""
-
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return theta_star + rng.standard_normal((n, 1))
-
     return MomentModel(
         name="MeanVarModel",
         dim_x=1,
@@ -321,7 +331,8 @@ def _make_mean_var_model(theta_star: float = 0.0) -> MomentModel:
         g=_mean_var_g,
         g_jacobian=_mean_var_jac,
         g_hessian=_mean_var_hess,
-        sampler=sampler,
+        draw=lambda rng, n: rng.standard_normal((n, 1)),
+        to_rows=lambda z: theta_star + z,
         gauss_rule=_hermite_rule(theta_star),
         analytic=AnalyticMoments(
             G=np.array([[-1.0], [0.0]]),
@@ -344,9 +355,6 @@ def _make_just_ident_model(theta_star: float = 0.0) -> MomentModel:
         shape = _row_shape(rows, theta) + (1, 1, 1)
         return np.zeros(shape, dtype=np.result_type(rows, theta))
 
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return theta_star + rng.standard_normal((n, 1))
-
     return MomentModel(
         name="JustIdentModel",
         dim_x=1,
@@ -356,7 +364,8 @@ def _make_just_ident_model(theta_star: float = 0.0) -> MomentModel:
         g=g,
         g_jacobian=jac,
         g_hessian=hess,
-        sampler=sampler,
+        draw=lambda rng, n: rng.standard_normal((n, 1)),
+        to_rows=lambda z: theta_star + z,
         gauss_rule=_hermite_rule(theta_star),
         analytic=AnalyticMoments(G=np.array([[-1.0]]), Omega=np.array([[1.0]])),
     )
@@ -380,9 +389,12 @@ def _make_skew_model(theta_star: float = 0.0, df: int = 4) -> MomentModel:
         raise DimensionError("SkewModel df must be >= 1")
     scale = math.sqrt(2.0 * df)
 
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        w = rng.chisquare(df, size=(n, 1))
-        return theta_star + (w - df) / scale
+    def to_rows(w: np.ndarray) -> np.ndarray:
+        x = 2.0 * w  # numpy's chi-square is 2 * standard_gamma(df / 2), exactly
+        x -= df  # in place: one temporary per stack
+        x /= scale
+        x += theta_star
+        return x
 
     m3, m4 = _chi2_std_moments(df)
     return MomentModel(
@@ -394,7 +406,8 @@ def _make_skew_model(theta_star: float = 0.0, df: int = 4) -> MomentModel:
         g=_mean_var_g,
         g_jacobian=_mean_var_jac,
         g_hessian=_mean_var_hess,
-        sampler=sampler,
+        draw=lambda rng, n: rng.standard_gamma(df / 2.0, size=(n, 1)),
+        to_rows=to_rows,
         gauss_rule=_chi2_rule(theta_star, df),
         analytic=AnalyticMoments(
             G=np.array([[-1.0], [0.0]]),

@@ -42,6 +42,9 @@ def replication_streams(seed: int, start: int, stop: int) -> Iterator[np.random.
     gen = philox_generator(seed, 1 + start)
     bit_generator = gen.bit_generator
     fresh = bit_generator.state
+    # as Python lists the state setter reads them in half the time of uint64 arrays
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     for i in range(start, stop):
         key[1] = 1 + i

@@ -214,7 +214,7 @@ def _bivariate_location():
     return gx.MomentModel(
         name="BivariateLocation", dim_x=2, dim_g=4, dim_theta=2, theta_star=np.zeros(2),
         g=g, g_jacobian=g_jacobian, g_hessian=g_hessian,
-        sampler=lambda gen, n: gen.standard_normal((n, 2)),
+        draw=lambda gen, n: gen.standard_normal((n, 2)), to_rows=lambda z: z,
     )
 
 

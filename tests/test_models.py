@@ -263,7 +263,7 @@ def test_gauss_measure_matches_analytic_moments(bundles):
 
 @pytest.mark.parametrize("name", gx.MODEL_NAMES)
 def test_draw_stacks_match_per_generator_draws(monkeypatch, name):
-    # one sampler draw per generator, in order and bitwise, split at the row
+    # one draw per generator, in order and bitwise its sampler, split at the row
     # cap: the re-keyed replication streams give each replication's own
     # generator's draws, and per-seed generators give simulate's rows
     model = gx.build_model(name)
@@ -281,6 +281,73 @@ def test_draw_stacks_match_per_generator_draws(monkeypatch, name):
             assert [s.shape for s in stacks] == [(k, n, model.dim_x) for k in sizes]
             got = np.concatenate(stacks)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+_DGPS = [("MeanVarModel", {}), ("JustIdentModel", {})] + [
+    ("SkewModel", {"df": df}) for df in (1, 2, 3, 4, 8, 400)
+]
+
+
+def _distribution_call(model, params, gen, n):
+    """One dataset by the plain distribution calls: theta* + N(0, 1), and
+    theta* + (chi2_df - df) / sqrt(2 df) for SkewModel."""
+    theta = model.theta_star[0]
+    if "df" not in params:
+        return theta + gen.standard_normal((n, 1))
+    df = params["df"]
+    return theta + (gen.chisquare(df, (n, 1)) - df) / math.sqrt(2.0 * df)
+
+
+@pytest.mark.parametrize(
+    "name, params", _DGPS, ids=[f"{name}{p.get('df', '')}" for name, p in _DGPS]
+)
+def test_draws_are_the_distribution_calls_bitwise(monkeypatch, name, params):
+    # draw + to_rows give sampler, simulate and every _draw_stacks stack
+    # bitwise the plain distribution call (SkewModel: numpy's chisquare is
+    # 2 * standard_gamma(df / 2)), and leave each generator in the same state
+    model = gx.build_model(name, theta_star=0.3, **params)
+    n = 40
+    for stream in range(3):
+        gen, twin = replication_generator(5, stream), replication_generator(5, stream)
+        got, want = model.sampler(gen, n), _distribution_call(model, params, twin, n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert gen.random() == twin.random()
+    for seed in (1, 2):
+        want = _distribution_call(model, params, philox_generator(seed), n)
+        assert gx.simulate(model, n, seed).rows.tobytes() == want.tobytes()
+    monkeypatch.setattr(models, "_BATCH_ROWS", 3 * n + 1)
+    gens = [replication_generator(8, i) for i in range(7)]
+    twins = [replication_generator(8, i) for i in range(7)]
+    stacks = list(models._draw_stacks(model, n, gens))
+    assert [s.shape for s in stacks] == [(3, n, 1), (3, n, 1), (1, n, 1)]
+    want = np.stack([_distribution_call(model, params, t, n) for t in twins])
+    assert np.concatenate(stacks).tobytes() == want.tobytes()
+    assert [g.random() for g in gens] == [t.random() for t in twins]
+
+
+@pytest.mark.parametrize(
+    "dim_x, draw",
+    [
+        (1, lambda gen, n: gen.standard_normal()),
+        (1, lambda gen, n: gen.standard_normal((1, 1))),
+        (2, lambda gen, n: gen.standard_normal(n)),
+    ],
+    ids=["scalar", "one-row", "flat"],
+)
+def test_a_wrong_shaped_draw_is_a_dimension_error(dim_x, draw):
+    # unchecked, each would fail untyped in the stack's concatenate or
+    # reshape, or a flat draw of the right size would be reshaped silently
+    model = dataclasses.replace(
+        gx.build_model("MeanVarModel"), name="BadDraw", dim_x=dim_x, draw=draw,
+        to_rows=lambda z: z,
+    )
+    match = rf"BadDraw: draw gave shape .*, not \(5, {dim_x}\)"
+    with pytest.raises(DimensionError, match=match):
+        model.sampler(philox_generator(1), 5)
+    with pytest.raises(DimensionError, match=match):
+        gx.simulate(model, 5, 1)
+    with pytest.raises(DimensionError, match=match):
+        next(models._draw_stacks(model, 5, [philox_generator(1), philox_generator(2)]))
 
 
 def test_draw_stacks_need_observations_and_end_with_the_generators():

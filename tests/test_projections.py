@@ -136,7 +136,8 @@ def test_population_moments_singular_omega_names_model():
         theta_star=np.array([0.0]),
         g=g,
         g_jacobian=jac,
-        sampler=base.sampler,
+        draw=base.draw,
+        to_rows=base.to_rows,
     )
     with pytest.raises(SingularMatrixError, match="DegenerateModel"):
         gx.population_moments(
