@@ -34,9 +34,9 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_hermite
+from scipy.linalg import lapack
 
-from .errors import DimensionError
+from .errors import ConvergenceError, DimensionError
 from .rng import philox_generator
 
 __all__ = [
@@ -160,7 +160,9 @@ class MomentModel:
     gauss_rule : callable, optional
         ``(n_nodes) -> (points, weights)`` quadrature rule that integrates
         smooth functions of x essentially exactly under the DGP. Used to
-        build the plug-in population measure.
+        build the plug-in population measure. The built-ins are Gauss
+        rules by Golub-Welsch (``_gauss_rule``), finite at any n_nodes
+        and df.
     analytic : AnalyticMoments, optional
         Closed-form G and Omega where the model provides them.
     """
@@ -294,28 +296,87 @@ def _mean_var_hess(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return out
 
 
+_RESCALE = 2.0**600
+"""Christoffel sums above this are scaled down by a power of 2 (exactly)."""
+
+
+def _christoffel_sums(
+    x: np.ndarray, diag: np.ndarray, off: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """p_n(x), p_{n-1}(x) and sum_{k<n} p_k(x)^2 of the orthonormal
+    polynomials off[k] p_{k+1} = (x - diag[k]) p_k - off[k-1] p_{k-1},
+    p_0 = 1, and the integer exponents e, one per point, that keep them in
+    range: the p are divided by 2^e and the sum by 4^e."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    total = np.zeros_like(x)
+    exponent = np.zeros(x.shape, dtype=int)
+    b_prev = 0.0
+    for a, b in zip(diag.tolist(), off.tolist()):
+        total += p * p
+        if total.max() > _RESCALE:
+            e = np.frexp(total)[1] // 2
+            p_prev, p, total = np.ldexp(p_prev, -e), np.ldexp(p, -e), np.ldexp(total, -2 * e)
+            exponent += e
+        p_prev, p = p, ((x - a) * p - b_prev * p_prev) / b
+        b_prev = b
+    return p, p_prev, total, exponent
+
+
+def _gauss_rule(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (summing to 1) of the n-point Gauss rule of the
+    measure whose orthonormal polynomials have the recurrence coefficients
+    diag (n,) and off (n,) (see ``_christoffel_sums``).
+
+    Golub & Welsch (1969): the nodes are the eigenvalues of the Jacobi
+    matrix (diag on the diagonal, off[:n-1] beside it), each polished by
+    one Newton step on p_n, and the weights are the Christoffel numbers
+    1 / sum_{k<n} p_k(x_i)^2, normalised. Neither needs the measure's
+    mass, so no Gamma function forms, and the sums are kept in range by
+    exact power-of-2 scaling: weights below the float range underflow to 0
+    without a warning, at any n.
+    """
+    # LAPACK ignores the off-diagonal when n = 1, but its wrapper wants one entry
+    nodes, info = lapack.dsterf(diag, off[: max(diag.size - 1, 1)])
+    if info:
+        raise ConvergenceError(f"dsterf did not converge on the {diag.size}-node Jacobi matrix")
+    # one Newton step (at a root, p_n' = sum / (off[n-1] p_{n-1}) by
+    # Christoffel-Darboux): an eigenvalue's error of a few ulps would cost
+    # the smallest weights about 1e-12 relative, the polished node 4e-14
+    p, p_prev, total, _ = _christoffel_sums(nodes, diag, off)
+    nodes = nodes - off[-1] * p * p_prev / total
+    _, _, total, exponent = _christoffel_sums(nodes, diag, off)
+    weights = np.ldexp(1.0 / total, 2 * (exponent.min() - exponent))
+    return nodes, weights / weights.sum()
+
+
+def _gauss_hermite(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss rule of N(0, 1) (probabilists' Hermite polynomials)."""
+    return _gauss_rule(np.zeros(n_nodes), np.sqrt(np.arange(1.0, n_nodes + 1)))
+
+
+def _gauss_laguerre(n_nodes: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss rule of Gamma(alpha + 1, 1) (generalized Laguerre polynomials)."""
+    k = np.arange(1.0, n_nodes + 1)
+    return _gauss_rule(2.0 * k + alpha - 1.0, np.sqrt(k * (k + alpha)))
+
+
 def _hermite_rule(theta_star: float):
     def rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        nodes, weights = roots_hermite(n_nodes)
-        x = theta_star + math.sqrt(2.0) * nodes
-        w = weights / math.sqrt(math.pi)
-        return x[:, None], w / w.sum()
+        nodes, weights = _gauss_hermite(n_nodes)
+        return (theta_star + nodes)[:, None], weights
 
     return rule
 
 
 def _chi2_rule(theta_star: float, df: int):
-    # chi2_df expectation as generalized Gauss-Laguerre with alpha = df/2 - 1
-    # after w = 2t; nodes mapped to the standardized variable.
+    # chi2_df expectation as Gauss-Laguerre with alpha = df/2 - 1 after
+    # w = 2t (t ~ Gamma(df/2, 1)); nodes mapped to the standardized variable.
     alpha = df / 2.0 - 1.0
     scale = math.sqrt(2.0 * df)
 
     def rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        t, w = roots_genlaguerre(n_nodes, alpha)
-        x = theta_star + (2.0 * t - df) / scale
-        if np.isfinite(w).all():  # overflowed weights (df >= 344) are left to the caller
-            w = w / w.sum()
-        return x[:, None], w
+        t, weights = _gauss_laguerre(n_nodes, alpha)
+        return (theta_star + (2.0 * t - df) / scale)[:, None], weights
 
     return rule
 

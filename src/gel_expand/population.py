@@ -93,11 +93,17 @@ def reference_measure(
     remaining weights are exponentially tilted (gradient tolerance 1e-13)
     so the moment condition holds exactly at theta_star under the measure.
 
-    Raises DomainError, naming the model and n_nodes, when the rule's
-    points or weights are not all finite (the chi-square rule's weights
-    overflow at df >= 344) or when no support point survives the floor.
+    Raises DimensionError when n_nodes < 1 for a model with a rule, and
+    DomainError, naming the model and n_nodes, when the rule's
+    points or weights are not all finite (a user rule's; the built-in Gauss
+    rules are finite at any n_nodes and df) or when no support point
+    survives the floor.
     """
     if model.gauss_rule is not None:
+        if n_nodes < 1:
+            raise DimensionError(
+                f"{model.name}: a quadrature rule needs n_nodes >= 1, got {n_nodes}"
+            )
         points, weights = model.gauss_rule(n_nodes)
         rule = f"{model.name}: {n_nodes}-node quadrature rule"
     else:

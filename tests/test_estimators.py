@@ -535,7 +535,9 @@ def test_hull_error_multivariate(mean_var):
 
 def test_hull_verdict_loads_no_lp_solver():
     # the duals decide hull separation from their own iterates: the CLI and
-    # an m = 2 solve that ends in HullError leave scipy.optimize unloaded
+    # an m = 2 solve that ends in HullError leave scipy.optimize unloaded;
+    # the Gauss rules are the library's own, so building every built-in
+    # model's plug-in measure leaves scipy.special unloaded
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -545,7 +547,9 @@ def test_hull_verdict_loads_no_lp_solver():
         "    gx.solve_stacked('etel', data, gx.build_model('MeanVarModel'))\n"
         "except gx.HullError as exc:\n"
         "    print(type(exc).__name__)\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "for name in gx.MODEL_NAMES:\n"
+        "    gx.reference_measure(gx.build_model(name))\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(gx.__file__))
     out = subprocess.run(
@@ -553,7 +557,7 @@ def test_hull_verdict_loads_no_lp_solver():
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == ["HullError", "False"]
+    assert out.stdout.split() == ["HullError", "False", "False"]
 
 
 def _lp_separated(g):

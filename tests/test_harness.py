@@ -545,14 +545,13 @@ def test_q_equality_passes_on_skew_model_at_df_1(seed):
     assert report.overall_pass, [c.name for c in report.checks if not c.passed]
 
 
-def test_overflowed_chi2_rule_is_a_typed_cli_error(tmp_path, capsys):
-    # SkewModel at df 400: the suites that build the plug-in measure exit 1
-    # with its DomainError and no traceback; identities never builds it
-    base = ["run", "--model", "SkewModel", "--skew-df", "400", "--seed", "1", "--quiet"]
-    for suite in ("tensors", "q_equality", "r_terms"):
-        assert cli.main(base + ["--suite", suite, "--out", str(tmp_path / suite)]) == 1
-        assert "DomainError: SkewModel: 96-node" in capsys.readouterr().err
-    assert cli.main(base + ["--suite", "identities", "--out", str(tmp_path / "identities")]) == 0
+def test_solver_free_suites_run_on_skew_model_at_df_400(tmp_path, capsys):
+    # Gamma(df/2) overflows from df 344 on; the chi-square rule never forms
+    # it, so the suites that build the plug-in measure pass as at small df
+    base = ["run", "--model", "SkewModel", "--skew-df", "400", "--seed", "31", "--quiet"]
+    for suite in ("identities", "tensors", "q_equality", "r_terms"):
+        assert cli.main(base + ["--suite", suite, "--out", str(tmp_path / suite)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_reports_byte_identical_under_heap_perturbation(tmp_path):
