@@ -1,17 +1,17 @@
-"""Verification suites, their run settings and report output.
+"""Verification suites, their check builders, run settings and report output.
 
-A suite bundles related checks against one configured model:
+Each family of checks is built once, by a builder that takes a ``tolerance``
+callable and returns CheckResults (``identity_checks``, ``q_checks``,
+``r_checks``, ``covariance_checks``, ``orthogonality_checks``,
+``scaling_checks``). Suites concatenate them with ``config.tolerance``; the
+acceptance criteria call them at their own models, seeds and sizes with
+``TOLERANCES.__getitem__``. A suite checks one configured model:
 
-* ``identities``  projection identities and the closed-form inverse, on
-  random instances and on the configured model;
-* ``tensors``     closed-form derivative tensors against the
-  finite-difference oracles;
-* ``q_equality``  influence-term and second-order-term identities
-  (closed vs generic routes, system equality) plus the covariance
-  Monte Carlo;
-* ``r_terms``     the four cubic difference terms and the kernel
-  orthogonality Monte Carlo;
-* ``mc_study``    the estimator-difference scaling study.
+* ``identities``  identity_checks, then the identities on the model itself;
+* ``tensors``     closed-form derivative tensors against the FD oracles;
+* ``q_equality``  q_checks and covariance_checks;
+* ``r_terms``     r_checks and orthogonality_checks;
+* ``mc_study``    the estimator-difference scaling study, scaling_checks.
 
 Each run setting is declared once, in ``_SETTINGS`` (kind, default, least
 value, flag help): the CLI flags, config-file keys, ExperimentConfig fields
@@ -43,6 +43,7 @@ from .errors import ConfigError
 from .expansion import (
     _MAX_FAIL_RATE,
     TOLERANCES,
+    StudyResult,
     expansion_difference_study,
     orthogonality_xi7_study,
     psi_bar,
@@ -52,14 +53,18 @@ from .expansion import (
     r_diff_terms,
     var_psi_bar_study,
 )
-from .models import MODEL_NAMES, _draw_stacks, build_model
+from .models import MODEL_NAMES, MomentModel, _draw_stacks, build_model
 from .population import (
+    DEFAULT_N_NODES,
+    MomentTensors,
+    PluginMeasure,
     PopulationMoments,
     moment_tensors,
     population_moments,
     reference_measure,
 )
 from .projections import (
+    ProjectionSet,
     _sup,
     identity_residuals,
     phi_system,
@@ -76,9 +81,14 @@ __all__ = [
     "SuiteReport",
     "run_suite",
     "write_report",
-    "random_identity_ladder",
-    "q_ladder",
-    "r_ladder",
+    "ModelBundle",
+    "model_bundle",
+    "identity_checks",
+    "q_checks",
+    "r_checks",
+    "covariance_checks",
+    "orthogonality_checks",
+    "scaling_checks",
 ]
 
 # ---------------------------------------------------------------------------
@@ -133,35 +143,42 @@ class SuiteReport:
         }
 
 
-def _check(
-    checks: list[CheckResult],
-    name: str,
-    anchor: str,
-    value: float,
-    tol: float,
-    detail: str | None = None,
-    passed: bool | None = None,
-) -> None:
+def _check(name: str, anchor: str, value: float, tol: float, detail: str | None = None,
+           passed: bool | None = None) -> CheckResult:
+    """A check that passes when value <= tol (a NaN value fails), unless
+    `passed` gives the verdict."""
     ok = bool(value <= tol) if passed is None else passed
-    checks.append(
-        CheckResult(name=name, anchor=anchor, value=float(value), tol=float(tol),
-                    passed=ok, detail=detail)
-    )
+    return CheckResult(name=name, anchor=anchor, value=float(value), tol=float(tol),
+                       passed=ok, detail=detail)
 
 
-def _measure_bundle(config: ExperimentConfig, model):
-    measure = reference_measure(model, n_nodes=config.n_nodes)
+@dataclass(frozen=True)
+class ModelBundle:
+    """A model with its plug-in measure and what the checks take from it."""
+
+    model: MomentModel
+    measure: PluginMeasure
+    pm: PopulationMoments
+    ps: ProjectionSet
+    mt: MomentTensors
+
+    @property
+    def layout(self):
+        return self.model.layout
+
+
+def model_bundle(model, n_nodes: int = DEFAULT_N_NODES) -> ModelBundle:
+    """The model's plug-in measure of n_nodes nodes, its population moments,
+    projections and moment tensors."""
+    measure = reference_measure(model, n_nodes=n_nodes)
     pm = population_moments(model, "reference_sample", measure=measure)
-    mt = moment_tensors(model, measure)
-    return measure, pm, mt
+    return ModelBundle(model, measure, pm, projection_set(pm), moment_tensors(model, measure))
 
 
 # ---------------------------------------------------------------------------
-# Identity ladders: worst values over seeded instances or samples. The
-# suites below and the acceptance criteria both measure through these.
+# Check builders (see the module docstring). A ladder check's value is its
+# worst over instances or samples.
 # ---------------------------------------------------------------------------
-
-IDENTITY_KEYS = ("PG=0", "P'=P", "POP=P", "POH'=0", "HOH'=S")
 
 
 def _worst(*vals: float) -> float:
@@ -171,9 +188,9 @@ def _worst(*vals: float) -> float:
 
 
 def _bump(worst: dict, key: str, *vals) -> None:
-    """Raise worst[key] to the largest of vals, each a value or an array of
-    per-instance values; a NaN anywhere makes it NaN."""
-    worst[key] = _worst(worst[key], *(float(np.max(v)) for v in vals))
+    """Raise worst[key] (0 when absent) to the largest of vals, each a value
+    or an array of per-instance values; a NaN anywhere makes it NaN."""
+    worst[key] = _worst(worst.get(key, 0.0), *(float(np.max(v)) for v in vals))
 
 
 def _inverse_gap(phi) -> np.ndarray:
@@ -187,8 +204,8 @@ _SHAPES = [(m, p) for m in range(2, 6) for p in range(1, m)]
 """(m, p) of the random identity instances, in drawing order."""
 
 
-def random_identity_ladder(seed: int, count: int) -> dict[str, float]:
-    """Worst projection-identity residuals and Phi-inverse gap over `count`
+def identity_checks(seed: int, count: int, tolerance) -> list[CheckResult]:
+    """The five projection identities and the Phi-inverse gap over `count`
     random (G, Omega) instances drawn from one Philox stream keyed by seed.
 
     Instance i has shape ``_SHAPES[i % 10]``; the instances are drawn in
@@ -199,50 +216,52 @@ def random_identity_ladder(seed: int, count: int) -> dict[str, float]:
     for i in range(count):
         m, p = _SHAPES[i % len(_SHAPES)]
         drawn.setdefault((m, p), []).append(random_population_moments(rng, m, p))
-    worst = dict.fromkeys(IDENTITY_KEYS + ("phi-inverse",), 0.0)
+    worst: dict[str, float] = {}
     for group in drawn.values():
         pm = PopulationMoments(
             G=np.stack([pm.G for pm in group]), Omega=np.stack([pm.Omega for pm in group])
         )
         phi = phi_system(pm)
         for key, val in identity_residuals(pm, phi.ps).items():
-            _bump(worst, key, val)
-        _bump(worst, "phi-inverse", _inverse_gap(phi))
-    return worst
+            _bump(worst, f"random.{key}", val)
+        _bump(worst, "random.phi-inverse", _inverse_gap(phi))
+    tol, inverse = tolerance("identity"), worst.pop("random.phi-inverse", 0.0)
+    detail = f"{count} random (G, Omega) instances"
+    checks = [_check(key, "projection.identities", val, tol, detail) for key, val in worst.items()]
+    return checks + [_check("random.phi-inverse", "phi.partitioned-inverse", inverse, tol,
+                            "closed form vs LU inverse")]
 
 
 def _at(stack, k: int):
     """Sample k of stacked sample bars or q-terms."""
-    arrays = (f.name for f in fields(stack))
-    return replace(
-        stack,
-        **{a: getattr(stack, a)[k] for a in arrays if isinstance(getattr(stack, a), np.ndarray)},
-    )
+    arrays = [f.name for f in fields(stack) if isinstance(getattr(stack, f.name), np.ndarray)]
+    return replace(stack, **{a: getattr(stack, a)[k] for a in arrays})
 
 
-def q_ladder(model, measure, pm, ps, mt, n: int, seeds) -> dict[str, float]:
-    """Worst psi/q identity gaps over one simulated sample of size n per seed.
+_Q_CHECKS = {
+    # name: (anchor, TOLERANCES name)
+    "psi.closed-vs-generic": ("influence.closed-form", "psi_bar"),
+    "q.closed-vs-generic": ("qterm.closed-form", "closed_form"),
+    "q.closed-vs-generic-fd": ("qterm.closed-form", "fd_backed"),
+    "q.system-equality": ("qterm.system-equality", "closed_form"),
+    "q.system-equality-fd": ("qterm.system-equality", "fd_backed"),
+    "qdiff.linear-piece": ("qterm.difference-pieces", "closed_form"),
+    "qdiff.quadratic-piece": ("qterm.difference-pieces", "closed_form"),
+}
 
-    Covers the closed vs generic influence term (ETEL), the q-term routes
-    and system equality with closed-form and with jacobian-seeded tensors
-    (ETEL and EL), and the two pieces of the q-term difference. The
-    samples' bars are stacked: one feature pass per batch of samples,
-    assembled for each system.
-    """
-    dt = {
-        s: population_tensors(s, model, pm, order=2, method="closed_form", mt=mt)
-        for s in ("etel", "el", "diff")
-    }
-    dts = {
-        s: population_tensors(s, model, pm, order=2, method="jacobian_seeded", measure=measure)
-        for s in ("etel", "el")
-    }
-    worst = dict.fromkeys(
-        ("psi.closed-vs-generic", "q.closed-vs-generic", "q.closed-vs-generic-fd",
-         "q.system-equality", "q.system-equality-fd", "qdiff.linear-piece",
-         "qdiff.quadratic-piece"),
-        0.0,
-    )
+
+def q_checks(bundle: ModelBundle, n: int, seeds, tolerance) -> list[CheckResult]:
+    """The psi/q identities over one sample of size n per seed (a sequence):
+    the closed vs generic influence term (ETEL), the q-term routes and
+    system equality with closed-form and with jacobian-seeded tensors (ETEL
+    and EL), and the two pieces of the q-term difference. One feature pass
+    per batch of samples is assembled for each system."""
+    model, pm, ps, mt = bundle.model, bundle.pm, bundle.ps, bundle.mt
+    dt = {s: population_tensors(s, model, pm, order=2, method="closed_form", mt=mt)
+          for s in ("etel", "el", "diff")}
+    dts = {s: population_tensors(s, model, pm, order=2, method="jacobian_seeded",
+                                 measure=bundle.measure) for s in ("etel", "el")}
+    worst = dict.fromkeys(_Q_CHECKS, 0.0)
     for rows in _draw_stacks(model, n, map(philox_generator, seeds)):
         features = _sample_features(model, rows, pm, None)
         ss = {s: _assemble(s, features) for s in SYSTEMS}
@@ -256,25 +275,32 @@ def q_ladder(model, measure, pm, ps, mt, n: int, seeds) -> dict[str, float]:
         piece1, piece2 = q_diff_decomposition(ss["diff"], ps, dt["diff"])
         _bump(worst, "qdiff.linear-piece", _sup(piece1))
         _bump(worst, "qdiff.quadratic-piece", _sup(piece2))
-    return worst
+    detail = f"{len(seeds)} samples of n={n}"
+    return [_check(name, anchor, worst[name], tolerance(tol), detail)
+            for name, (anchor, tol) in _Q_CHECKS.items()]
 
 
-def r_ladder(model, measure, pm, ps, mt, n: int, seeds, fd_samples: int) -> dict:
-    """Worst r-difference term values over one simulated sample per seed.
+_R_CHECKS = {
+    # name: (anchor, TOLERANCES name)
+    "rdiff.term1.closed-vs-direct": ("rdiff.term1", "closed_form"),
+    "rdiff.term1-plus-term2cancel": ("rdiff.cancellation", "closed_form"),
+    "rdiff.term3": ("rdiff.centered-cubic", "term3"),
+    "rdiff.term4-weighted": ("rdiff.weighted-cubic", "closed_form"),
+}
 
-    The weighted cubic remainder is also contracted with the
-    jacobian-seeded third-order tensors on the first `fd_samples` samples.
-    ``"xi7-supported"`` holds the set of kernel coefficients the samples
-    supported. The bars (one feature pass per batch of samples) and
-    q-terms are stacked per batch; ``r_diff_terms`` runs on each sample's
-    slice.
-    """
+
+def r_checks(bundle: ModelBundle, n: int, seeds, fd_samples: int, tolerance) -> list[CheckResult]:
+    """The r-difference terms over one sample of size n per seed (a
+    sequence) and the kernel coefficient the samples supported. The weighted
+    cubic remainder is also contracted with the jacobian-seeded third-order
+    tensors on the first `fd_samples` samples (no check when 0). Bars and
+    q-terms are stacked per batch; ``r_diff_terms`` runs on each slice."""
+    model, pm, ps, mt = bundle.model, bundle.pm, bundle.ps, bundle.mt
     dt_et = population_tensors("etel", model, pm, order=2, method="closed_form", mt=mt)
     dt_diff = population_tensors("diff", model, pm, order=3, method="closed_form", mt=mt)
-    dt_diff_fd = population_tensors(
-        "diff", model, pm, order=3, method="jacobian_seeded", measure=measure
-    ) if fd_samples > 0 else None
-    worst = dict.fromkeys(("term1", "cancel", "term3", "term4", "term4-fd"), 0.0)
+    dt_diff_fd = population_tensors("diff", model, pm, order=3, method="jacobian_seeded",
+                                    measure=bundle.measure) if fd_samples > 0 else None
+    worst = dict.fromkeys(_R_CHECKS, 0.0)
     supported: set[str | None] = set()
     done = 0
     for rows in _draw_stacks(model, n, map(philox_generator, seeds)):
@@ -284,164 +310,145 @@ def r_ladder(model, measure, pm, ps, mt, n: int, seeds, fd_samples: int) -> dict
         for k in range(rows.shape[0]):
             ss_k, q_k = _at(ss_d, k), _at(q, k)
             rd = r_diff_terms(ss_k, ps, dt_diff, q_k, mt)
-            _bump(worst, "term1", _sup(rd.term1_closed - rd.term1_direct))
-            _bump(worst, "cancel", _sup(rd.term1_direct + rd.term2_cancel))
-            _bump(worst, "term3", _sup(rd.term3))
-            _bump(worst, "term4", _sup(rd.term4_weighted))
+            _bump(worst, "rdiff.term1.closed-vs-direct", _sup(rd.term1_closed - rd.term1_direct))
+            _bump(worst, "rdiff.term1-plus-term2cancel", _sup(rd.term1_direct + rd.term2_cancel))
+            _bump(worst, "rdiff.term3", _sup(rd.term3))
+            _bump(worst, "rdiff.term4-weighted", _sup(rd.term4_weighted))
             supported.add(rd.xi7_supported)
             if done + k < fd_samples:
                 rd_fd = r_diff_terms(ss_k, ps, dt_diff_fd, q_k, mt)
-                _bump(worst, "term4-fd", _sup(rd_fd.term4_weighted))
+                _bump(worst, "rdiff.term4-weighted-fd", _sup(rd_fd.term4_weighted))
         done += rows.shape[0]
-    worst["xi7-supported"] = supported
-    return worst
+    detail = f"{len(seeds)} samples of n={n}"
+    checks = [_check(name, anchor, worst[name], tolerance(tol), detail)
+              for name, (anchor, tol) in _R_CHECKS.items()]
+    if fd_samples > 0:
+        checks.append(_check("rdiff.term4-weighted-fd", "rdiff.weighted-cubic",
+                             worst.get("rdiff.term4-weighted-fd", 0.0), tolerance("fd_backed"),
+                             "jacobian-seeded third-order difference tensors"))
+    ok = supported == {"+1/2"}
+    checks.append(_check("rdiff.xi7-coefficient", "rdiff.kernel-coefficient",
+                         0.0 if ok else 1.0, 0.5,
+                         detail=f"supported: {sorted(str(s) for s in supported)}", passed=ok))
+    return checks
+
+
+def covariance_checks(bundle: ModelBundle, n: int, reps: int, seed: int,
+                      tolerance) -> list[CheckResult]:
+    """The Monte Carlo z-scores of psi_bar's covariance against its display."""
+    study = var_psi_bar_study(bundle.model, n=n, reps=reps, seed=seed)
+    return [_check("psi.covariance-mc", "influence.covariance", study["max_abs_z"],
+                   tolerance("mc_sigma"), detail=f"{reps} replications at n={n}")]
+
+
+def orthogonality_checks(bundle: ModelBundle, n: int, reps: int, seed: int,
+                         tolerance) -> list[CheckResult]:
+    """The Monte Carlo z-scores of the xi7 kernel against the theta
+    influence block, projected and unprojected."""
+    study = orthogonality_xi7_study(bundle.model, bundle.mt, n=n, reps=reps, seed=seed)
+    return [_check("xi7.orthogonality-mc", "rdiff.kernel-orthogonality",
+                   _worst(study["max_abs_z_xi7"], study["max_abs_z_kernel"]),
+                   tolerance("mc_sigma"), detail=f"{reps} replications at n={n}")]
+
+
+def scaling_checks(result: StudyResult, tolerance, assert_band: bool) -> list[CheckResult]:
+    """The slope band (reported unasserted unless assert_band) or, when the
+    differences vanish, their exact zero; and the study's failure rate."""
+    if result.slope is not None:
+        lo, hi = tolerance("slope_min"), tolerance("slope_max")
+        checks = [_check("scaling.slope", "scaling.difference-order", result.slope, hi,
+                         detail=f"band [{lo}, {hi}]" + ("" if assert_band else " (informational)"),
+                         passed=bool(lo <= result.slope <= hi) if assert_band else True)]
+    else:
+        degenerate_ok = all(r.median_abs_diff == 0.0 for r in result.rows if r.reps_ok > 0)
+        checks = [_check("scaling.degenerate", "scaling.difference-order",
+                         0.0 if degenerate_ok else 1.0, 0.5, detail=result.flag,
+                         passed=degenerate_ok)]
+    fail_rate = max((r.reps_failed / max(r.reps_failed + r.reps_ok, 1) for r in result.rows),
+                    default=0.0)
+    return checks + [_check("scaling.failure-rate", "solver.robustness", fail_rate, _MAX_FAIL_RATE)]
+
+
+# ---------------------------------------------------------------------------
+# Suites: each returns its checks and its tables
+# ---------------------------------------------------------------------------
 
 
 def _suite_identities(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
-    checks: list[CheckResult] = []
+    checks = identity_checks(config.seed, 100, config.tolerance)
     tol_id = config.tolerance("identity")
-    count = 100
-    worst = random_identity_ladder(config.seed, count)
-    for key in IDENTITY_KEYS:
-        _check(checks, f"random.{key}", "projection.identities", worst[key], tol_id,
-               detail=f"{count} random (G, Omega) instances")
-    _check(checks, "random.phi-inverse", "phi.partitioned-inverse", worst["phi-inverse"],
-           tol_id, detail="closed form vs LU inverse")
-
     method = "analytic" if model.analytic is not None else "reference_sample"
     pm = population_moments(model, method)
     phi = phi_system(pm)
-    for key, val in identity_residuals(pm, phi.ps).items():
-        _check(checks, f"model.{key}", "projection.identities", val, tol_id)
-    _check(checks, "model.phi-inverse", "phi.partitioned-inverse", _inverse_gap(phi), tol_id)
-    _check(checks, "model.phi-product", "phi.partitioned-inverse",
-           _sup(phi.phi @ phi.phi_inv - np.eye(phi.layout.dim_beta)),
-           tol_id * max(1.0, float(_sup(phi.phi))))
+    checks += [_check(f"model.{key}", "projection.identities", val, tol_id)
+               for key, val in identity_residuals(pm, phi.ps).items()]
+    checks += [
+        _check("model.phi-inverse", "phi.partitioned-inverse", _inverse_gap(phi), tol_id),
+        _check("model.phi-product", "phi.partitioned-inverse",
+               _sup(phi.phi @ phi.phi_inv - np.eye(phi.layout.dim_beta)),
+               tol_id * max(1.0, float(_sup(phi.phi)))),
+    ]
     return checks, {}
 
 
 def _suite_tensors(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
-    checks: list[CheckResult] = []
+    b = model_bundle(model, config.n_nodes)
     tol_fd = config.tolerance("tensor_fd")
-    measure, pm, mt = _measure_bundle(config, model)
 
     def gap(a, b) -> float:
         return float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
 
+    checks = []
     for system in ("etel", "el", "diff"):
         order = 3 if system == "diff" else 2
-        dtc = population_tensors(system, model, pm, order=order, method="closed_form", mt=mt)
-        dtf = population_tensors(
-            system, model, pm, order=order, method="finite_difference", measure=measure
+        dtc, dtf, dts = (
+            population_tensors(system, model, b.pm, order=order, method=method,
+                               mt=b.mt, measure=b.measure)
+            for method in ("closed_form", "finite_difference", "jacobian_seeded")
         )
-        dts = population_tensors(
-            system, model, pm, order=order, method="jacobian_seeded", measure=measure
-        )
-        _check(checks, f"{system}.phi1.closed-vs-fd", "tensors.first-order",
-               gap(dtc.phi1, dtf.phi1), tol_fd)
-        _check(checks, f"{system}.phi2.closed-vs-fd", "tensors.second-order",
-               gap(dtc.phi2, dtf.phi2), tol_fd)
-        asym = _sup(dtf.phi2 - np.transpose(dtf.phi2, (0, 2, 1)))
-        _check(checks, f"{system}.phi2.fd-symmetry", "tensors.symmetry", asym, tol_fd)
-        _check(checks, f"{system}.phi2.closed-vs-seeded", "tensors.second-order",
-               gap(dtc.phi2, dts.phi2), config.tolerance("identity"))
+        checks += [
+            _check(f"{system}.phi1.closed-vs-fd", "tensors.first-order",
+                   gap(dtc.phi1, dtf.phi1), tol_fd),
+            _check(f"{system}.phi2.closed-vs-fd", "tensors.second-order",
+                   gap(dtc.phi2, dtf.phi2), tol_fd),
+            _check(f"{system}.phi2.fd-symmetry", "tensors.symmetry",
+                   _sup(dtf.phi2 - np.transpose(dtf.phi2, (0, 2, 1))), tol_fd),
+            _check(f"{system}.phi2.closed-vs-seeded", "tensors.second-order",
+                   gap(dtc.phi2, dts.phi2), config.tolerance("identity")),
+        ]
         if system == "diff":
-            _check(checks, "diff.phi3-theta.closed-vs-fd", "tensors.third-order",
-                   gap(dtc.phi3_theta, dtf.phi3_theta), tol_fd)
-            _check(checks, "diff.phi3-theta.closed-vs-seeded", "tensors.third-order",
-                   gap(dtc.phi3_theta, dts.phi3_theta),
-                   config.tolerance("tensor_seeded3"))
+            checks += [
+                _check("diff.phi3-theta.closed-vs-fd", "tensors.third-order",
+                       gap(dtc.phi3_theta, dtf.phi3_theta), tol_fd),
+                _check("diff.phi3-theta.closed-vs-seeded", "tensors.third-order",
+                       gap(dtc.phi3_theta, dts.phi3_theta), config.tolerance("tensor_seeded3")),
+            ]
     return checks, {}
 
 
 def _suite_q_equality(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
-    checks: list[CheckResult] = []
-    tol_closed = config.tolerance("closed_form")
-    tol_fd = config.tolerance("fd_backed")
-    tol_psi = config.tolerance("psi_bar")
-    measure, pm, mt = _measure_bundle(config, model)
+    bundle = model_bundle(model, config.n_nodes)
     n = config.n[-1]
     seeds = range(config.seed + 1000, config.seed + 1000 + config.samples)
-    worst = q_ladder(model, measure, pm, projection_set(pm), mt, n, seeds)
-
-    detail = f"{config.samples} samples of n={n}"
-    _check(checks, "psi.closed-vs-generic", "influence.closed-form", worst["psi.closed-vs-generic"], tol_psi, detail)
-    _check(checks, "q.closed-vs-generic", "qterm.closed-form", worst["q.closed-vs-generic"], tol_closed, detail)
-    _check(checks, "q.closed-vs-generic-fd", "qterm.closed-form", worst["q.closed-vs-generic-fd"], tol_fd, detail)
-    _check(checks, "q.system-equality", "qterm.system-equality", worst["q.system-equality"], tol_closed, detail)
-    _check(checks, "q.system-equality-fd", "qterm.system-equality", worst["q.system-equality-fd"], tol_fd, detail)
-    _check(checks, "qdiff.linear-piece", "qterm.difference-pieces", worst["qdiff.linear-piece"], tol_closed, detail)
-    _check(checks, "qdiff.quadratic-piece", "qterm.difference-pieces", worst["qdiff.quadratic-piece"], tol_closed, detail)
-
-    study = var_psi_bar_study(model, n=n, reps=config.reps, seed=config.seed)
-    _check(
-        checks, "psi.covariance-mc", "influence.covariance",
-        study["max_abs_z"], config.tolerance("mc_sigma"),
-        detail=f"{config.reps} replications at n={n}",
-    )
-    return checks, {}
+    checks = q_checks(bundle, n, seeds, config.tolerance)
+    return checks + covariance_checks(bundle, n, config.reps, config.seed, config.tolerance), {}
 
 
 def _suite_r_terms(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
-    checks: list[CheckResult] = []
-    tol_closed = config.tolerance("closed_form")
-    tol_term3 = config.tolerance("term3")
-    tol_fd = config.tolerance("fd_backed")
-    measure, pm, mt = _measure_bundle(config, model)
+    bundle = model_bundle(model, config.n_nodes)
     n = config.n[-1]
     seeds = range(config.seed + 2000, config.seed + 2000 + config.samples)
-    worst = r_ladder(model, measure, pm, projection_set(pm), mt, n, seeds, fd_samples=1)
-    supported = worst["xi7-supported"]
-
-    detail = f"{config.samples} samples of n={n}"
-    _check(checks, "rdiff.term1.closed-vs-direct", "rdiff.term1", worst["term1"], tol_closed, detail)
-    _check(checks, "rdiff.term1-plus-term2cancel", "rdiff.cancellation", worst["cancel"], tol_closed, detail)
-    _check(checks, "rdiff.term3", "rdiff.centered-cubic", worst["term3"], tol_term3, detail)
-    _check(checks, "rdiff.term4-weighted", "rdiff.weighted-cubic", worst["term4"], tol_closed, detail)
-    _check(checks, "rdiff.term4-weighted-fd", "rdiff.weighted-cubic", worst["term4-fd"], tol_fd,
-           detail="jacobian-seeded third-order difference tensors")
-    _check(checks, "rdiff.xi7-coefficient", "rdiff.kernel-coefficient",
-           0.0 if supported == {"+1/2"} else 1.0, 0.5,
-           detail=f"supported: {sorted(str(s) for s in supported)}",
-           passed=supported == {"+1/2"})
-
-    study = orthogonality_xi7_study(model, mt, n=n, reps=config.reps, seed=config.seed)
-    _check(checks, "xi7.orthogonality-mc", "rdiff.kernel-orthogonality",
-           _worst(study["max_abs_z_xi7"], study["max_abs_z_kernel"]),
-           config.tolerance("mc_sigma"),
-           detail=f"{config.reps} replications at n={n}")
-    return checks, {}
+    checks = r_checks(bundle, n, seeds, 1, config.tolerance)
+    return checks + orthogonality_checks(bundle, n, config.reps, config.seed, config.tolerance), {}
 
 
 def _suite_mc_study(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
-    checks: list[CheckResult] = []
-    result = expansion_difference_study(
-        model, config.n, reps=config.reps, seed=config.seed
-    )
-    tables = {"study": result.to_rows()}
-    if result.slope is not None:
-        lo = config.tolerance("slope_min")
-        hi = config.tolerance("slope_max")
-        # the slope band is calibrated for the normal mean/variance model
-        # over moderate n; heavily skewed models sit outside their
-        # asymptotic regime there, so the slope is reported unasserted
-        assert_band = config.model == "MeanVarModel" or "slope_min" in config.tol_overrides
-        _check(checks, "scaling.slope", "scaling.difference-order", result.slope, hi,
-               detail=f"band [{lo}, {hi}]" + ("" if assert_band else " (informational)"),
-               passed=bool(lo <= result.slope <= hi) if assert_band else True)
-    else:
-        degenerate_ok = all(
-            r.median_abs_diff == 0.0 for r in result.rows if r.reps_ok > 0
-        )
-        _check(checks, "scaling.degenerate", "scaling.difference-order",
-               0.0 if degenerate_ok else 1.0, 0.5,
-               detail=result.flag, passed=degenerate_ok)
-    fail_rate = max(
-        (r.reps_failed / max(r.reps_failed + r.reps_ok, 1) for r in result.rows),
-        default=0.0,
-    )
-    _check(checks, "scaling.failure-rate", "solver.robustness", fail_rate, _MAX_FAIL_RATE)
-    return checks, tables
+    result = expansion_difference_study(model, config.n, reps=config.reps, seed=config.seed)
+    # the slope band is calibrated for the normal mean/variance model over
+    # moderate n; heavily skewed models sit outside their asymptotic regime
+    # there, so the slope is reported unasserted
+    assert_band = config.model == "MeanVarModel" or "slope_min" in config.tol_overrides
+    return scaling_checks(result, config.tolerance, assert_band), {"study": result.to_rows()}
 
 
 _SUITES = {
@@ -637,15 +644,8 @@ def run_suite(config: ExperimentConfig) -> SuiteReport:
     model = build_model(config.model, theta_star=config.theta_star, **extra)
     start = time.perf_counter()
     checks, tables = _SUITES[config.suite](config, model)
-    runtime = time.perf_counter() - start
-    report = SuiteReport(
-        suite=config.suite,
-        model=config.model,
-        seed=config.seed,
-        checks=checks,
-        runtime_s=runtime,
-        tables=tables,
-    )
+    report = SuiteReport(config.suite, config.model, config.seed, checks,
+                         runtime_s=time.perf_counter() - start, tables=tables)
     if config.out:
         write_report(report, config)
     return report

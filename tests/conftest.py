@@ -1,39 +1,17 @@
-"""Shared fixtures: models with their plug-in measures and moment bundles."""
+"""Shared fixtures: the built-in models with their plug-in measures and
+moment bundles."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import pytest
 
 import gel_expand as gx
-
-
-@dataclass(frozen=True)
-class ModelBundle:
-    model: object
-    measure: object
-    pm: object
-    ps: object
-    mt: object
-
-    @property
-    def layout(self):
-        return self.model.layout
-
-
-def _bundle(name: str) -> ModelBundle:
-    model = gx.build_model(name)
-    measure = gx.reference_measure(model)
-    pm = gx.population_moments(model, "reference_sample", measure=measure)
-    ps = gx.projection_set(pm)
-    mt = gx.moment_tensors(model, measure)
-    return ModelBundle(model=model, measure=measure, pm=pm, ps=ps, mt=mt)
+from gel_expand.harness import ModelBundle, model_bundle
 
 
 @pytest.fixture(scope="session")
 def bundles() -> dict[str, ModelBundle]:
-    return {name: _bundle(name) for name in gx.MODEL_NAMES}
+    return {name: model_bundle(gx.build_model(name)) for name in gx.MODEL_NAMES}
 
 
 @pytest.fixture(scope="session")

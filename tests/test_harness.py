@@ -26,14 +26,13 @@ from gel_expand.expansion import (
     r_diff_terms,
 )
 from gel_expand.harness import (
-    IDENTITY_KEYS,
     _bump,
     _check,
     _worst,
+    identity_checks,
     parse_config,
-    q_ladder,
-    r_ladder,
-    random_identity_ladder,
+    q_checks,
+    r_checks,
     run_suite,
 )
 from gel_expand.models import simulate
@@ -346,9 +345,8 @@ def test_bump_propagates_nan_into_a_failing_check(vals, one_call):
         for v in vals:
             _bump(worst, "gap", v)
     assert math.isnan(worst["gap"])
-    checks = []
-    _check(checks, "gap", "anchor", worst["gap"], 1e-12)
-    assert math.isnan(checks[0].value) and not checks[0].passed
+    check = _check("gap", "anchor", worst["gap"], 1e-12)
+    assert math.isnan(check.value) and not check.passed
 
 
 def test_bump_keeps_the_largest_finite_value():
@@ -359,22 +357,31 @@ def test_bump_keeps_the_largest_finite_value():
 
 
 # ---------------------------------------------------------------------------
-# Ladders against one-at-a-time reference loops
+# Check builders against one-at-a-time reference loops
 # ---------------------------------------------------------------------------
+
+TOL = TOLERANCES.__getitem__
+
+
+def _values(checks):
+    return {c.name: c.value for c in checks}
 
 
 def _reference_identity_ladder(seed, count):
     rng = philox_generator(seed)
     shapes = [(m, p) for m in range(2, 6) for p in range(1, m)]
-    worst = dict.fromkeys(IDENTITY_KEYS + ("phi-inverse",), 0.0)
+    worst = {}
+
+    def bump(key, val):
+        worst[key] = _worst(worst.get(key, 0.0), float(val))
+
     for i in range(count):
         pm = random_population_moments(rng, *shapes[i % len(shapes)])
         phi = phi_system(pm)
         for key, val in identity_residuals(pm, phi.ps).items():
-            worst[key] = _worst(worst[key], float(val))
+            bump(f"random.{key}", val)
         num = np.linalg.inv(phi.phi)
-        gap = float(np.max(np.abs(phi.phi_inv - num)) / np.max(np.abs(num)))
-        worst["phi-inverse"] = _worst(worst["phi-inverse"], gap)
+        bump("random.phi-inverse", np.max(np.abs(phi.phi_inv - num)) / np.max(np.abs(num)))
     return worst
 
 
@@ -412,30 +419,27 @@ def _reference_r_ladder(b, n, seeds, fd_samples):
     dt_diff = population_tensors("diff", b.model, b.pm, order=3, method="closed_form", mt=b.mt)
     dt_fd = population_tensors("diff", b.model, b.pm, order=3, method="jacobian_seeded",
                                measure=b.measure)
-    worst = dict.fromkeys(("term1", "cancel", "term3", "term4", "term4-fd"), 0.0)
+    worst = {}
     supported = set()
 
     def bump(key, val):
-        worst[key] = _worst(worst[key], float(np.max(np.abs(val))))
+        worst[key] = _worst(worst.get(key, 0.0), float(np.max(np.abs(val))))
 
     for k, seed in enumerate(seeds):
         data = simulate(b.model, n, seed)
         ss_d = sample_stats("diff", b.model, data, b.pm, b.mt)
         q = q_bar(sample_stats("etel", b.model, data, b.pm, b.mt), b.ps, dt_et, b.mt)
         rd = r_diff_terms(ss_d, b.ps, dt_diff, q, b.mt)
-        bump("term1", rd.term1_closed - rd.term1_direct)
-        bump("cancel", rd.term1_direct + rd.term2_cancel)
-        bump("term3", rd.term3)
-        bump("term4", rd.term4_weighted)
+        bump("rdiff.term1.closed-vs-direct", rd.term1_closed - rd.term1_direct)
+        bump("rdiff.term1-plus-term2cancel", rd.term1_direct + rd.term2_cancel)
+        bump("rdiff.term3", rd.term3)
+        bump("rdiff.term4-weighted", rd.term4_weighted)
         supported.add(rd.xi7_supported)
         if k < fd_samples:
-            bump("term4-fd", r_diff_terms(ss_d, b.ps, dt_fd, q, b.mt).term4_weighted)
-    worst["xi7-supported"] = supported
+            bump("rdiff.term4-weighted-fd",
+                 r_diff_terms(ss_d, b.ps, dt_fd, q, b.mt).term4_weighted)
+    worst["rdiff.xi7-coefficient"] = 0.0 if supported == {"+1/2"} else 1.0
     return worst
-
-
-def _ladder(ladder, b, n, seeds, **kwargs):
-    return ladder(b.model, b.measure, b.pm, b.ps, b.mt, n, seeds, **kwargs)
 
 
 _COUNTS = [1, 7, 23, 100]
@@ -443,20 +447,31 @@ _COUNTS = [1, 7, 23, 100]
 
 @pytest.mark.parametrize("count", _COUNTS)
 def test_identity_ladder_equals_reference_loop(count):
-    assert random_identity_ladder(977, count) == _reference_identity_ladder(977, count)
+    checks = identity_checks(977, count, TOL)
+    assert _values(checks) == _reference_identity_ladder(977, count)
+    assert [c.name for c in checks[-2:]] == ["random.HOH'=S", "random.phi-inverse"]
 
 
 @pytest.mark.parametrize("count", _COUNTS)
 def test_q_ladder_equals_reference_loop(skew, count):
     seeds = range(5_000, 5_000 + count)
-    assert _ladder(q_ladder, skew, 40, seeds) == _reference_q_ladder(skew, 40, seeds)
+    assert _values(q_checks(skew, 40, seeds, TOL)) == _reference_q_ladder(skew, 40, seeds)
 
 
 @pytest.mark.parametrize("count", _COUNTS)
 def test_r_ladder_equals_reference_loop(skew, count):
     seeds = range(6_000, 6_000 + count)
-    got = _ladder(r_ladder, skew, 40, seeds, fd_samples=3)
+    got = _values(r_checks(skew, 40, seeds, 3, TOL))
     assert got == _reference_r_ladder(skew, 40, seeds, fd_samples=3)
+
+
+def test_r_checks_without_fd_samples_have_no_fd_check(skew):
+    # an FD check over zero samples would read 0.0 and pass vacuously
+    def names(fd_samples):
+        return [c.name for c in r_checks(skew, 40, range(3), fd_samples, TOL)]
+
+    assert "rdiff.term4-weighted-fd" not in names(0)
+    assert names(1) == names(0)[:4] + ["rdiff.term4-weighted-fd", "rdiff.xi7-coefficient"]
 
 
 def test_identity_ladder_propagates_an_injected_nan(monkeypatch):
@@ -471,10 +486,10 @@ def test_identity_ladder_propagates_an_injected_nan(monkeypatch):
         return out
 
     monkeypatch.setattr(harness, "identity_residuals", residuals)
-    worst = random_identity_ladder(31, 30)
+    checks = {c.name: c for c in identity_checks(31, 30, TOL)}
     assert calls == [(3,)] * 10
-    assert math.isnan(worst["POP=P"])
-    assert all(not math.isnan(v) for k, v in worst.items() if k != "POP=P")
+    assert math.isnan(checks["random.POP=P"].value) and not checks["random.POP=P"].passed
+    assert all(not math.isnan(c.value) for k, c in checks.items() if k != "random.POP=P")
 
 
 def test_q_ladder_propagates_an_injected_nan(monkeypatch, skew):
@@ -484,9 +499,10 @@ def test_q_ladder_propagates_an_injected_nan(monkeypatch, skew):
         return out
 
     monkeypatch.setattr(harness, "psi_bar_generic", generic)
-    worst = _ladder(q_ladder, skew, 40, range(7))
-    assert math.isnan(worst["psi.closed-vs-generic"])
-    assert not math.isnan(worst["q.system-equality"])
+    checks = {c.name: c for c in q_checks(skew, 40, range(7), TOL)}
+    assert not checks["psi.closed-vs-generic"].passed
+    assert math.isnan(checks["psi.closed-vs-generic"].value)
+    assert not math.isnan(checks["q.system-equality"].value)
 
 
 def test_r_ladder_propagates_an_injected_nan(monkeypatch, skew):
@@ -498,9 +514,10 @@ def test_r_ladder_propagates_an_injected_nan(monkeypatch, skew):
         return dataclasses.replace(rd, term3=rd.term3 * math.nan) if len(calls) == 4 else rd
 
     monkeypatch.setattr(harness, "r_diff_terms", terms)
-    worst = _ladder(r_ladder, skew, 40, range(7), fd_samples=0)
+    checks = {c.name: c for c in r_checks(skew, 40, range(7), 0, TOL)}
     assert len(calls) == 7
-    assert math.isnan(worst["term3"]) and not math.isnan(worst["term1"])
+    assert math.isnan(checks["rdiff.term3"].value) and not checks["rdiff.term3"].passed
+    assert not math.isnan(checks["rdiff.term1.closed-vs-direct"].value)
 
 
 @pytest.mark.parametrize("ladder", ["q", "r"])
@@ -509,8 +526,8 @@ def test_ladder_batches_are_capped_in_rows(monkeypatch, skew, ladder):
     # one feature pass per batch (every system assembles from it), with
     # unchanged results
     n, seeds = 40, range(8_000, 8_007)
-    run = (lambda: _ladder(q_ladder, skew, n, seeds)) if ladder == "q" else (
-        lambda: _ladder(r_ladder, skew, n, seeds, fd_samples=4))
+    run = (lambda: q_checks(skew, n, seeds, TOL)) if ladder == "q" else (
+        lambda: r_checks(skew, n, seeds, 4, TOL))
     uncapped = run()
     sizes = []
     features = derivatives._sample_features
@@ -530,6 +547,24 @@ def test_ladder_batches_are_capped_in_rows(monkeypatch, skew, ladder):
     monkeypatch.setattr(models, "_BATCH_ROWS", default)
     assert run() == uncapped
     assert sizes == [7]
+
+
+def test_suite_check_names_are_unique_and_every_tolerance_is_read(monkeypatch):
+    # every suite at CLI defaults: the check names of a report are unique,
+    # and every TOLERANCES entry bounds at least one check of some suite
+    read = set()
+    tolerance = harness.ExperimentConfig.tolerance
+
+    def spy(config, key):
+        read.add(key)
+        return tolerance(config, key)
+
+    monkeypatch.setattr(harness.ExperimentConfig, "tolerance", spy)
+    for suite in harness.SUITE_NAMES:
+        report = run_suite(parse_config(overrides={"seed": "31", "suite": suite}))
+        names = [c.name for c in report.checks]
+        assert len(names) == len(set(names)), suite
+    assert read == set(TOLERANCES)
 
 
 @pytest.mark.parametrize("seed", range(1, 6))
