@@ -53,7 +53,7 @@ from .errors import DimensionError
 from .estimators import BetaVector, phi_rows, stacked_jacobian, stacked_residual
 from .models import _BATCH_ROWS, Dataset, IndexLayout, MomentModel
 from .population import MomentTensors, PluginMeasure, PopulationMoments
-from .projections import phi1_population
+from .projections import _phi1_matrix, phi1_population
 
 __all__ = [
     "DerivTensors",
@@ -79,35 +79,6 @@ def _check_system(system: str) -> None:
 # ---------------------------------------------------------------------------
 # Closed-form assemblers
 # ---------------------------------------------------------------------------
-
-
-def _phi1_bar_matrix(
-    system: str,
-    g_bar: np.ndarray,
-    omega_bar: np.ndarray,
-    g_jac_bar: np.ndarray,
-    layout: IndexLayout,
-) -> np.ndarray:
-    """Centered sample first-derivative matrix, (..., D, D) for bars with
-    leading axes (g_bar (..., m), omega_bar (..., m, m), g_jac_bar
-    (..., m, p)).
-
-    Constant entries center away; the only system difference is the
-    (lambda, tau) block, which is g_bar for ETEL and zero for EL.
-    """
-    D = layout.dim_beta
-    ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
-    out = np.zeros(g_bar.shape[:-1] + (D, D))
-    if system != "diff":
-        out[..., 0, ls] = g_bar
-        out[..., ks, ls] = omega_bar
-        out[..., ks, ts] = g_jac_bar
-        out[..., ls, ks] = omega_bar
-        out[..., ls, ls] = -omega_bar
-        out[..., ts, ks] = g_jac_bar.swapaxes(-1, -2)
-    if system in ("etel", "diff"):
-        out[..., ls, 0] = g_bar
-    return out
 
 
 def _phi2_el_blocks(
@@ -581,7 +552,7 @@ def _assemble(system: str, f: _SampleFeatures) -> SampleStats:
         G_bar=f.G_bar,
         Omega_bar=f.Omega_bar,
         phi0_bar=f.root_n * rows_star.mean(axis=-2),
-        phi1_bar=_phi1_bar_matrix(system, f.g_bar, f.Omega_bar, f.G_bar, f.layout),
+        phi1_bar=_phi1_matrix(system, f.g_bar, f.Omega_bar, f.G_bar, f.layout),
         phi2_bar=phi2_bar,
     )
 

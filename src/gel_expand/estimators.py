@@ -29,12 +29,13 @@ Solver layout:
   pilot theta (the R = 1 case of the batched start) and runs a full
   Newton iteration on all blocks with an analytic Jacobian. A start that
   fails to profile or stalls, or whose Newton raises DomainError,
-  OverflowGuardError, HullError or ConvergenceError (a root below its
-  start's profile log-likelihood), is retried from four perturbed pilots
-  around its theta, profiled as one batch; a failed pilot or a singular
-  stacked Jacobian raises at once. Nothing is kept between calls. A caller
-  that solves many datasets profiles them together and passes each
-  start as ``init``; the reports are those of plain solves.
+  OverflowGuardError, HullError, ConvergenceError (a root below its
+  start's profile log-likelihood) or SingularMatrixError (a singular
+  stacked Jacobian), is retried from four perturbed pilots around its
+  theta, profiled as one batch; a failed pilot raises at once. Nothing
+  is kept between calls. A caller that solves many datasets profiles
+  them together and passes each start as ``init``; the reports are those
+  of plain solves.
 * Every iterate is evaluated once. ``_StackedEval`` computes the per-row
   features (g, dg, exp(lambda'g), kappa'g, dg'kappa, dg'lambda and the
   system's coefficient) and from them the phi rows and their weighted
@@ -782,11 +783,12 @@ def solve_stacked(
     failed to profile, stalls, or its Newton raises DomainError (a step
     leaves the EL domain), OverflowGuardError (the exp cap), HullError
     (tolerance reached with lambda'g_i < 0 on every row: a hyperplane
-    separates the origin from the moment rows) or ConvergenceError (a
-    root that is not the profile maximum; see SolveReport), the solver
-    retries from four perturbed pilots around the start's theta, profiled
-    as one batch. A failed pilot or a singular stacked Jacobian
-    (SingularMatrixError) raises at once.
+    separates the origin from the moment rows), ConvergenceError (a root
+    that is not the profile maximum; see SolveReport) or
+    SingularMatrixError (a singular stacked Jacobian), the solver retries
+    from four perturbed pilots around the start's theta, profiled as one
+    batch. A failed pilot, a singular pilot Jacobian included, raises at
+    once.
 
     Returns a SolveReport; plain failure to reach tolerance is reported
     via converged=False (the stalled start with the smallest residual);
@@ -829,7 +831,8 @@ def solve_stacked(
                     init_beta = beta0
                 try:
                     result = _newton_stacked(system, model, data, beta0, tol)
-                except (DomainError, HullError, OverflowGuardError, ConvergenceError) as exc:
+                except (DomainError, HullError, OverflowGuardError, ConvergenceError,
+                        SingularMatrixError) as exc:
                     err = exc
                 else:
                     if result[3]:

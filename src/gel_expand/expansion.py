@@ -17,7 +17,12 @@ terms. This module evaluates
   exactly, the third vanishes, and the weighted cubic remainder
   contracts to zero under the multiplicity weights {1, 3/2, 3}. The
   surviving cubic kernel (xi7) is a polynomial in P g_bar alone and so
-  uncorrelated with the H g_bar influence block.
+  uncorrelated with the H g_bar influence block; its gap to the closed
+  form 1/2 H _xi7_kernel(P g_bar) is reported.
+
+Every term takes the bars of stacked samples and gives one value per
+sample, each bitwise that sample's alone: the tensor contractions are one
+matmul each (``_contract``), over the samples' flattened outer products.
 
 Monte Carlo drivers at the bottom verify the covariance display, the
 xi7 orthogonality, and the n^-3/2 scaling of the estimator difference.
@@ -78,7 +83,7 @@ TOLERANCES: dict[str, float] = {
 """Tolerance ladder used by the suites and the tests; runs override it by name."""
 
 _XI7_MATCH_TOL = 1e-6
-"""Relative gap within which the xi7 remainder matches a closed-form candidate."""
+"""Largest relative gap at which the xi7 remainder matches its closed form."""
 
 _MAX_FAIL_RATE = 0.05
 """Share of failed replications at one n above which the scaling study aborts."""
@@ -145,18 +150,20 @@ class ExpansionTerms:
         return _sup(self.q_bar_closed - self.q_bar_generic, axis=-1)
 
 
-def _contract(spec: str, tensor: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.einsum(spec, tensor, x, y) for vectors x and y, or for each row of
-    stacked x and y (..., k), giving (..., out).
+def _contract(tensor: np.ndarray, *vectors: np.ndarray) -> np.ndarray:
+    """The tensor's trailing axes contracted with the vectors, one axis each
+    in order: sum_jk tensor[..., l, j, k] x[..., j] y[..., k] for (x, y).
 
-    Rows are contracted one einsum call each: einsum groups its partial
-    sums by the operands' memory layout, so one call over the stack would
-    round differently from the one-sample contraction."""
-    if x.ndim == 1:
-        return np.einsum(spec, tensor, x, y)
-    rows = zip(x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1]))
-    out = np.stack([np.einsum(spec, tensor, a, b) for a, b in rows])
-    return out.reshape(x.shape[:-1] + out.shape[1:])
+    The vectors may stack samples on leading axes, and so may the tensor
+    (a sample bar) ahead of its output axis. The contraction is one _matvec
+    of the tensor, its trailing axes flattened, with the flattened outer
+    product of the vectors, so each sample's slice is bitwise that sample's
+    own contraction."""
+    outer = vectors[0]
+    for v in vectors[1:]:
+        outer = outer[..., :, None] * v[..., None, :]
+        outer = outer.reshape(outer.shape[:-2] + (-1,))
+    return _matvec(tensor.reshape(tensor.shape[: tensor.ndim - len(vectors)] + (-1,)), outer)
 
 
 def q_bar(
@@ -182,23 +189,21 @@ def q_bar(
 
     psi1_bar = -phi_inv @ ss.phi1_bar
     psi2 = _neg_inv_contract(phi_inv, dt.phi2)
-    q_generic = _matvec(psi1_bar, psi) + 0.5 * _contract("ljk,j,k->l", psi2, psi, psi)
+    q_generic = _matvec(psi1_bar, psi) + 0.5 * _contract(psi2, psi, psi)
 
     # closed form
     gbar = ss.g_bar
     u1 = _matvec(ps.P, gbar)
     u2 = _matvec(ps.H, gbar)
+    # the display's two W cross terms in a_kappa are one contraction, and so
+    # are its two K terms in a_theta; a_theta contracts W and K over their
+    # first (moment) axis, so it takes them transposed
     T, W, K = mt.T, mt.W, mt.K
-    t_vec = _contract("ajb,j,b->a", T, u1, u1)
-    c1 = _contract("ajq,j,q->a", W, u1, u2)
-    c2 = _contract("abj,j,b->a", W, u2, u1)
-    k1 = _contract("ajq,j,q->a", K, u2, u2)
-    a_kappa = t_vec + c1 + c2 + k1
+    t_vec = _contract(T, u1, u1)
+    a_kappa = t_vec + 2.0 * _contract(W, u1, u2) + _contract(K, u2, u2)
     a_lambda = t_vec
-    w1 = _contract("jbh,j,b->h", W, u1, u1)
-    k2 = _contract("jhq,j,q->h", K, u1, u2)
-    k3 = _contract("bhj,j,b->h", K, u2, u1)
-    a_theta = w1 + k2 + k3
+    W_t, K_t = W.transpose(2, 0, 1), K.transpose(1, 0, 2)
+    a_theta = _contract(W_t, u1, u1) + 2.0 * _contract(K_t, u1, u2)
     a_tau = _dots(gbar, u1)
 
     xi1 = _matvec(-ps.P, a_kappa + a_lambda) - _matvec(ps.H.T, a_theta)
@@ -242,7 +247,7 @@ def q_diff_decomposition(
     psi = psi_bar(ss_diff, ps)
     piece1 = _matvec(-phi_inv @ ss_diff.phi1_bar, psi)
     psi2_diff = _neg_inv_contract(phi_inv, dt_diff.phi2)
-    piece2 = 0.5 * _contract("ljk,j,k->l", psi2_diff, psi, psi)
+    piece2 = 0.5 * _contract(psi2_diff, psi, psi)
     return piece1, piece2
 
 
@@ -272,14 +277,15 @@ class RDiffReport:
     term1 must equal its closed form H g_bar (g_bar'P g_bar)/2 and be
     cancelled exactly by term2_cancel, the part of term2 carried by
     q_bar's tau entry; the rest of term2 is the surviving cubic kernel
-    in P g_bar, and xi7_supported names the closed-form coefficient it
-    matches; term3 and term4_weighted contract to zero.
+    in P g_bar, and xi7_gap measures it against its closed form 1/2 H
+    _xi7_kernel(P g_bar); term3 and term4_weighted contract to zero.
+    Every field carries the samples' leading axes.
     """
 
     term1_closed: np.ndarray
     term1_direct: np.ndarray
     term2_cancel: np.ndarray
-    xi7_supported: str | None
+    xi7_gap: np.ndarray
     term3: np.ndarray
     term4_weighted: np.ndarray
 
@@ -291,13 +297,15 @@ def r_diff_terms(
     q: ExpansionTerms,
     mt: MomentTensors,
 ) -> RDiffReport:
-    """Evaluate the four r_bar difference terms on one sample.
+    """Evaluate the four r_bar difference terms.
 
     ``ss_diff`` must be the system='diff' sample stats (with phi2 bars),
-    ``dt_diff`` the difference tensors at order 3. The xi7 kernel is
-    reported as the direct remainder, term2 minus term2_cancel, and
-    compared against the two closed-form coefficient candidates; the
-    matching one is recorded.
+    ``dt_diff`` the difference tensors at order 3, and ``q`` the ETEL
+    q-terms of the same samples. Stacked bars and q-terms give every term
+    with the samples' leading axes, each slice bitwise that sample's
+    alone. The xi7 kernel is reported as the direct remainder, term2 minus
+    term2_cancel, through its gap to 1/2 H _xi7_kernel(P g_bar): max
+    |remainder - closed form| / (1 + max |remainder|), one per sample.
     """
     if ss_diff.system != "diff":
         raise DimensionError("r_diff_terms expects sample stats of the system difference")
@@ -312,42 +320,29 @@ def r_diff_terms(
     q_vec = q.q_bar_generic
 
     gbar = ss_diff.g_bar
-    u1 = ps.P @ gbar
-    hg = ps.H @ gbar
-    quad = float(gbar @ u1)
+    u1 = _matvec(ps.P, gbar)
 
-    term1_closed = 0.5 * hg * quad
-    psi1_diff = -phi_inv @ ss_diff.phi1_bar
-    term1_direct = (psi1_diff @ q_vec)[ts]
+    term1_closed = 0.5 * _matvec(ps.H, gbar) * _dots(gbar, u1)[..., None]
+    term1_direct = _matvec(-phi_inv @ ss_diff.phi1_bar, q_vec)[..., ts]
 
     psi2_diff = _neg_inv_contract(phi_inv, dt_diff.phi2)
-    term2_direct = np.einsum("ljk,j,k->l", psi2_diff, q_vec, psi)[ts]
+    term2_direct = _contract(psi2_diff, q_vec, psi)[..., ts]
     # the part of term2 carried by q_bar's tau entry; it cancels term1
-    term2_cancel = (psi2_diff[:, 0, :] @ psi)[ts] * q_vec[0]
+    term2_cancel = _contract(psi2_diff[:, 0, :], psi)[..., ts] * q_vec[..., :1]
     term2_xi7 = term2_direct - term2_cancel
+    xi7 = 0.5 * _matvec(ps.H, _xi7_kernel(u1, ps, mt))
+    xi7_gap = _sup(term2_xi7 - xi7, axis=-1) / (1.0 + _sup(term2_xi7, axis=-1))
 
-    core = ps.H @ _xi7_kernel(u1, ps, mt)
-    candidates = {"+1/2": 0.5 * core, "-1": -core}
-    supported = None
-    scale = 1.0 + float(np.max(np.abs(term2_xi7)))
-    for name, cand in candidates.items():
-        if float(np.max(np.abs(cand - term2_xi7))) <= _XI7_MATCH_TOL * scale:
-            supported = name
-            break
+    term3 = _matvec(-phi_inv, _contract(ss_diff.phi2_bar, psi, psi))[..., ts]
 
-    psi2_diff_bar = _neg_inv_contract(phi_inv, ss_diff.phi2_bar)
-    term3 = np.einsum("ljk,j,k->l", psi2_diff_bar, psi, psi)[ts]
-
-    xi = _xi_weight_matrix(layout)
-    inner = np.einsum("hjkq,jk,j,k->hq", dt_diff.phi3_theta, xi, psi, psi)
-    term4_full = -phi_inv @ (inner @ psi[ts])
-    term4 = term4_full[ts]
+    weighted = dt_diff.phi3_theta * _xi_weight_matrix(layout)[:, :, None]
+    term4 = _matvec(-phi_inv, _contract(weighted, psi, psi, psi[..., ts]))[..., ts]
 
     return RDiffReport(
         term1_closed=term1_closed,
         term1_direct=term1_direct,
         term2_cancel=term2_cancel,
-        xi7_supported=supported,
+        xi7_gap=xi7_gap,
         term3=term3,
         term4_weighted=term4,
     )

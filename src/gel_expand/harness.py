@@ -5,7 +5,9 @@ callable and returns CheckResults (``identity_checks``, ``q_checks``,
 ``r_checks``, ``covariance_checks``, ``orthogonality_checks``,
 ``scaling_checks``). Suites concatenate them with ``config.tolerance``; the
 acceptance criteria call them at their own models, seeds and sizes with
-``TOLERANCES.__getitem__``. A suite checks one configured model:
+``TOLERANCES.__getitem__``. ``q_checks`` and ``r_checks`` draw their
+samples in batches and evaluate every expansion term once per batch, on
+the batch's stacked bars. A suite checks one configured model:
 
 * ``identities``  identity_checks, then the identities on the model itself;
 * ``tensors``     closed-form derivative tensors against the FD oracles;
@@ -42,6 +44,7 @@ from .derivatives import (
 from .errors import ConfigError
 from .expansion import (
     _MAX_FAIL_RATE,
+    _XI7_MATCH_TOL,
     TOLERANCES,
     StudyResult,
     expansion_difference_study,
@@ -232,8 +235,8 @@ def identity_checks(seed: int, count: int, tolerance) -> list[CheckResult]:
                             "closed form vs LU inverse")]
 
 
-def _at(stack, k: int):
-    """Sample k of stacked sample bars or q-terms."""
+def _at(stack, k):
+    """Sample k (an index or a slice) of stacked sample bars or q-terms."""
     arrays = [f.name for f in fields(stack) if isinstance(getattr(stack, f.name), np.ndarray)]
     return replace(stack, **{a: getattr(stack, a)[k] for a in arrays})
 
@@ -291,46 +294,44 @@ _R_CHECKS = {
 
 def r_checks(bundle: ModelBundle, n: int, seeds, fd_samples: int, tolerance) -> list[CheckResult]:
     """The r-difference terms over one sample of size n per seed (a
-    sequence) and the kernel coefficient the samples supported. The weighted
-    cubic remainder is also contracted with the jacobian-seeded third-order
-    tensors on the first `fd_samples` samples (no check when 0). Bars and
-    q-terms are stacked per batch; ``r_diff_terms`` runs on each slice."""
+    sequence) and the worst gap of the xi7 remainder to its closed form.
+    The weighted cubic remainder is also contracted with the
+    jacobian-seeded third-order tensors on the first `fd_samples` samples
+    (no check when 0). ``r_diff_terms`` takes each batch's stacked bars and
+    q-terms in one call, and the FD route the batch's leading samples."""
     model, pm, ps, mt = bundle.model, bundle.pm, bundle.ps, bundle.mt
     dt_et = population_tensors("etel", model, pm, order=2, method="closed_form", mt=mt)
     dt_diff = population_tensors("diff", model, pm, order=3, method="closed_form", mt=mt)
     dt_diff_fd = population_tensors("diff", model, pm, order=3, method="jacobian_seeded",
                                     measure=bundle.measure) if fd_samples > 0 else None
     worst = dict.fromkeys(_R_CHECKS, 0.0)
-    supported: set[str | None] = set()
-    done = 0
+    fd_left = fd_samples
     for rows in _draw_stacks(model, n, map(philox_generator, seeds)):
         features = _sample_features(model, rows, pm, mt)
         ss_d = _assemble("diff", features)
         q = q_bar(_assemble("etel", features), ps, dt_et, mt)
-        for k in range(rows.shape[0]):
-            ss_k, q_k = _at(ss_d, k), _at(q, k)
-            rd = r_diff_terms(ss_k, ps, dt_diff, q_k, mt)
-            _bump(worst, "rdiff.term1.closed-vs-direct", _sup(rd.term1_closed - rd.term1_direct))
-            _bump(worst, "rdiff.term1-plus-term2cancel", _sup(rd.term1_direct + rd.term2_cancel))
-            _bump(worst, "rdiff.term3", _sup(rd.term3))
-            _bump(worst, "rdiff.term4-weighted", _sup(rd.term4_weighted))
-            supported.add(rd.xi7_supported)
-            if done + k < fd_samples:
-                rd_fd = r_diff_terms(ss_k, ps, dt_diff_fd, q_k, mt)
-                _bump(worst, "rdiff.term4-weighted-fd", _sup(rd_fd.term4_weighted))
-        done += rows.shape[0]
+        rd = r_diff_terms(ss_d, ps, dt_diff, q, mt)
+        _bump(worst, "rdiff.term1.closed-vs-direct", _sup(rd.term1_closed - rd.term1_direct))
+        _bump(worst, "rdiff.term1-plus-term2cancel", _sup(rd.term1_direct + rd.term2_cancel))
+        _bump(worst, "rdiff.term3", _sup(rd.term3))
+        _bump(worst, "rdiff.term4-weighted", _sup(rd.term4_weighted))
+        _bump(worst, "rdiff.xi7-coefficient", rd.xi7_gap)
+        if fd_left > 0:
+            head = slice(0, fd_left)
+            rd_fd = r_diff_terms(_at(ss_d, head), ps, dt_diff_fd, _at(q, head), mt)
+            _bump(worst, "rdiff.term4-weighted-fd", _sup(rd_fd.term4_weighted))
+            fd_left -= rows.shape[0]
     detail = f"{len(seeds)} samples of n={n}"
+    xi7_gap = worst.pop("rdiff.xi7-coefficient")
     checks = [_check(name, anchor, worst[name], tolerance(tol), detail)
               for name, (anchor, tol) in _R_CHECKS.items()]
     if fd_samples > 0:
         checks.append(_check("rdiff.term4-weighted-fd", "rdiff.weighted-cubic",
-                             worst.get("rdiff.term4-weighted-fd", 0.0), tolerance("fd_backed"),
+                             worst["rdiff.term4-weighted-fd"], tolerance("fd_backed"),
                              "jacobian-seeded third-order difference tensors"))
-    ok = supported == {"+1/2"}
-    checks.append(_check("rdiff.xi7-coefficient", "rdiff.kernel-coefficient",
-                         0.0 if ok else 1.0, 0.5,
-                         detail=f"supported: {sorted(str(s) for s in supported)}", passed=ok))
-    return checks
+    return checks + [_check("rdiff.xi7-coefficient", "rdiff.kernel-coefficient", xi7_gap,
+                            _XI7_MATCH_TOL, "remainder against 1/2 H kernel, relative to "
+                            "1 + max |remainder|")]
 
 
 def covariance_checks(bundle: ModelBundle, n: int, reps: int, seed: int,
@@ -446,8 +447,9 @@ def _suite_mc_study(config: ExperimentConfig, model) -> tuple[list[CheckResult],
     result = expansion_difference_study(model, config.n, reps=config.reps, seed=config.seed)
     # the slope band is calibrated for the normal mean/variance model over
     # moderate n; heavily skewed models sit outside their asymptotic regime
-    # there, so the slope is reported unasserted
-    assert_band = config.model == "MeanVarModel" or "slope_min" in config.tol_overrides
+    # there, so the slope is reported unasserted unless a bound is overridden
+    overridden = {"slope_min", "slope_max"} & config.tol_overrides.keys()
+    assert_band = config.model == "MeanVarModel" or bool(overridden)
     return scaling_checks(result, config.tolerance, assert_band), {"study": result.to_rows()}
 
 

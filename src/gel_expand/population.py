@@ -5,13 +5,11 @@ handful of population moments: G, Omega, the third-moment tensor
 E[g_a g_b g_c], and theta-derivative tensors of products of g. The
 identity suites need those moments and the expectation operator behind
 the finite-difference oracles to be the *same* object, otherwise
-sampling noise (order n_ref^-1/2) swamps the tolerances. We therefore
-realize "the population" as an explicit finitely-supported measure:
-
-* models with a ``gauss_rule`` get n_nodes quadrature nodes, which
-  integrate the relevant smooth integrands to machine accuracy;
-* other models fall back to an i.i.d. reference sample of size n_ref
-  with a fixed seed.
+sampling noise swamps the tolerances. We therefore realize "the
+population" as an explicit finitely-supported measure: the model's
+``gauss_rule`` at n_nodes quadrature nodes, which integrate the relevant
+smooth integrands to machine accuracy. A model without a rule has no
+reference measure; ``population_moments`` takes its PluginMeasure instead.
 
 The measure is then always exponentially tilted at theta_star so that
 E[g(x, theta_star)] = 0 holds exactly; under the tilted measure the
@@ -28,7 +26,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, SingularMatrixError
 from .estimators import _et_core
 from .models import MomentModel
-from .rng import philox_generator
 
 __all__ = [
     "PluginMeasure",
@@ -39,9 +36,7 @@ __all__ = [
     "moment_tensors",
 ]
 
-DEFAULT_N_REF = 1_000_000
 DEFAULT_N_NODES = 96
-DEFAULT_REF_SEED = 20240
 _TILT_TOL = 1e-13
 _WEIGHT_FLOOR = 1e-18
 
@@ -79,12 +74,7 @@ class PluginMeasure:
         return np.tensordot(self.weights, values, axes=(0, 0))
 
 
-def reference_measure(
-    model: MomentModel,
-    n_ref: int = DEFAULT_N_REF,
-    n_nodes: int = DEFAULT_N_NODES,
-    seed: int = DEFAULT_REF_SEED,
-) -> PluginMeasure:
+def reference_measure(model: MomentModel, n_nodes: int = DEFAULT_N_NODES) -> PluginMeasure:
     """Build the plug-in population measure for a model.
 
     Support points whose weight falls below 1e-18 of the largest are
@@ -93,24 +83,21 @@ def reference_measure(
     remaining weights are exponentially tilted (gradient tolerance 1e-13)
     so the moment condition holds exactly at theta_star under the measure.
 
-    Raises DimensionError when n_nodes < 1 for a model with a rule, and
-    DomainError, naming the model and n_nodes, when the rule's
-    points or weights are not all finite (a user rule's; the built-in Gauss
-    rules are finite at any n_nodes and df) or when no support point
-    survives the floor.
+    Raises DimensionError, naming the model, when it has no rule or
+    n_nodes < 1, and DomainError, naming the model and n_nodes, when the
+    rule's points or weights are not all finite (a user rule's; the
+    built-in Gauss rules are finite at any n_nodes and df) or when no
+    support point survives the floor.
     """
-    if model.gauss_rule is not None:
-        if n_nodes < 1:
-            raise DimensionError(
-                f"{model.name}: a quadrature rule needs n_nodes >= 1, got {n_nodes}"
-            )
-        points, weights = model.gauss_rule(n_nodes)
-        rule = f"{model.name}: {n_nodes}-node quadrature rule"
-    else:
-        rng = philox_generator(seed)
-        points = np.asarray(model.sampler(rng, n_ref), dtype=float)
-        weights = np.full(n_ref, 1.0 / n_ref)
-        rule = f"{model.name}: reference sample of {n_ref}"
+    if model.gauss_rule is None:
+        raise DimensionError(
+            f"{model.name}: no quadrature rule, so no reference measure; "
+            "pass a PluginMeasure instead"
+        )
+    if n_nodes < 1:
+        raise DimensionError(f"{model.name}: a quadrature rule needs n_nodes >= 1, got {n_nodes}")
+    points, weights = model.gauss_rule(n_nodes)
+    rule = f"{model.name}: {n_nodes}-node quadrature rule"
     points = np.atleast_2d(points)
     if not (np.isfinite(points).all() and np.isfinite(weights).all()):
         raise DomainError(f"{rule} has non-finite points or weights")
@@ -163,8 +150,9 @@ def population_moments(
     method: str = "analytic",
     measure: PluginMeasure | None = None,
 ) -> PopulationMoments:
-    """Population G and Omega, analytic or from the reference measure
-    (``measure``, by default ``reference_measure(model)``).
+    """Population G and Omega, analytic or from the plug-in measure
+    ``measure`` (by default ``reference_measure(model)``, which needs the
+    model's quadrature rule).
 
     Raises SingularMatrixError when the resulting Omega fails its
     conditioning check (limit 1e12), naming the model and support size.

@@ -175,17 +175,40 @@ class PhiSystem:
     ps: ProjectionSet
 
 
-def phi1_population(pm: PopulationMoments, layout: IndexLayout) -> np.ndarray:
-    """Population first-derivative matrix Phi; identical for ETEL and EL."""
+def _phi1_matrix(
+    system: str,
+    g_bar: np.ndarray,
+    omega: np.ndarray,
+    G: np.ndarray,
+    layout: IndexLayout,
+) -> np.ndarray:
+    """First-derivative matrix (..., D, D) of a system from g_bar (..., m),
+    omega (..., m, m) and G (..., m, p): the centered sample bar from the
+    bars, zero in its constant (tau, tau) entry.
+
+    The only system difference is the (lambda, tau) block, which is g_bar
+    for ETEL and zero for EL; 'diff' keeps only that block.
+    """
     D = layout.dim_beta
     ks, ls, ts = layout.kappa_slice, layout.lambda_slice, layout.theta_slice
-    out = np.zeros(pm.G.shape[:-2] + (D, D))
+    out = np.zeros(g_bar.shape[:-1] + (D, D))
+    if system != "diff":
+        out[..., 0, ls] = g_bar
+        out[..., ks, ls] = omega
+        out[..., ks, ts] = G
+        out[..., ls, ks] = omega
+        out[..., ls, ls] = -omega
+        out[..., ts, ks] = G.swapaxes(-1, -2)
+    if system in ("etel", "diff"):
+        out[..., ls, 0] = g_bar
+    return out
+
+
+def phi1_population(pm: PopulationMoments, layout: IndexLayout) -> np.ndarray:
+    """Population first-derivative matrix Phi; identical for ETEL and EL:
+    the first-derivative matrix at g_bar = 0 with Phi[0, 0] = -1."""
+    out = _phi1_matrix("el", np.zeros(pm.G.shape[:-1]), pm.Omega, pm.G, layout)
     out[..., 0, 0] = -1.0
-    out[..., ks, ls] = pm.Omega
-    out[..., ks, ts] = pm.G
-    out[..., ls, ks] = pm.Omega
-    out[..., ls, ls] = -pm.Omega
-    out[..., ts, ks] = pm.G.swapaxes(-1, -2)
     return out
 
 

@@ -17,7 +17,7 @@ import pytest
 from scipy.optimize import brentq, linprog
 
 import gel_expand as gx
-from gel_expand import estimators
+from gel_expand import estimators, models
 from gel_expand.errors import (
     ConvergenceError,
     DimensionError,
@@ -191,7 +191,8 @@ def _rows_and_weights(bundle, weighting):
 
 def _bivariate_location():
     """A test model with p = 2 (every built-in has p = 1): x in R^2 with
-    location theta, g = (x - theta, (x - theta)^2 - 1), m = 4."""
+    location theta, g = (x - theta, (x - theta)^2 - 1), m = 4. Its
+    quadrature rule is the product of two N(0, 1) Gauss rules."""
 
     def g(rows, theta):
         d = rows - theta[..., None, :]
@@ -211,10 +212,16 @@ def _bivariate_location():
         h[..., 2, 0, 0] = h[..., 3, 1, 1] = 2.0
         return h
 
+    def gauss_rule(n_nodes):
+        nodes, weights = models._gauss_hermite(n_nodes)
+        grid = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
+        return grid.reshape(-1, 2), np.outer(weights, weights).ravel()
+
     return gx.MomentModel(
         name="BivariateLocation", dim_x=2, dim_g=4, dim_theta=2, theta_star=np.zeros(2),
         g=g, g_jacobian=g_jacobian, g_hessian=g_hessian,
         draw=lambda gen, n: gen.standard_normal((n, 2)), to_rows=lambda z: z,
+        gauss_rule=gauss_rule,
     )
 
 
@@ -1201,6 +1208,24 @@ def test_singular_inner_hessian_falls_back_to_gradient(monkeypatch, core):
     assert singular
     assert np.all(np.isfinite(mult))
     assert np.linalg.norm(wt @ g) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "counts, theta_el",
+    [([13, 6, 1, 0, 0], -0.2817030344), ([5, 2, 4, 1, 0], -0.2929465)],
+)
+def test_singular_stacked_jacobian_retries_perturbed_pilots(counts, theta_el):
+    # SkewModel df = 4 on repeated nodes of its 5-node rule: the EL Newton
+    # from the pilot meets a singular stacked Jacobian (at iteration 65 and
+    # 1), and the perturbed pilots find the root
+    model = gx.build_model("SkewModel", df=4)
+    data = gx.Dataset(np.repeat(gx.reference_measure(model, n_nodes=5).points, counts, axis=0))
+    rep = gx.solve_stacked("el", data, model)
+    assert rep.converged
+    assert rep.beta_hat.theta[0] == pytest.approx(theta_el, abs=5e-8)
+    if counts[0] == 13:
+        etel = gx.solve_stacked("etel", data, model)
+        assert abs(rep.beta_hat.theta[0] - etel.beta_hat.theta[0]) <= 1e-12
 
 
 def test_stalled_first_start_retries_perturbed_pilots(mean_var, monkeypatch):

@@ -182,7 +182,7 @@ def test_r_diff_terms_closed(bundles, name):
         assert np.abs(rd.term1_direct + rd.term2_cancel).max() <= TOLERANCES["closed_form"]
         assert np.abs(rd.term3).max() <= TOLERANCES["term3"]
         assert np.abs(rd.term4_weighted).max() <= TOLERANCES["closed_form"]
-        assert rd.xi7_supported == "+1/2"
+        assert rd.xi7_gap <= expansion._XI7_MATCH_TOL
 
 
 def test_r_diff_cancel_reads_q_bar_tau(skew):
@@ -544,3 +544,43 @@ def test_stacked_q_routes_are_single_sample_terms(bundles, name):
             assert q[key].max_route_gap[k] == q_one.max_route_gap
         for piece, piece_one in zip(pieces, gx.q_diff_decomposition(one["diff"], b.ps, dt_diff)):
             same(piece[k], piece_one)
+
+
+@pytest.mark.parametrize("name", ["SkewModel", "MeanVarModel"])
+def test_stacked_r_diff_terms_are_single_sample_terms(bundles, name):
+    # every r-difference term on one batch of stacked bars and q-terms:
+    # each slice is bitwise the one-sample term
+    b = bundles[name]
+    dt_et = population_tensors("etel", b.model, b.pm, order=2, method="closed_form", mt=b.mt)
+    dt_diff = population_tensors("diff", b.model, b.pm, order=3, method="closed_form", mt=b.mt)
+    datasets = [gx.simulate(b.model, 120, 4_400 + k) for k in range(6)]
+    rows = np.stack([d.rows for d in datasets])
+    q = gx.q_bar(sample_stats("etel", b.model, rows, b.pm, b.mt), b.ps, dt_et, b.mt)
+    rd = gx.r_diff_terms(sample_stats("diff", b.model, rows, b.pm, b.mt), b.ps, dt_diff, q, b.mt)
+    for k, data in enumerate(datasets):
+        q_one = gx.q_bar(sample_stats("etel", b.model, data, b.pm, b.mt), b.ps, dt_et, b.mt)
+        one = gx.r_diff_terms(sample_stats("diff", b.model, data, b.pm, b.mt), b.ps, dt_diff,
+                              q_one, b.mt)
+        for f in dataclasses.fields(one):
+            part, value = getattr(rd, f.name)[k], np.asarray(getattr(one, f.name))
+            assert part.shape == value.shape and part.tobytes() == value.tobytes(), f.name
+    assert rd.term3.shape == (6, b.layout.dim_theta) and rd.xi7_gap.shape == (6,)
+
+
+def test_contract_matches_einsum():
+    # population tensors against stacked vectors, a per-sample tensor, one
+    # vector and three vectors
+    rng = np.random.default_rng(7)
+    t3, t4 = rng.normal(size=(4, 3, 5)), rng.normal(size=(4, 3, 5, 2))
+    x, y, z = rng.normal(size=(6, 3)), rng.normal(size=(6, 5)), rng.normal(size=(6, 2))
+    per_sample = rng.normal(size=(6, 4, 3, 5))
+    cases = [
+        (expansion._contract(t3, x[0], y[0]), np.einsum("ljk,j,k->l", t3, x[0], y[0])),
+        (expansion._contract(t3, x, y), np.einsum("ljk,sj,sk->sl", t3, x, y)),
+        (expansion._contract(per_sample, x, y), np.einsum("sljk,sj,sk->sl", per_sample, x, y)),
+        (expansion._contract(t3[:, :, 0], x), np.einsum("lj,sj->sl", t3[:, :, 0], x)),
+        (expansion._contract(t4, x, y, z), np.einsum("ljkq,sj,sk,sq->sl", t4, x, y, z)),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)

@@ -290,6 +290,19 @@ def test_mc_study_slope_band_asserted_for_mean_var_only(tmp_path):
     assert "informational" in slope_check.detail
 
 
+def test_mc_study_slope_max_override_asserts_the_band():
+    # an override of either bound asserts the band: the SkewModel slope
+    # (-0.52 at this seed) lies above slope_max = -1.9
+    config = parse_config(
+        overrides={"seed": "31", "suite": "mc_study", "model": "SkewModel",
+                   "n": "50,100,200", "reps": "200", "tol.slope_max": "-1.9"}
+    )
+    report = run_suite(config)
+    slope_check = next(c for c in report.checks if c.name == "scaling.slope")
+    assert not slope_check.passed and not report.overall_pass
+    assert slope_check.value > -1.9 and "informational" not in slope_check.detail
+
+
 def test_tolerance_override_applies():
     config = parse_config(
         overrides={
@@ -420,7 +433,6 @@ def _reference_r_ladder(b, n, seeds, fd_samples):
     dt_fd = population_tensors("diff", b.model, b.pm, order=3, method="jacobian_seeded",
                                measure=b.measure)
     worst = {}
-    supported = set()
 
     def bump(key, val):
         worst[key] = _worst(worst.get(key, 0.0), float(np.max(np.abs(val))))
@@ -434,11 +446,10 @@ def _reference_r_ladder(b, n, seeds, fd_samples):
         bump("rdiff.term1-plus-term2cancel", rd.term1_direct + rd.term2_cancel)
         bump("rdiff.term3", rd.term3)
         bump("rdiff.term4-weighted", rd.term4_weighted)
-        supported.add(rd.xi7_supported)
+        bump("rdiff.xi7-coefficient", rd.xi7_gap)
         if k < fd_samples:
             bump("rdiff.term4-weighted-fd",
                  r_diff_terms(ss_d, b.ps, dt_fd, q, b.mt).term4_weighted)
-    worst["rdiff.xi7-coefficient"] = 0.0 if supported == {"+1/2"} else 1.0
     return worst
 
 
@@ -510,12 +521,14 @@ def test_r_ladder_propagates_an_injected_nan(monkeypatch, skew):
 
     def terms(*args):
         rd = r_diff_terms(*args)
-        calls.append(1)
-        return dataclasses.replace(rd, term3=rd.term3 * math.nan) if len(calls) == 4 else rd
+        calls.append(rd.term3.shape)
+        term3 = rd.term3.copy()
+        term3[3] = math.nan  # the batch's fourth sample
+        return dataclasses.replace(rd, term3=term3)
 
     monkeypatch.setattr(harness, "r_diff_terms", terms)
     checks = {c.name: c for c in r_checks(skew, 40, range(7), 0, TOL)}
-    assert len(calls) == 7
+    assert calls == [(7, 1)]  # one call on the batch's stacked bars
     assert math.isnan(checks["rdiff.term3"].value) and not checks["rdiff.term3"].passed
     assert not math.isnan(checks["rdiff.term1.closed-vs-direct"].value)
 

@@ -139,10 +139,12 @@ def test_population_moments_singular_omega_names_model():
         draw=base.draw,
         to_rows=base.to_rows,
     )
+    measure = gx.PluginMeasure(points=np.linspace(-2.0, 2.0, 9)[:, None], weights=np.ones(9))
     with pytest.raises(SingularMatrixError, match="DegenerateModel"):
-        gx.population_moments(
-            model, "reference_sample", measure=gx.reference_measure(model, n_ref=500, seed=4)
-        )
+        gx.population_moments(model, "reference_sample", measure=measure)
+    # a model without a quadrature rule has no reference measure
+    with pytest.raises(DimensionError, match="DegenerateModel"):
+        gx.reference_measure(model)
 
 
 def test_population_moments_unknown_method(mean_var):
