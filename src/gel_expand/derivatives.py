@@ -23,12 +23,14 @@ parameter layout (tau, kappa, lambda, theta):
   per-observation derivatives. Because the per-observation derivative
   arrays have exactly the same block structure as the population
   displays, the bars reuse the closed-form assemblers with centered
-  moment inputs. They are built in two steps. A feature pass over a
-  batch of rows (``_sample_features``) evaluates g, dg and d2g at
-  theta* once, forms the system-free bars (g, G, Omega and the T, W, K
-  bars) and keeps the stacked moment rows at beta* of ETEL and EL. An
-  assembly (``_assemble``) then builds one system's phi0, phi1 and phi2
-  bars from them; the difference system reuses the two systems' rows.
+  moment inputs: sqrt(n) times the moments under weights 1/n minus the
+  population moments, both from ``population._moments``. They are built
+  in two steps. A feature pass over a batch of rows
+  (``_sample_features``) evaluates g, dg and d2g at theta* once, forms
+  the system-free bars (g, G, Omega and the T, W, K bars) and keeps the
+  stacked moment rows at beta* of ETEL and EL. An assembly
+  (``_assemble``) then builds one system's phi0, phi1 and phi2 bars from
+  them; the difference system reuses the two systems' rows.
   ``sample_stats`` is the two steps for one system; the check ladders
   make one feature pass per batch and assemble every system from it.
   The bars of S samples of one size come from one stacked pass (rows
@@ -52,7 +54,7 @@ import numpy as np
 from .errors import DimensionError
 from .estimators import BetaVector, phi_rows, stacked_jacobian, stacked_residual
 from .models import _BATCH_ROWS, Dataset, IndexLayout, MomentModel
-from .population import MomentTensors, PluginMeasure, PopulationMoments
+from .population import MomentTensors, PluginMeasure, PopulationMoments, _moments
 from .projections import _phi1_matrix, phi1_population
 
 __all__ = [
@@ -471,19 +473,16 @@ class SampleStats:
 class _SampleFeatures:
     """The system-free part of the sample bars of a batch of rows.
 
-    root_n is sqrt(n); g_bar, G_bar and Omega_bar are the bars every
-    system shares; star_rows holds the stacked moment rows at beta* of
-    ETEL and EL ((..., n, D) each); cubic holds the T, W and K bars, or
-    None when no moment tensors were given.
+    root_n is sqrt(n); bars holds the g, G and Omega bars every system
+    shares, then the T, W and K bars when moment tensors were given;
+    star_rows holds the stacked moment rows at beta* of ETEL and EL
+    ((..., n, D) each).
     """
 
     layout: IndexLayout
     root_n: float
-    g_bar: np.ndarray
-    G_bar: np.ndarray
-    Omega_bar: np.ndarray
+    bars: tuple[np.ndarray, ...]
     star_rows: dict[str, np.ndarray]
-    cubic: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
 def _sample_features(
@@ -495,41 +494,18 @@ def _sample_features(
     """One pass over rows (..., n, d) at the model's theta_star: g, dg and
     (with ``mt``) d2g evaluated once, the system-free bars, and the ETEL
     and EL moment rows at beta*."""
-    theta = model.theta_star
     n = rows.shape[-2]
     root_n = float(np.sqrt(n))
-
-    g = model.g_rows(rows, theta)
-    gjac = model.g_jacobian(rows, theta)
-    g_bar = root_n * g.mean(axis=-2)
-    G_bar = root_n * (gjac.mean(axis=-3) - pm.G)
-    omega_bar = root_n * (np.einsum("...na,...nb->...ab", g, g) / n - pm.Omega)
-
-    beta_star = BetaVector.star_values(model)
-    star_rows = {s: phi_rows(s, model, rows, beta_star) for s in ("etel", "el")}
-
-    cubic = None
+    population = [0.0, pm.G, pm.Omega]  # E[g] vanishes: g_bar is uncentered
     if mt is not None:
-        if model.g_hessian is None:
-            raise DimensionError(f"{model.name}: g_hessian required for phi2 bars")
-        ghess = model.g_hessian(rows, theta)
-        t_bar = root_n * (np.einsum("...na,...nb,...nc->...abc", g, g, g) / n - mt.T)
-        w_mean = (
-            np.einsum("...naq,...nb->...abq", gjac, g)
-            + np.einsum("...na,...nbq->...abq", g, gjac)
-        ) / n
-        w_bar = root_n * (w_mean - mt.W)
-        k_bar = root_n * (ghess.mean(axis=-4) - mt.K)
-        cubic = (t_bar, w_bar, k_bar)
-
+        population += [mt.T, mt.W, mt.K]
+    sample = _moments(model, rows, np.full(n, 1.0 / n), 1 if mt is None else 2)
+    beta_star = BetaVector.star_values(model)
     return _SampleFeatures(
         layout=model.layout,
         root_n=root_n,
-        g_bar=g_bar,
-        G_bar=G_bar,
-        Omega_bar=omega_bar,
-        star_rows=star_rows,
-        cubic=cubic,
+        bars=tuple(root_n * (s - p) for s, p in zip(sample, population)),
+        star_rows={s: phi_rows(s, model, rows, beta_star) for s in ("etel", "el")},
     )
 
 
@@ -542,17 +518,18 @@ def _assemble(system: str, f: _SampleFeatures) -> SampleStats:
         rows_star = f.star_rows["etel"] - f.star_rows["el"]
     else:
         rows_star = f.star_rows[system]
+    g_bar, G_bar, omega_bar, *cubic = f.bars
     phi2_bar = None
-    if f.cubic is not None:
-        phi2_bar = _phi2_blocks(system, f.layout, f.Omega_bar, f.G_bar, *f.cubic)
+    if cubic:
+        phi2_bar = _phi2_blocks(system, f.layout, omega_bar, G_bar, *cubic)
     return SampleStats(
         system=system,
         layout=f.layout,
-        g_bar=f.g_bar,
-        G_bar=f.G_bar,
-        Omega_bar=f.Omega_bar,
+        g_bar=g_bar,
+        G_bar=G_bar,
+        Omega_bar=omega_bar,
         phi0_bar=f.root_n * rows_star.mean(axis=-2),
-        phi1_bar=_phi1_matrix(system, f.g_bar, f.Omega_bar, f.G_bar, f.layout),
+        phi1_bar=_phi1_matrix(system, g_bar, omega_bar, G_bar, f.layout),
         phi2_bar=phi2_bar,
     )
 

@@ -644,7 +644,9 @@ class SolveReport:
     """Outcome of a stacked solve; converged implies residual_norm <= tol,
     max_i lambda-hat'g_i >= 0 at theta-hat and, after a step from a start
     on the profile, a profile log-likelihood (``_log_likelihood``) at
-    theta-hat not below the start's: the profile maximum cannot be."""
+    theta-hat not below the start's: the profile maximum cannot be. Unless
+    converged, ``reason`` is "max_iter" (the Newton spent its ``_MAX_ITER``
+    iterations) or "no acceptable step" (its line search stalled before)."""
 
     system: str
     beta_hat: BetaVector
@@ -769,6 +771,12 @@ def _log_likelihood(ev: _StackedEval) -> float:
     return float(np.log(ev.c).sum()) - n * math.log(float(ev.c.sum()))
 
 
+def _check_size(model: MomentModel, n: int) -> None:
+    """Raise DimensionError unless n >= dim_g + 1, the least size a solve accepts."""
+    if n < model.dim_g + 1:
+        raise DimensionError(f"need n >= dim_g + 1 = {model.dim_g + 1} observations, got {n}")
+
+
 def solve_stacked(
     system: str, data: Dataset, model: MomentModel, init: BetaVector | None = None, tol: float = 1e-9
 ) -> SolveReport:
@@ -797,10 +805,7 @@ def solve_stacked(
     """
     if system not in ("etel", "el"):
         raise DimensionError(f"unknown system {system!r}; use 'etel' or 'el'")
-    if data.n < model.dim_g + 1:
-        raise DimensionError(
-            f"need n >= dim_g + 1 = {model.dim_g + 1} observations, got {data.n}"
-        )
+    _check_size(model, data.n)
     if init is None:
         pilot_error = [None]
         theta0 = pilot_theta(model, data.rows[None], pilot_error)[0]
@@ -858,5 +863,5 @@ def _report(system, model, result, tol, init_beta) -> SolveReport:
         converged=converged,
         tol=tol,
         init_distance=_norm(beta - init_beta),
-        reason=None if converged else "max_iter",
+        reason=None if converged else "max_iter" if its >= _MAX_ITER else "no acceptable step",
     )

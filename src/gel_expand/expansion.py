@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, GelError
 from .derivatives import DerivTensors, SampleStats, _neg_inv_contract
-from .estimators import BetaVector, _dots, _pilot_starts, solve_stacked
+from .estimators import BetaVector, _check_size, _dots, _pilot_starts, solve_stacked
 from .models import Dataset, MomentModel, _draw_stacks
 from .population import MomentTensors, population_moments
 from .projections import ProjectionSet, _sup, phi_inverse_matrix, projection_set
@@ -510,7 +510,8 @@ def expansion_difference_study(
     theta components and the n^2-scaled gap of their variances, and
     fits the log-log slope of the medians. Replications where either
     solver fails are excluded and counted; a failure rate above 5% at
-    any n aborts with diagnostics.
+    any n aborts with diagnostics. A size below the least a solve accepts
+    (dim_g + 1) raises DimensionError before anything is drawn.
 
     Replication i draws from its own stream (seed, 1 + i). The
     replications of one n are profiled together, one ``_draw_stacks``
@@ -522,6 +523,7 @@ def expansion_difference_study(
     """
     if not n_list:
         raise DimensionError("n_list must not be empty")
+    _check_size(model, min(n_list))
     rows: list[StudyRow] = []
     layout = model.layout
     for n_idx, n in enumerate(n_list):

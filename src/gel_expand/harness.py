@@ -41,7 +41,7 @@ from .derivatives import (
     _sample_features,
     population_tensors,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .expansion import (
     _MAX_FAIL_RATE,
     _XI7_MATCH_TOL,
@@ -444,7 +444,10 @@ def _suite_r_terms(config: ExperimentConfig, model) -> tuple[list[CheckResult], 
 
 
 def _suite_mc_study(config: ExperimentConfig, model) -> tuple[list[CheckResult], dict]:
-    result = expansion_difference_study(model, config.n, reps=config.reps, seed=config.seed)
+    try:
+        result = expansion_difference_study(model, config.n, reps=config.reps, seed=config.seed)
+    except DimensionError as exc:  # a size no solve accepts
+        raise ConfigError(f"config key 'n': {exc}") from exc
     # the slope band is calibrated for the normal mean/variance model over
     # moderate n; heavily skewed models sit outside their asymptotic regime
     # there, so the slope is reported unasserted unless a bound is overridden

@@ -15,6 +15,9 @@ The measure is then always exponentially tilted at theta_star so that
 E[g(x, theta_star)] = 0 holds exactly; under the tilted measure the
 model is a true population for its own moment condition, and the
 simplified zero blocks of the derivative displays are exact.
+
+The moment formulas are written once, in ``_moments``: under the
+measure's weights here, under weights 1/n for the sample bars.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_N_NODES = 96
+COND_LIMIT = 1e12  # Omega with a larger condition number is numerically singular
 _TILT_TOL = 1e-13
 _WEIGHT_FLOOR = 1e-18
 
@@ -68,10 +72,6 @@ class PluginMeasure:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-    def expect(self, values: np.ndarray) -> np.ndarray:
-        """Weighted average over the support (axis 0)."""
-        return np.tensordot(self.weights, values, axes=(0, 0))
 
 
 def reference_measure(model: MomentModel, n_nodes: int = DEFAULT_N_NODES) -> PluginMeasure:
@@ -155,7 +155,7 @@ def population_moments(
     model's quadrature rule).
 
     Raises SingularMatrixError when the resulting Omega fails its
-    conditioning check (limit 1e12), naming the model and support size.
+    conditioning check (``COND_LIMIT``), naming the model and support size.
     """
     if method == "analytic":
         if model.analytic is None:
@@ -165,21 +165,17 @@ def population_moments(
     elif method == "reference_sample":
         if measure is None:
             measure = reference_measure(model)
-        g = model.g_rows(measure.points, model.theta_star)
-        gjac = model.g_jacobian(measure.points, model.theta_star)
-        pm = PopulationMoments(
-            G=measure.expect(gjac),
-            Omega=np.einsum("n,na,nb->ab", measure.weights, g, g),
-        )
+        _, G, Omega = _moments(model, measure.points, measure.weights, 1)
+        pm = PopulationMoments(G=G, Omega=Omega)
         support = f"reference support {measure.size}"
     else:
         raise DimensionError(
             f"unknown method {method!r}; use 'analytic' or 'reference_sample'"
         )
     cond = float(np.linalg.cond(pm.Omega))
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrixError(
-            f"{model.name}: Omega numerically singular (cond {cond:.3e}, {support})"
+            f"{model.name}: Omega numerically singular (cond {cond:.3e} > {COND_LIMIT:.0e}, {support})"
         )
     if np.linalg.matrix_rank(pm.G) < pm.dim_theta:
         raise SingularMatrixError(f"{model.name}: G rank-deficient ({support})")
@@ -208,26 +204,43 @@ class MomentTensors:
 
 def moment_tensors(model: MomentModel, measure: PluginMeasure) -> MomentTensors:
     """Evaluate the moment tensors under the plug-in measure."""
+    _, _, _, T, W, K, U, V = _moments(model, measure.points, measure.weights, 3)
+    return MomentTensors(T=T, W=W, K=K, U=U, V=V)
+
+
+def _moments(model: MomentModel, rows: np.ndarray, w: np.ndarray, order: int) -> list[np.ndarray]:
+    """E[g], G and Omega (order 1), then T, W and K (order 2), then U and V
+    (order 3; see MomentTensors) at theta_star under weights w (n,) over rows
+    (..., n, d), with the rows' leading axes; each slice of stacked rows is
+    bitwise its own sample's moments. g, dg and d2g are evaluated once."""
+    theta = model.theta_star
+    lead, n = rows.shape[:-2], rows.shape[-2]
+    g = model.g_rows(rows, theta)
+    gj = model.g_jacobian(rows, theta)
+
+    def mean(x):
+        return (w @ x.reshape(lead + (n, -1))).reshape(lead + x.shape[len(lead) + 1 :])
+
+    out = [mean(g), mean(gj), np.einsum("n,...na,...nb->...ab", w, g, g)]
+    if order == 1:
+        return out
     if model.g_hessian is None:
         raise DimensionError(f"{model.name}: g_hessian required for moment tensors")
-    theta = model.theta_star
-    w = measure.weights
-    g = model.g_rows(measure.points, theta)
-    gj = model.g_jacobian(measure.points, theta)
-    gh = model.g_hessian(measure.points, theta)
-
-    T = np.einsum("n,na,nb,nc->abc", w, g, g, g)
-    W = np.einsum("n,naq,nb->abq", w, gj, g) + np.einsum("n,na,nbq->abq", w, g, gj)
-    K = measure.expect(gh)
-    U = (
-        np.einsum("n,nhq,na,nb->habq", w, gj, g, g)
-        + np.einsum("n,nh,naq,nb->habq", w, g, gj, g)
-        + np.einsum("n,nh,na,nbq->habq", w, g, g, gj)
-    )
-    V = (
-        np.einsum("n,na,nbqr->abqr", w, g, gh)
-        + np.einsum("n,nb,naqr->abqr", w, g, gh)
-        + np.einsum("n,naq,nbr->abqr", w, gj, gj)
-        + np.einsum("n,nar,nbq->abqr", w, gj, gj)
-    )
-    return MomentTensors(T=T, W=W, K=K, U=U, V=V)
+    gh = model.g_hessian(rows, theta)
+    out += [
+        np.einsum("n,...na,...nb,...nc->...abc", w, g, g, g),
+        np.einsum("n,...naq,...nb->...abq", w, gj, g)
+        + np.einsum("n,...na,...nbq->...abq", w, g, gj),
+        mean(gh),
+    ]
+    if order == 3:
+        out += [
+            np.einsum("n,...nhq,...na,...nb->...habq", w, gj, g, g)
+            + np.einsum("n,...nh,...naq,...nb->...habq", w, g, gj, g)
+            + np.einsum("n,...nh,...na,...nbq->...habq", w, g, g, gj),
+            np.einsum("n,...na,...nbqr->...abqr", w, g, gh)
+            + np.einsum("n,...nb,...naqr->...abqr", w, g, gh)
+            + np.einsum("n,...naq,...nbr->...abqr", w, gj, gj)
+            + np.einsum("n,...nar,...nbq->...abqr", w, gj, gj),
+        ]
+    return out

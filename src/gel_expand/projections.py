@@ -21,7 +21,7 @@ downstream rests on, so they are exposed as a residual report.
 Omega is factorized by Cholesky and G'Omega^-1 G inverted through a QR
 factorization; explicit inverses are still formed because the identity
 checks need the matrices themselves. Omega with condition number above
-1e12 is rejected outright rather than regularized.
+``COND_LIMIT`` (1e12) is rejected outright rather than regularized.
 
 Every function here takes stacked instances: G (..., m, p) and Omega
 (..., m, m) give P, H, Sigma, Phi and the residuals with the same
@@ -44,7 +44,7 @@ from scipy.linalg import lapack
 
 from .errors import SingularMatrixError
 from .models import IndexLayout
-from .population import PopulationMoments
+from .population import COND_LIMIT, PopulationMoments
 
 __all__ = [
     "ProjectionSet",
@@ -57,7 +57,6 @@ __all__ = [
     "random_population_moments",
 ]
 
-COND_LIMIT = 1e12
 _INVERSE_CHECK_TOL = 1e-10
 
 
@@ -87,7 +86,7 @@ def _factor(omega: np.ndarray, G: np.ndarray, cond: float):
     scipy's queried one: below LAPACK's block size (p < 32) both run the
     unblocked factorization."""
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatrixError(f"Omega condition number {cond:.3e} exceeds 1e12")
+        raise SingularMatrixError(f"Omega condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
     chol, info = lapack.dpotrf(omega, lower=1, clean=0)
     if info > 0:
         raise SingularMatrixError("Omega is not positive definite")
@@ -109,7 +108,7 @@ def projection_set(pm: PopulationMoments) -> ProjectionSet:
     """Build P, H, Sigma from population moments, with pm's leading axes.
 
     Raises SingularMatrixError for the first instance whose Omega has
-    condition number above 1e12 or is not positive definite, or whose G
+    condition above ``COND_LIMIT`` or is not positive definite, or whose G
     lacks full column rank, with the message that instance gives alone.
     """
     omega, G = pm.Omega, pm.G

@@ -544,3 +544,27 @@ def test_one_feature_pass_serves_every_system(bundles, name):
         assert got.system == system
         for field in ("g_bar", "G_bar", "Omega_bar", "phi0_bar", "phi1_bar", "phi2_bar"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+@pytest.mark.parametrize("name", gx.MODEL_NAMES)
+def test_bars_are_plug_in_moments_of_the_empirical_measure(bundles, name):
+    # a bar is sqrt(n) times the empirical measure's plug-in moment minus the
+    # population's: at n = 32 the weights 1/32 and their sum are exact, so
+    # the plug-in moments under them give every bar bitwise
+    b = bundles[name]
+    n = 32
+    rows = gx.simulate(b.model, n, 602).rows
+    empirical = gx.PluginMeasure(rows, np.full(n, 1 / n))
+    pm = gx.population_moments(b.model, "reference_sample", measure=empirical)
+    mt = gx.moment_tensors(b.model, empirical)
+    features = _sample_features(b.model, rows, b.pm, b.mt)
+    root_n = np.sqrt(n)
+    want = {
+        "G": root_n * (pm.G - b.pm.G),
+        "Omega": root_n * (pm.Omega - b.pm.Omega),
+        "T": root_n * (mt.T - b.mt.T),
+        "W": root_n * (mt.W - b.mt.W),
+        "K": root_n * (mt.K - b.mt.K),
+    }
+    for (key, value), bar in zip(want.items(), features.bars[1:], strict=True):
+        assert bar.tobytes() == value.tobytes(), key

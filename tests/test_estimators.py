@@ -715,6 +715,18 @@ def test_solve_stacked_nonconvergence_reported(mean_var, monkeypatch):
     assert rep.reason == "max_iter"
 
 
+@pytest.mark.parametrize("seed, n, iterations", [(51, 6, 67), (169, 4, 96)])
+def test_stalled_solve_reports_no_acceptable_step(seed, n, iterations):
+    # heavy-tailed tiny samples on which every start's Newton stops short of
+    # the iteration budget with no acceptable step: the report says so
+    model = gx.build_model("SkewModel", df=1)
+    data = gx.Dataset(model.sampler(replication_generator(7, seed), n))
+    rep = gx.solve_stacked("etel", data, model)
+    assert not rep.converged
+    assert rep.iterations == iterations < estimators._MAX_ITER
+    assert rep.reason == "no acceptable step"
+
+
 def test_solve_stacked_needs_enough_observations(mean_var):
     data = gx.Dataset(np.array([[0.1], [0.2]]))
     with pytest.raises(DimensionError):
@@ -1239,7 +1251,7 @@ def test_stalled_first_start_retries_perturbed_pilots(mean_var, monkeypatch):
 
     monkeypatch.setattr(estimators, "_newton_stacked", stall)
     rep = gx.solve_stacked("etel", data, model)
-    assert not rep.converged and rep.reason == "max_iter"
+    assert not rep.converged and rep.reason == "no acceptable step"
 
     theta0 = _pilot(model, data)
     g0 = model.g_rows(data.rows, theta0)[:, : model.dim_theta]

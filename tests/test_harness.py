@@ -102,6 +102,24 @@ def test_out_of_range_config_value_is_a_config_error(key, value):
     assert cli.main(argv) == 2
 
 
+@pytest.mark.parametrize("model, sizes, least", [("SkewModel", "2,50", 3),
+                                                  ("JustIdentModel", "1,50", 2)])
+def test_mc_study_size_below_dim_g_plus_one_is_a_config_error(model, sizes, least, monkeypatch):
+    # no solve accepts n < dim_g + 1: the study names the least size before
+    # it draws anything, and the run is a configuration error (exit status 2)
+    def draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(expansion, "_draw_stacks", draw)
+    config = parse_config(overrides={"seed": "1", "suite": "mc_study", "model": model,
+                                     "n": sizes, "reps": "20"})
+    with pytest.raises(ConfigError, match=rf"'n'.* dim_g \+ 1 = {least}\b"):
+        run_suite(config)
+    argv = ["run", "--suite", "mc_study", "--model", model, "--seed", "1", "--n", sizes,
+            "--reps", "20", "--quiet"]
+    assert cli.main(argv) == 2
+
+
 def test_one_size_is_enough_outside_mc_study():
     config = parse_config(overrides={"seed": "1", "suite": "q_equality", "n": "50"})
     assert config.n == [50]
